@@ -1,0 +1,133 @@
+"""Golden CLI replay: stdout, stderr and exit code of every recorded run.
+
+The recordings in ``fixtures/golden/`` (one file per input fixture) pin the
+command line byte for byte: each subcommand on each fixture in both output
+modes, every counting algorithm on both item collections, the coherence
+search at several budgets, sampled parthood audits (one on 62 elements)
+and two error cases.
+A change that alters any of them shows up here as a diff.
+
+Regenerate the recordings, only when an output change is intended, with::
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import difflib
+import functools
+import io
+import json
+import sys
+
+import pytest
+
+from granum import cli
+
+from conftest import FIXTURES
+
+GOLDEN = FIXTURES / "golden"
+
+INPUTS = {
+    "ctx_vee.json": "p,q",
+    "table_blocks.csv": "1,3,4",
+    "pairs_yes.json": "1",
+    "pairs_no.json": "1",
+    "ctx_chain9.json": "a,b,d,e",
+}
+
+
+def _fixture_cases(name: str, region: str) -> dict[str, list[str]]:
+    runs = {
+        "approx": ["approx", "--region", region, "--knowledge"],
+        "gos-audit": ["gos-audit"],
+        "parthood-audit": ["parthood-audit"],
+        "inverse": ["inverse"],
+        "coherence": ["coherence"],
+        "coherence-search": ["coherence", "--search"],
+        "coherence-search-budget0": ["coherence", "--search", "--budget", "0"],
+        "coherence-search-budget3": ["coherence", "--search", "--budget", "3"],
+    }
+    for algo in ("hpc", "pca", "hpca", "fhca"):
+        for items in ("elements", "rough-objects"):
+            runs[f"count-{algo}-{items}"] = ["count", "--algo", algo, "--items", items]
+    for op in ("maximal-antichains", "antichain-cover", "signatures"):
+        runs[f"oracle-{op}"] = ["oracle", "--op", op]
+    if name == "table_blocks.csv":
+        runs["parthood-audit-budget8-seed3"] = ["parthood-audit", "--budget", "8",
+                                                "--seed", "3"]
+    if name == "ctx_vee.json":
+        runs["error-fhca-budget0"] = ["count", "--algo", "fhca", "--budget", "0"]
+        runs["error-incomparability-lateral"] = ["count", "--conflict", "incomparability",
+                                                 "--parthood", "lateral", "--algo", "hpca"]
+    return {f"{case}-{output}": argv + ["--input", f"{{fixtures}}/{name}",
+                                        "--output", output]
+            for case, argv in runs.items() for output in ("json", "text")}
+
+
+CASES = {name: _fixture_cases(name, region) for name, region in INPUTS.items()}
+# 2**62 regions: the widest universe whose sampled basis rng.sample can draw.
+CASES["ctx_wide62.json"] = {
+    f"parthood-audit-budget48-seed5-{output}": [
+        "parthood-audit", "--budget", "48", "--seed", "5",
+        "--input", "{fixtures}/ctx_wide62.json", "--output", output]
+    for output in ("json", "text")}
+
+
+def _record_path(name: str):
+    return GOLDEN / (name.replace(".", "_") + ".json")
+
+
+def replay(argv: list[str]) -> dict:
+    """Run the CLI in-process and capture what a shell would see."""
+    resolved = [a.replace("{fixtures}", str(FIXTURES)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run(resolved, out=out)
+    here = str(FIXTURES)
+    return {"argv": argv, "exit": code,
+            "stdout": out.getvalue().replace(here, "{fixtures}"),
+            "stderr": err.getvalue().replace(here, "{fixtures}")}
+
+
+@functools.cache
+def _recorded(name: str) -> dict:
+    return json.loads(_record_path(name).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_recordings_cover_every_case(name):
+    assert sorted(_recorded(name)) == sorted(CASES[name])
+
+
+@pytest.mark.parametrize("name,case", [(name, case) for name in sorted(CASES)
+                                       for case in sorted(CASES[name])])
+def test_cli_output_matches_recording(name, case, monkeypatch):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    want = _recorded(name)[case]
+    got = replay(CASES[name][case])
+    assert got["argv"] == want["argv"]
+    for stream in ("stdout", "stderr"):
+        if got[stream] != want[stream]:
+            diff = "".join(difflib.unified_diff(
+                want[stream].splitlines(True), got[stream].splitlines(True),
+                "recorded", "now"))
+            pytest.fail(f"{stream} differs for {case}:\n{diff}")
+    assert got["exit"] == want["exit"]
+
+
+def write_recordings() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name, cases in CASES.items():
+        records = {case: replay(argv) for case, argv in cases.items()}
+        _record_path(name).write_text(json.dumps(records, indent=1, sort_keys=True)
+                                      + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    import os
+    os.environ.pop(cli.ENV_SEED, None)
+    write_recordings()
