@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import counting, gos as gos_mod, oracles, parthood as pH
-from .core import (ParseError, Region, Universe, indiscernibility_partition,
-                   parse_context, parse_information_table)
+from .core import (DEFAULT_SEED, ParseError, Region, Universe,
+                   indiscernibility_partition, parse_context, parse_information_table)
 
-DEFAULT_SEED = 1729
 ENV_SEED = "GRANUM_SEED"
 
 AXIOM_ALIASES = {
@@ -48,7 +47,6 @@ class RunConfig:
     budget: int | None
     output: str
     strict: bool
-    threads: int
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -77,7 +75,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         budget=getattr(args, "budget", None),
         output=args.output,
         strict=args.strict,
-        threads=args.threads,
     )
 
 
@@ -196,14 +193,11 @@ def _cmd_gos_audit(args, cfg: RunConfig):
     wanted = AXIOM_ALIASES.get(args.axiom, args.axiom)
     reports = []
     if wanted in ("weak-representability", "all"):
-        reports.append(gos_mod.audit_weak_representability(space, seed=cfg.seed,
-                                                           workers=cfg.threads))
+        reports.append(gos_mod.audit_weak_representability(space, seed=cfg.seed))
     if wanted in ("lower-stability", "all"):
-        reports.append(gos_mod.audit_lower_stability(space, seed=cfg.seed,
-                                                     workers=cfg.threads))
+        reports.append(gos_mod.audit_lower_stability(space, seed=cfg.seed))
     if wanted in ("full-underlap", "all"):
-        reports.append(gos_mod.audit_full_underlap(space, seed=cfg.seed,
-                                                   workers=cfg.threads))
+        reports.append(gos_mod.audit_full_underlap(space, seed=cfg.seed))
     if not reports:
         raise ParseError(f"unknown axiom {args.axiom!r} (use wra, ls, fu or all)")
     violations = space.containment_violations()
@@ -255,8 +249,7 @@ def _cmd_count(args, cfg: RunConfig):
     elif args.algo == "hpca":
         trace, decomposition = counting.hpca_count(seq, conflict)
     elif args.algo == "fhca":
-        trace, antichains = counting.fhca_count(seq, conflict, budget=cfg.budget,
-                                                seed=cfg.seed)
+        trace, antichains = counting.fhca_count(seq, conflict, budget=cfg.budget)
         decomposition = counting.verify_decomposition(trace, conflict)
     else:
         raise ParseError(f"unknown algorithm {args.algo!r}")
@@ -375,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default="text", choices=["text", "json"])
         p.add_argument("--strict", action="store_true",
                        help="exit 1 when the analysis result is negative")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored; every run is single-threaded")
         if items:
             p.add_argument("--items", default="elements",
                            choices=["elements", "rough-objects"])

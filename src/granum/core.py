@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+DEFAULT_SEED = 1729
+
 
 class ParseError(ValueError):
     """Raised when an information table or context file is malformed."""
@@ -346,6 +348,17 @@ def indiscernibility_partition(table: InformationTable, attrs: Iterable[str]) ->
         groups.setdefault(key, []).append(obj)
     blocks = tuple(table.objects.region(g) for g in groups.values())
     return IndiscernibilityRelation(table.objects, blocks)
+
+
+def _jsonify(x):
+    """Report values as JSON: regions become sorted member lists."""
+    if isinstance(x, Region):
+        return sorted(x)
+    if isinstance(x, dict):
+        return {k: _jsonify(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonify(v) for v in x]
+    return x
 
 
 def lower_bits(bits: int, masks: Iterable[int]) -> int:

@@ -12,20 +12,24 @@ symmetric conflict relation:
                     the first pass receive deferred markers that seed later
                     passes over rotated orders, until the collection is
                     covered or the markers run out.
-* ``fhca_count``  - same as hpca on coherent orders; otherwise collects
-                    first-pass categories under permuted orders until covered.
+* ``fhca_count``  - full-history counting; hpca is coherent on every
+                    symmetric, irreflexive conflict, so this is the hpca run
+                    relabelled.  Its permuted-order collection rounds are
+                    ``fhca_rounds``.
 
-Every run is deterministic in (sequence, conflict, strategy, seed) and the
-trace records enough to replay each pass rule by rule.
+Every run is deterministic in (sequence, conflict), ``fhca_rounds`` and the
+arrangement search also in their seed, and the trace records enough to
+replay each pass rule by rule.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
-DEFAULT_SEED = 1729
+from .core import DEFAULT_SEED
 
 Item = Hashable
 ConflictFn = Callable[[Item, Item], bool]
@@ -283,10 +287,7 @@ def hpc_count(seq: OrderArrangement, relation: ConflictFn) -> CountingTrace:
     labels[items[0]] = [(1, successor_label(0, 1))]
     for i in range(1, len(items)):
         x = items[i]
-        if relation(items[i - 1], x):
-            type_index += 1
-            power = 0
-        elif any(relation(items[k], x) for k in range(i)):
+        if relation(items[i - 1], x) or any(relation(items[k], x) for k in range(i - 1)):
             type_index += 1
             power = 0
         else:
@@ -349,9 +350,9 @@ def hpca_count(seq: OrderArrangement, conflict: ConflictFn) -> tuple[CountingTra
     element is marked T_j with j its 1-based position.  Each later pass
     consumes the smallest unconsumed marker, rotates the sequence to start
     there, and greedily builds the next category over all elements.  A pass
-    whose category is contained in an earlier one is discarded (its marker
-    stays consumed).  The run stops when the categories cover the collection
-    and none contains another, or when no markers remain.
+    whose category equals an earlier one is discarded (its marker stays
+    consumed).  The run stops when the categories cover the collection, or
+    when no markers remain.
 
     Every run is coherent (covers the collection with maximal antichains)
     for a symmetric, irreflexive conflict, which ``_require_conflict``
@@ -360,8 +361,9 @@ def hpca_count(seq: OrderArrangement, conflict: ConflictFn) -> tuple[CountingTra
     1. Every pass is a greedy scan of the whole (rotated) sequence.  It
        rejects an element only for a conflict with a member and never drops
        a member, so every category is a maximal antichain.
-    2. Two distinct maximal antichains are never nested, so a discarded
-       pass only repeats an earlier category.
+    2. Two distinct maximal antichains are never nested, so a pass whose
+       category lies inside an earlier one repeats it, and no retained
+       category contains another.
     3. Every element rejected by pass 1 gets a marker.  When its marker is
        consumed the element starts the rotation and is always taken, so it
        is covered by then.
@@ -385,32 +387,23 @@ def hpca_count(seq: OrderArrangement, conflict: ConflictFn) -> tuple[CountingTra
     passes = [PassRecord(1, seq, items[0], tuple(assigned), tuple(rejected), 1)]
     orders = [seq]
     retained: list[Category] = [Category(1, tuple(members))]
+    seen = {frozenset(members)}
     covered = set(members)
 
-    def should_stop() -> bool:
-        if len(covered) != n:
-            return False
-        sets = [set(c.members) for c in retained]
-        for i, a in enumerate(sets):
-            for j, b in enumerate(sets):
-                if i != j and a <= b:
-                    return False
-        return True
-
     pass_no = 1
-    while not should_stop() and markers:
+    while len(covered) < n and markers:
         start = min(markers, key=markers.get)
         j = markers.pop(start)
         order = seq.rotate(j)
         pass_no += 1
         cat_index = len(retained) + 1
         members, assigned, rejected = _greedy_pass(order.sequence, conflict, cat_index)
-        new = set(members)
-        discarded = any(new <= set(c.members) for c in retained)
-        if discarded:
+        new = frozenset(members)
+        if new in seen:
             passes.append(PassRecord(pass_no, order, start, tuple(assigned),
                                      tuple(rejected), None, retained=False))
         else:
+            seen.add(new)
             retained.append(Category(cat_index, tuple(members)))
             covered |= new
             for x, lab in assigned:
@@ -493,47 +486,28 @@ EXHAUSTIVE_ARRANGEMENT_CAP = 8  # 8! = 40320 arrangements
 def find_coherent_order(collection: Iterable[Item], conflict: ConflictFn,
                         budget: int | None = None,
                         seed: int = DEFAULT_SEED) -> CoherentOrderSearch:
-    """Search arrangements of the collection for a coherent one.
+    """Return the first arrangement of the collection that a search would try.
 
-    Exhaustive over all n! arrangements when n <= 8 and the budget allows;
-    otherwise tries seeded random permutations.  A miss under sampling means
-    "none found within budget", never nonexistence.
+    By the coherence theorem in :func:`hpca_count`'s docstring every
+    arrangement is coherent, so the first one tried is the answer: the
+    canonical order when n <= 8 (``exhaustive`` when the budget admits all
+    n! arrangements), otherwise the first seeded shuffle.  A budget below 1
+    tries nothing and finds nothing.
     """
-    import itertools
-
     items = tuple(collection)
     if not items:
         raise ValueError("cannot search arrangements of an empty collection")
     _require_conflict(list(items), conflict)
+    if budget is not None and budget < 1:
+        return CoherentOrderSearch(None, 0, exhaustive=False)
     n = len(items)
-    total = 1
-    for i in range(2, n + 1):
-        total *= i
-    systematic = n <= EXHAUSTIVE_ARRANGEMENT_CAP
-    limit = total if systematic else 1000
-    if budget is not None:
-        limit = min(limit, budget)
-    covers_all = systematic and limit == total
-
-    tried = 0
-    if systematic:
-        for perm in itertools.permutations(items):
-            if tried >= limit:
-                break
-            tried += 1
-            arr = OrderArrangement(perm, "canonical" if perm == items else "permutation")
-            if is_hpca_coherent(arr, conflict):
-                return CoherentOrderSearch(arr, tried, exhaustive=covers_all)
-        return CoherentOrderSearch(None, tried, exhaustive=covers_all and tried == total)
-    rng = random.Random(seed)
+    if n <= EXHAUSTIVE_ARRANGEMENT_CAP:
+        exhaustive = budget is None or budget >= math.factorial(n)
+        return CoherentOrderSearch(OrderArrangement(items), 1, exhaustive)
     order = list(items)
-    while tried < limit:
-        tried += 1
-        rng.shuffle(order)
-        arr = OrderArrangement(tuple(order), f"permutation(seed={seed},try={tried})")
-        if is_hpca_coherent(arr, conflict):
-            return CoherentOrderSearch(arr, tried, exhaustive=False)
-    return CoherentOrderSearch(None, tried, exhaustive=False)
+    random.Random(seed).shuffle(order)
+    return CoherentOrderSearch(
+        OrderArrangement(tuple(order), f"permutation(seed={seed},try=1)"), 1, exhaustive=False)
 
 
 def rotation_strategy(base: OrderArrangement, covered: set[Item]) -> OrderArrangement | None:
@@ -545,36 +519,27 @@ def rotation_strategy(base: OrderArrangement, covered: set[Item]) -> OrderArrang
 
 
 def fhca_count(seq: OrderArrangement, conflict: ConflictFn,
-               strategy: str = "rotation", budget: int | None = None,
-               seed: int = DEFAULT_SEED) -> tuple[CountingTrace, list[tuple]]:
-    """Full-history counting: permute and re-collect until covered.
+               budget: int | None = None) -> tuple[CountingTrace, list[tuple]]:
+    """Full-history counting: the hpca run, relabelled ``fhca``.
 
-    On a coherent order this is exactly the hpca run (same labels and
-    categories).  Otherwise first-pass maximal antichains are collected
-    under successive permuted orders - by default rotations that bring the
-    least-index uncovered element to the front, falling back to seeded
-    random permutations - until the collection is covered or the budget is
-    exhausted (the trace is then flagged incomplete).
+    fhca permutes and re-collects only past a run that is not coherent, and
+    by the coherence theorem in :func:`hpca_count`'s docstring every run is,
+    so fhca equals hpca relabelled (same labels and categories).  The
+    permuted-order collection rounds are :func:`fhca_rounds`.  ``budget``,
+    when given, must be >= 1.
     """
-    items = _require_items(seq)
-    if budget is None:
-        budget = len(items)
-    if budget < 1:
+    _require_items(seq)
+    if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
-    if strategy not in ("rotation", "random"):
-        raise ValueError(f"unknown permutation strategy {strategy!r}")
-
-    trace, decomposition = hpca_count(seq, conflict)
-    if decomposition.coherent:
-        trace.algorithm = "fhca"
-        return trace, [c.members for c in trace.categories]
-    return fhca_rounds(seq, conflict, strategy=strategy, budget=budget, seed=seed)
+    trace, _ = hpca_count(seq, conflict)
+    trace.algorithm = "fhca"
+    return trace, [c.members for c in trace.categories]
 
 
 def fhca_rounds(seq: OrderArrangement, conflict: ConflictFn,
                 strategy: str = "rotation", budget: int | None = None,
                 seed: int = DEFAULT_SEED) -> tuple[CountingTrace, list[tuple]]:
-    """The permuted-order collection rounds used by fhca past a non-coherent run.
+    """Collect first-pass maximal antichains under permuted orders until covered.
 
     Each round takes the first-pass maximal antichain of the current order
     and then permutes; the default strategy rotates the least-index uncovered

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from . import parthood as ph
-from ._parallel import pmap
-from .core import Granulation, Region, Universe, lower_bits, upper_bits
+from .core import (DEFAULT_SEED, Granulation, Region, Universe, _jsonify, lower_bits,
+                   upper_bits)
 
-DEFAULT_SEED = 1729
 EXHAUSTIVE_UNIVERSE_CAP = 14  # 16384 regions; beyond this audits sample
 QUOTIENT_UNIVERSE_CAP = 14
 
@@ -137,16 +136,6 @@ class AxiomReport:
         return out
 
 
-def _jsonify(x):
-    if isinstance(x, Region):
-        return sorted(x)
-    if isinstance(x, dict):
-        return {k: _jsonify(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonify(v) for v in x]
-    return x
-
-
 def _region_basis(gos: GranularOperatorSpace, cap: int, sample: int,
                   seed: int) -> tuple[list[int], str]:
     n = len(gos.universe)
@@ -158,29 +147,21 @@ def _region_basis(gos: GranularOperatorSpace, cap: int, sample: int,
 
 def audit_weak_representability(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
                                 sample: int = 2048, seed: int = DEFAULT_SEED,
-                                witness_cap: int = 10, workers: int = 1) -> AxiomReport:
+                                witness_cap: int = 10) -> AxiomReport:
     """Check that every region's lower and upper map to unions of granules."""
     basis, mode = _region_basis(gos, cap, sample, seed)
     masks = gos.granulation.masks()
-
-    def probe(bits: int):
-        lo, up = gos.signature_bits(bits)
-        bad = []
-        if lower_bits(lo, masks) != lo:
-            bad.append(("lower", bits, lo))
-        if lower_bits(up, masks) != up:
-            bad.append(("upper", bits, up))
-        return bad
-
     u = gos.universe
     witnesses = []
     failures = 0
-    for found in pmap(probe, basis, workers):
-        failures += len(found)
-        for side, bits, value in found:
-            if len(witnesses) < witness_cap:
-                witnesses.append({"region": u.region_from_bits(bits), "side": side,
-                                  "value": u.region_from_bits(value)})
+    for bits in basis:
+        lo, up = gos.signature_bits(bits)
+        for side, value in (("lower", lo), ("upper", up)):
+            if lower_bits(value, masks) != value:
+                failures += 1
+                if len(witnesses) < witness_cap:
+                    witnesses.append({"region": u.region_from_bits(bits), "side": side,
+                                      "value": u.region_from_bits(value)})
     return AxiomReport("weak-representability", failures == 0, mode,
                        len(basis), tuple(witnesses),
                        seed=seed if mode == "sampled" else None)
@@ -188,35 +169,27 @@ def audit_weak_representability(gos: GranularOperatorSpace, cap: int = EXHAUSTIV
 
 def audit_lower_stability(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
                           sample: int = 2048, seed: int = DEFAULT_SEED,
-                          witness_cap: int = 10, workers: int = 1) -> AxiomReport:
+                          witness_cap: int = 10) -> AxiomReport:
     """For every granule y and region x: parthood y x implies parthood y x^lower."""
     basis, mode = _region_basis(gos, cap, sample, seed)
     u = gos.universe
-
-    def probe(bits: int):
-        x = u.region_from_bits(bits)
-        xl = gos.lower(x)
-        bad = []
-        for y in gos.granulation.granules:
-            if gos.parthood_holds(y, x) and not gos.parthood_holds(y, xl):
-                bad.append((y, x))
-        return bad
-
     witnesses = []
     failures = 0
-    for found in pmap(probe, basis, workers):
-        failures += len(found)
-        for y, x in found:
-            if len(witnesses) < witness_cap:
-                witnesses.append({"granule": y, "region": x})
+    for bits in basis:
+        x = u.region_from_bits(bits)
+        xl = gos.lower(x)
+        for y in gos.granulation.granules:
+            if gos.parthood_holds(y, x) and not gos.parthood_holds(y, xl):
+                failures += 1
+                if len(witnesses) < witness_cap:
+                    witnesses.append({"granule": y, "region": x})
     return AxiomReport("lower-stability", failures == 0, mode,
                        len(basis) * len(gos.granulation.granules), tuple(witnesses),
                        seed=seed if mode == "sampled" else None)
 
 
 def audit_full_underlap(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
-                        sample: int = 2048, seed: int = DEFAULT_SEED,
-                        workers: int = 1) -> AxiomReport:
+                        sample: int = 2048, seed: int = DEFAULT_SEED) -> AxiomReport:
     """Search, per granule pair, for a definite region properly above both."""
     basis, mode = _region_basis(gos, cap, sample, seed)
     u = gos.universe
@@ -234,7 +207,7 @@ def audit_full_underlap(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVER
                 return z
         return None
 
-    found = pmap(probe, pairs, workers)
+    found = [probe(pair) for pair in pairs]
     details = tuple({"pair": [a, b], "witness": w} for (a, b), w in zip(pairs, found))
     return AxiomReport("full-underlap", all(w is not None for w in found), mode,
                        len(pairs) * len(basis), (),

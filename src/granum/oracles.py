@@ -200,8 +200,8 @@ class PartitionWitness:
         }
 
 
-def inverse_rough_check(pairs: Sequence[tuple[Region, Region]], universe: Universe,
-                        mode: str = "exists-partition") -> PartitionWitness | None:
+def inverse_rough_check(pairs: Sequence[tuple[Region, Region]],
+                        universe: Universe) -> PartitionWitness | None:
     """Decide whether some partition realizes every (lower, upper) pair.
 
     Fast necessary filters run first: each pair must be nested, and no
@@ -211,8 +211,6 @@ def inverse_rough_check(pairs: Sequence[tuple[Region, Region]], universe: Univer
     with per-pair realizing regions.  ``None`` means no partition works -
     the search is exhaustive, never sampled.
     """
-    if mode != "exists-partition":
-        raise ValueError(f"unknown inverse mode {mode!r}")
     n = len(universe)
     if n > MAX_INVERSE_UNIVERSE:
         raise ValueError(f"universe too large for exhaustive partition search "

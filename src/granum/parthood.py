@@ -10,15 +10,15 @@ assumes a verdict that was not scanned.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from .core import Region
+from .core import DEFAULT_SEED, Region, _jsonify
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gos import GranularOperatorSpace
 
-DEFAULT_SEED = 1729
 EXHAUSTIVE_REGION_LIMIT = 32  # 2^5: full pair/triple scans stay cheap below this
 
 
@@ -130,16 +130,8 @@ class PropertyCheck:
         return {
             "name": self.name,
             "verdict": self.verdict,
-            "witnesses": [_witness_json(w) for w in self.witnesses],
+            "witnesses": [_jsonify(w) for w in self.witnesses],
         }
-
-
-def _witness_json(w):
-    if isinstance(w, Region):
-        return sorted(w)
-    if isinstance(w, tuple):
-        return [_witness_json(x) for x in w]
-    return w
 
 
 @dataclass(frozen=True)
@@ -171,7 +163,16 @@ def _scan_basis(ctx: "GranularOperatorSpace", budget: int | None, seed: int) -> 
     if total <= cap:
         return list(ctx.universe.all_regions()), "exhaustive"
     rng = random.Random(seed)
-    picks = sorted(rng.sample(range(total), cap))
+    if total > sys.maxsize:
+        # range(total) has no len() here, so rng.sample cannot draw from it.
+        if cap < 0:
+            raise ValueError("budget must be >= 0")
+        seen: set[int] = set()
+        while len(seen) < cap:
+            seen.add(rng.getrandbits(n))
+        picks = sorted(seen)
+    else:
+        picks = sorted(rng.sample(range(total), cap))
     return [ctx.universe.region_from_bits(b) for b in picks], "sampled"
 
 
@@ -235,12 +236,12 @@ def audit_properties(v: ParthoodVariant, ctx: "GranularOperatorSpace",
                                 "fails" if anti_bad else ok_tag,
                                 tuple(anti_bad[:witness_cap])))
 
-    checks.append(_confluence_check("strictly-confluent", rows, rows, regions,
+    checks.append(_confluence_check("strictly-confluent", rows, regions,
                                     ok_tag, witness_cap))
     if include_proper_confluence:
         proper_rows = [rows[i] & ~_column(rows, i, m) for i in range(m)]
         checks.append(_confluence_check("strictly-confluent-proper", proper_rows,
-                                        proper_rows, regions, ok_tag, witness_cap))
+                                        regions, ok_tag, witness_cap))
 
     scope = {"mode": mode, "basis_size": m, "universe_size": len(ctx.universe)}
     if mode == "sampled":
@@ -256,14 +257,14 @@ def _column(rows: list[int], i: int, m: int) -> int:
     return out
 
 
-def _confluence_check(name: str, ante_rows: list[int], succ_rows: list[int],
-                      regions: list[Region], ok_tag: str, witness_cap: int) -> PropertyCheck:
+def _confluence_check(name: str, rows: list[int], regions: list[Region],
+                      ok_tag: str, witness_cap: int) -> PropertyCheck:
     # holds(a,b) & holds(a,c) must admit some e with holds(b,e) & holds(c,e)
     m = len(regions)
     bad = []
-    joinable = [[succ_rows[i] & succ_rows[j] != 0 for j in range(m)] for i in range(m)]
+    joinable = [[rows[i] & rows[j] != 0 for j in range(m)] for i in range(m)]
     for i in range(m):
-        row = ante_rows[i]
+        row = rows[i]
         succs = [j for j in range(m) if row >> j & 1]
         for x, j in enumerate(succs):
             for k in succs[x:]:

@@ -5,7 +5,10 @@ import json
 import subprocess
 import sys
 
-from granum import cli
+import pytest
+
+from granum import GranularOperatorSpace, cli, parse_context
+from granum import parthood as ph
 
 from conftest import FIXTURES
 
@@ -75,7 +78,49 @@ class TestInverse:
         assert code == 0
 
 
+def _witness_violates(v, name, regions, space):
+    h = lambda a, b: ph.holds(v, a, b, space)
+    if name == "reflexive":
+        (a,) = regions
+        return not h(a, a)
+    if name == "transitive":
+        a, b, c = regions
+        return h(a, b) and h(b, c) and not h(a, c)
+    if name == "antisymmetric":
+        a, b = regions
+        return a != b and h(a, b) and h(b, a)
+    # strict confluence fails relative to the scanned basis, which the report
+    # does not list; the antecedent is what can be re-evaluated
+    a, b, c = regions
+    return h(a, b) and h(a, c)
+
+
 class TestAudits:
+    @pytest.mark.parametrize("n", [64, 80])
+    def test_parthood_audit_samples_universes_past_sys_maxsize(self, tmp_path, n):
+        # from n = 63 on, range(2**n) has no len(), so it cannot be sampled
+        universe = [f"e{i}" for i in range(n)]
+        text = json.dumps({"universe": universe,
+                           "granules": [universe[i:i + 3] for i in range(0, n - 2, 2)]})
+        path = tmp_path / "wide.json"
+        path.write_text(text, encoding="utf-8")
+        code, doc = run_json(["parthood-audit", "--input", str(path), "--budget", "48",
+                              "--seed", "5"])
+        assert code == 0
+        u, granulation = parse_context(text)
+        space = GranularOperatorSpace(u, granulation)
+        witnessed = 0
+        for report in doc["reports"]:
+            assert report["scope"] == {"mode": "sampled", "basis_size": 48,
+                                       "universe_size": n, "seed": 5}
+            v = ph.variant(report["variant"])
+            for check in report["checks"]:
+                for w in check["witnesses"]:
+                    regions = [u.region(r) for r in w]
+                    assert _witness_violates(v, check["name"], regions, space), (v, w)
+                    witnessed += 1
+        assert witnessed
+
     def test_parthood_audit_lateral_reflexivity_fails(self):
         code, doc = run_json(["parthood-audit", "--variant", "lateral",
                               "--input", TABLE])
@@ -198,6 +243,13 @@ class TestErrorsAndDeterminism:
         one = run_cli(base + ["--threads", "1"])[1]
         four = run_cli(base + ["--threads", "4"])[1]
         assert one == four
+
+    def test_incomparability_reading_refused_when_not_irreflexive(self, capsys):
+        # lateral is not reflexive on {s}, so s is incomparable with itself
+        code, out = run_cli(["count", "--algo", "hpca", "--conflict", "incomparability",
+                             "--parthood", "lateral", "--input", VEE])
+        assert code == 2 and out == ""
+        assert "not irreflexive" in capsys.readouterr().err
 
     def test_env_seed_fallback(self, monkeypatch):
         monkeypatch.setenv("GRANUM_SEED", "42")

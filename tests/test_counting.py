@@ -1,6 +1,7 @@
 """Counting procedures: label traces, categories, coherence, verification."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -213,6 +214,44 @@ class TestCoherence:
         assert result.found is not None
         assert result.found.sequence == items
         assert result.tried == 1
+
+    def test_search_takes_the_first_arrangement_on_the_corpus(self, poset_corpus):
+        for name, (items, _, conflict) in poset_corpus:
+            result = C.find_coherent_order(items, conflict)
+            assert result.tried == 1, name
+            if len(items) <= C.EXHAUSTIVE_ARRANGEMENT_CAP:
+                assert result.found == C.OrderArrangement(items, "canonical"), name
+                assert result.exhaustive, name
+            else:
+                assert result.found.origin == "permutation(seed=1729,try=1)", name
+                assert not result.exhaustive, name
+
+    def test_exhaustive_exactly_when_budget_admits_every_arrangement(self, poset_corpus):
+        for name, (items, _, conflict) in poset_corpus:
+            if len(items) > C.EXHAUSTIVE_ARRANGEMENT_CAP:
+                continue
+            total = math.factorial(len(items))
+            every = C.find_coherent_order(items, conflict, budget=total)
+            short = C.find_coherent_order(items, conflict, budget=total - 1)
+            assert every.exhaustive and not short.exhaustive, name
+            assert every.found == short.found == C.OrderArrangement(items), name
+            assert every.tried == short.tried == 1, name
+
+    def test_negative_budget_misses_like_zero(self, vee_poset):
+        items, _, conflict = vee_poset
+        result = C.find_coherent_order(items, conflict, budget=-1)
+        assert result == C.CoherentOrderSearch(None, 0, exhaustive=False)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_first_seeded_shuffle_above_cap(self, n):
+        items = tuple(range(n))
+        conflict = lambda a, b: a != b and (a + b) % 3 == 0
+        order = list(items)
+        random.Random(7).shuffle(order)
+        result = C.find_coherent_order(items, conflict, seed=7)
+        assert result.found == C.OrderArrangement(tuple(order), "permutation(seed=7,try=1)")
+        assert result.tried == 1 and not result.exhaustive
+        assert C.is_hpca_coherent(result.found, conflict)
 
     def test_chain_any_order_works(self):
         result = C.find_coherent_order(list("abc"), lambda a, b: a != b)
