@@ -89,8 +89,7 @@ def random_poset(n: int, rng: random.Random, density: float = 0.35):
     return make_poset(items, strict)
 
 
-@pytest.fixture(scope="session")
-def poset_corpus():
+def build_poset_corpus():
     """Six named posets plus 200 seeded random ones with 2..10 elements."""
     corpus = [(name, make_poset(items, strict))
               for name, (items, strict) in NAMED_POSETS.items()]
@@ -99,6 +98,11 @@ def poset_corpus():
         n = rng.randint(2, 10)
         corpus.append((f"random-{k}", random_poset(n, rng)))
     return corpus
+
+
+@pytest.fixture(scope="session")
+def poset_corpus():
+    return build_poset_corpus()
 
 
 # --- independent re-implementations used as acceptance referees --------------
