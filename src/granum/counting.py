@@ -250,18 +250,32 @@ class AntichainDecomposition:
         }
 
 
-def _require_symmetric(items: Sequence[Item], rel: ConflictFn) -> None:
-    for i, a in enumerate(items):
-        for b in items[i + 1:]:
-            if rel(a, b) != rel(b, a):
-                raise ValueError(f"relation is not symmetric: witness pair ({a!r}, {b!r})")
+def _conflict_masks(items: Sequence[Item], conflict: ConflictFn,
+                    irreflexive: bool = True) -> list[int]:
+    """Row i has bit j set iff ``conflict(items[i], items[j])``: the only calls a run makes.
 
-
-def _require_conflict(items: Sequence[Item], conflict: ConflictFn) -> None:
+    Refuses, with the first witness in sequence order, a reflexive item
+    (unless ``irreflexive`` is false: hpc never reads the diagonal) and then
+    an asymmetric pair.
+    """
+    rows = []
     for a in items:
-        if conflict(a, a):
-            raise ValueError(f"conflict relation is not irreflexive: witness ({a!r}, {a!r})")
-    _require_symmetric(items, conflict)
+        row = 0
+        for j, b in enumerate(items):
+            if conflict(a, b):
+                row |= 1 << j
+        rows.append(row)
+    if irreflexive:
+        for i, row in enumerate(rows):
+            if row >> i & 1:
+                a = items[i]
+                raise ValueError(f"conflict relation is not irreflexive: witness ({a!r}, {a!r})")
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            if (row >> j ^ rows[j] >> i) & 1:
+                raise ValueError(f"relation is not symmetric: witness pair "
+                                 f"({items[i]!r}, {items[j]!r})")
+    return rows
 
 
 def _require_items(seq: OrderArrangement) -> list[Item]:
@@ -280,19 +294,18 @@ def hpc_count(seq: OrderArrangement, relation: ConflictFn) -> CountingTrace:
     predecessor -> also opens the next type (history-aware gap rule).
     """
     items = _require_items(seq)
-    _require_symmetric(items, relation)
+    rows = _conflict_masks(items, relation, irreflexive=False)
     labels: dict[Item, list[tuple[int, CountLabel]]] = {}
     type_index = 1
     power = 0
     labels[items[0]] = [(1, successor_label(0, 1))]
     for i in range(1, len(items)):
-        x = items[i]
-        if relation(items[i - 1], x) or any(relation(items[k], x) for k in range(i - 1)):
+        if rows[i] & ((1 << i) - 1):   # related to some earlier element
             type_index += 1
             power = 0
         else:
             power += 1
-        labels[x] = [(1, successor_label(power, type_index))]
+        labels[items[i]] = [(1, successor_label(power, type_index))]
     by_type: dict[int, list[Item]] = {}
     for x in items:
         by_type.setdefault(labels[x][0][1].type_index, []).append(x)
@@ -310,37 +323,37 @@ def pca_count(seq: OrderArrangement, conflict: ConflictFn) -> CountingTrace:
     1_j .. Q_j with no gaps.
     """
     items = _require_items(seq)
-    _require_conflict(items, conflict)
-    cats: list[list[Item]] = []
+    rows = _conflict_masks(items, conflict)
+    taken: list[int] = []   # position mask of each category
     labels: dict[Item, list[tuple[int, CountLabel]]] = {}
-    for x in items:
-        for idx, members in enumerate(cats, start=1):
-            if all(not conflict(x, m) for m in members):
-                members.append(x)
-                labels[x] = [(1, count_label(len(members), idx))]
-                break
-        else:
-            cats.append([x])
-            labels[x] = [(1, count_label(1, len(cats)))]
-    categories = [Category(i, tuple(ms)) for i, ms in enumerate(cats, start=1)]
+    for i, x in enumerate(items):
+        idx = next((c for c, mask in enumerate(taken) if not rows[i] & mask), len(taken))
+        if idx == len(taken):
+            taken.append(0)
+        taken[idx] |= 1 << i
+        labels[x] = [(1, count_label(taken[idx].bit_count(), idx + 1))]
+    categories = [Category(c, tuple(x for i, x in enumerate(items) if mask >> i & 1))
+                  for c, mask in enumerate(taken, start=1)]
     rec = PassRecord(1, seq, items[0],
                      tuple((x, labels[x][0][1]) for x in items), (), None)
     return CountingTrace("pca", [seq], labels, categories, [rec])
 
 
-def _greedy_pass(order: Sequence[Item], conflict: ConflictFn,
-                 cat_index: int) -> tuple[list[Item], list[tuple[Item, CountLabel]], list[Item]]:
-    """Scan the whole order once, growing one conflict-free category."""
-    members: list[Item] = []
+def _greedy_pass(order: OrderArrangement, index: dict[Item, int], rows: list[int],
+                 cat_index: int) -> tuple[int, tuple[tuple[Item, CountLabel], ...], tuple]:
+    """One scan of the whole order: a conflict-free category's position mask,
+    its labelled members and the rejected items, both in scan order."""
+    taken = 0
     assigned: list[tuple[Item, CountLabel]] = []
     rejected: list[Item] = []
-    for x in order:
-        if all(not conflict(x, m) for m in members):
-            members.append(x)
-            assigned.append((x, count_label(len(members), cat_index)))
-        else:
+    for x in order.sequence:
+        p = index[x]
+        if rows[p] & taken:
             rejected.append(x)
-    return members, assigned, rejected
+        else:
+            taken |= 1 << p
+            assigned.append((x, count_label(len(assigned) + 1, cat_index)))
+    return taken, tuple(assigned), tuple(rejected)
 
 
 def hpca_count(seq: OrderArrangement, conflict: ConflictFn) -> tuple[CountingTrace, AntichainDecomposition]:
@@ -355,7 +368,7 @@ def hpca_count(seq: OrderArrangement, conflict: ConflictFn) -> tuple[CountingTra
     when no markers remain.
 
     Every run is coherent (covers the collection with maximal antichains)
-    for a symmetric, irreflexive conflict, which ``_require_conflict``
+    for a symmetric, irreflexive conflict, which ``_conflict_masks``
     enforces:
 
     1. Every pass is a greedy scan of the whole (rotated) sequence.  It
@@ -372,44 +385,38 @@ def hpca_count(seq: OrderArrangement, conflict: ConflictFn) -> tuple[CountingTra
     collection is covered: the loop never runs out of markers first.
     """
     items = _require_items(seq)
-    _require_conflict(items, conflict)
-    n = len(items)
-    position = {x: i + 1 for i, x in enumerate(items)}
+    rows = _conflict_masks(items, conflict)
+    index = {x: i for i, x in enumerate(items)}
+    full = (1 << len(items)) - 1
 
-    members, assigned, rejected = _greedy_pass(items, conflict, 1)
+    covered, assigned, markers = _greedy_pass(seq, index, rows, 1)
     labels: dict[Item, list[tuple[int, CountLabel]]] = {x: [] for x in items}
     for x, lab in assigned:
         labels[x].append((1, lab))
-    markers: dict[Item, int] = {}
-    for x in rejected:
-        markers[x] = position[x]
-        labels[x].append((1, deferred_label(position[x])))
-    passes = [PassRecord(1, seq, items[0], tuple(assigned), tuple(rejected), 1)]
+    for x in markers:
+        labels[x].append((1, deferred_label(index[x] + 1)))
+    passes = [PassRecord(1, seq, items[0], assigned, markers, 1)]
     orders = [seq]
-    retained: list[Category] = [Category(1, tuple(members))]
-    seen = {frozenset(members)}
-    covered = set(members)
+    retained: list[Category] = [Category(1, tuple(x for x, _ in assigned))]
+    seen = {covered}
 
-    pass_no = 1
-    while len(covered) < n and markers:
-        start = min(markers, key=markers.get)
-        j = markers.pop(start)
-        order = seq.rotate(j)
-        pass_no += 1
+    # Markers are consumed in position order, which is pass 1's scan order.
+    for pass_no, start in enumerate(markers, start=2):
+        if covered == full:
+            break
+        order = seq.rotate(index[start] + 1)
         cat_index = len(retained) + 1
-        members, assigned, rejected = _greedy_pass(order.sequence, conflict, cat_index)
-        new = frozenset(members)
-        if new in seen:
-            passes.append(PassRecord(pass_no, order, start, tuple(assigned),
-                                     tuple(rejected), None, retained=False))
+        taken, assigned, rejected = _greedy_pass(order, index, rows, cat_index)
+        if taken in seen:
+            passes.append(PassRecord(pass_no, order, start, assigned, rejected,
+                                     None, retained=False))
         else:
-            seen.add(new)
-            retained.append(Category(cat_index, tuple(members)))
-            covered |= new
+            seen.add(taken)
+            retained.append(Category(cat_index, tuple(x for x, _ in assigned)))
+            covered |= taken
             for x, lab in assigned:
                 labels[x].append((pass_no, lab))
-            passes.append(PassRecord(pass_no, order, start, tuple(assigned),
-                                     tuple(rejected), cat_index))
+            passes.append(PassRecord(pass_no, order, start, assigned, rejected, cat_index))
         orders.append(order)
 
     trace = CountingTrace("hpca", orders, labels, retained, passes)
@@ -497,7 +504,7 @@ def find_coherent_order(collection: Iterable[Item], conflict: ConflictFn,
     items = tuple(collection)
     if not items:
         raise ValueError("cannot search arrangements of an empty collection")
-    _require_conflict(list(items), conflict)
+    _conflict_masks(items, conflict)
     if budget is not None and budget < 1:
         return CoherentOrderSearch(None, 0, exhaustive=False)
     n = len(items)
@@ -508,14 +515,6 @@ def find_coherent_order(collection: Iterable[Item], conflict: ConflictFn,
     random.Random(seed).shuffle(order)
     return CoherentOrderSearch(
         OrderArrangement(tuple(order), f"permutation(seed={seed},try=1)"), 1, exhaustive=False)
-
-
-def rotation_strategy(base: OrderArrangement, covered: set[Item]) -> OrderArrangement | None:
-    """Rotation bringing the least-index uncovered element to the front."""
-    for i, x in enumerate(base.sequence, start=1):
-        if x not in covered:
-            return base.rotate(i)
-    return None
 
 
 def fhca_count(seq: OrderArrangement, conflict: ConflictFn,
@@ -544,48 +543,46 @@ def fhca_rounds(seq: OrderArrangement, conflict: ConflictFn,
     Each round takes the first-pass maximal antichain of the current order
     and then permutes; the default strategy rotates the least-index uncovered
     element to the front, which covers at least one new element per round.
+    Any other strategy takes a seeded random permutation.
     """
     items = _require_items(seq)
-    _require_conflict(items, conflict)
+    rows = _conflict_masks(items, conflict)
     n = len(items)
     if budget is None:
         budget = n
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
+    index = {x: i for i, x in enumerate(items)}
+    full = (1 << n) - 1
     labels: dict[Item, list[tuple[int, CountLabel]]] = {x: [] for x in items}
     passes: list[PassRecord] = []
     orders: list[OrderArrangement] = []
     collected: list[Category] = []
-    covered: set[Item] = set()
+    covered = 0
     rng = random.Random(seed)
 
     order = seq
     used = 0
     while True:
         idx = len(collected) + 1
-        members, assigned, rejected = _greedy_pass(order.sequence, conflict, idx)
-        collected.append(Category(idx, tuple(members)))
-        covered |= set(members)
+        taken, assigned, rejected = _greedy_pass(order, index, rows, idx)
+        collected.append(Category(idx, tuple(x for x, _ in assigned)))
+        covered |= taken
         for x, lab in assigned:
             labels[x].append((idx, lab))
-        passes.append(PassRecord(idx, order, order.sequence[0], tuple(assigned),
-                                 tuple(rejected), idx))
+        passes.append(PassRecord(idx, order, order.sequence[0], assigned, rejected, idx))
         orders.append(order)
-        if covered == set(items):
-            incomplete = False
-            break
-        if used >= budget:
-            incomplete = True
+        if covered == full or used >= budget:
             break
         used += 1
-        nxt = rotation_strategy(seq, covered) if strategy == "rotation" else None
-        if nxt is None:
+        if strategy == "rotation":   # the least uncovered position goes first
+            order = seq.rotate(((covered + 1) & ~covered).bit_length())
+        else:
             perm = list(range(n))
             rng.shuffle(perm)
-            nxt = seq.permuted(perm, f"permutation(seed={seed},round={used})")
-        order = nxt
+            order = seq.permuted(perm, f"permutation(seed={seed},round={used})")
 
     trace = CountingTrace("fhca", orders, labels, collected, passes,
-                          incomplete=incomplete)
+                          incomplete=covered != full)
     return trace, [c.members for c in collected]

@@ -369,6 +369,49 @@ class TestFhca:
             C.fhca_count(arrangement(items), conflict, budget=0)
 
 
+def counted(conflict):
+    """The conflict wrapped to log every call, and the log."""
+    calls = []
+
+    def logged(a, b):
+        calls.append((a, b))
+        return conflict(a, b)
+    return logged, calls
+
+
+class TestConflictCalls:
+    """Each procedure asks the conflict about every ordered pair exactly once;
+    ``verify_decomposition``'s independent checks come on top, unchanged."""
+
+    def test_each_ordered_pair_asked_once(self, poset_corpus):
+        runs = {
+            "hpc": C.hpc_count,
+            "pca": C.pca_count,
+            "fhca_rounds": fhca_rounds,
+            "fhca_rounds-random": lambda seq, cf: fhca_rounds(seq, cf, strategy="random"),
+            "find_coherent_order": lambda seq, cf: C.find_coherent_order(seq.sequence, cf),
+        }
+        for name, (items, _, conflict) in poset_corpus[:60]:
+            pairs = sorted(itertools.product(items, repeat=2))
+            for proc, run in runs.items():
+                cf, calls = counted(conflict)
+                run(arrangement(items), cf)
+                assert sorted(calls) == pairs, (proc, name)
+
+    def test_verification_calls_come_on_top(self, poset_corpus):
+        for name, (items, _, conflict) in poset_corpus[:60]:
+            seq = arrangement(items)
+            n2 = len(items) ** 2
+            pairs = sorted(itertools.product(items, repeat=2))
+            vf, verify_calls = counted(conflict)
+            C.verify_decomposition(C.hpca_count(seq, conflict)[0], vf)
+            for run in (C.hpca_count, C.fhca_count, C.is_hpca_coherent):
+                cf, calls = counted(conflict)
+                run(seq, cf)
+                assert sorted(calls[:n2]) == pairs, (run.__name__, name)
+                assert calls[n2:] == verify_calls, (run.__name__, name)
+
+
 class TestDeterminismAndExport:
     def test_replay_determinism(self, poset_corpus):
         for name, (items, _, conflict) in poset_corpus[:30]:
