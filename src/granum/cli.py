@@ -4,7 +4,8 @@ Subcommands cover every analysis: ``approx``, ``gos-audit``,
 ``parthood-audit``, ``count``, ``coherence``, ``inverse`` and ``oracle``.
 JSON output is schema-stable (sorted keys), so identical configurations
 produce byte-identical reports.  Exit status: 0 on success, 1 when a
-``--strict`` run ends analysis-negative, 2 on usage or parse errors.
+``--strict`` run ends analysis-negative, 2 on usage or parse errors, 3 on
+an internal error (a defect: any other exception).
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import counting, gos as gos_mod, oracles, parthood as pH
-from .core import (DEFAULT_SEED, ParseError, Region, Universe,
+from .core import (DEFAULT_SEED, ParseError, Region, Universe, _list_field,
                    indiscernibility_partition, parse_context, parse_information_table)
 
 ENV_SEED = "GRANUM_SEED"
@@ -200,17 +202,15 @@ def _cmd_gos_audit(args, cfg: RunConfig):
         reports.append(gos_mod.audit_full_underlap(space, seed=cfg.seed))
     if not reports:
         raise ParseError(f"unknown axiom {args.axiom!r} (use wra, ls, fu or all)")
-    violations = space.containment_violations()
-    payload = {
-        "axioms": [r.to_dict() for r in reports],
-        "upper_contains_lower": {
-            "holds": not violations,
-            "witnesses": [sorted(v) for v in violations],
-        },
-    }
+    violations = space.containment_violations(seed=cfg.seed)
+    containment = {"holds": not violations, "witnesses": [sorted(v) for v in violations]}
+    if reports[0].mode == "sampled":   # the containment scan shares the audits' basis
+        containment.update(mode="sampled", seed=cfg.seed)
+    payload = {"axioms": [r.to_dict() for r in reports], "upper_contains_lower": containment}
     lines = [f"{r.axiom}: {'pass' if r.passed else 'FAIL'} ({r.mode}, {r.checked} checks)"
              for r in reports]
-    lines.append("upper-contains-lower: " + ("pass" if not violations else "FAIL"))
+    lines.append("upper-contains-lower: " + ("pass" if not violations else "FAIL")
+                 + (" (sampled)" if "mode" in containment else ""))
     negative = any(not r.passed for r in reports) or bool(violations)
     return payload, "\n".join(lines), negative
 
@@ -298,9 +298,9 @@ def _cmd_inverse(args, cfg: RunConfig):
         raise ParseError(f"cannot read pairs file: {exc}") from None
     if not isinstance(doc, dict) or "universe" not in doc or "pairs" not in doc:
         raise ParseError("pairs file must contain 'universe' and 'pairs'")
-    universe = Universe(tuple(str(e) for e in doc["universe"]))
+    universe = Universe(tuple(str(e) for e in _list_field(doc, "universe")))
     pairs = []
-    for i, p in enumerate(doc["pairs"]):
+    for i, p in enumerate(_list_field(doc, "pairs")):
         try:
             pairs.append((universe.region(p["lower"]), universe.region(p["upper"])))
         except (KeyError, TypeError, ValueError) as exc:
@@ -436,6 +436,11 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:   # a defect: exit apart from the verdict and usage codes
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {type(exc).__name__}: {exc} "
+              f"(at {Path(where.filename).name}:{where.lineno})", file=sys.stderr)
+        return 3
     if cfg.output == "json":
         print(json.dumps(payload, sort_keys=True, indent=2), file=out)
     else:

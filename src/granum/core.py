@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -279,8 +281,8 @@ def parse_information_table(source: str | io.TextIOBase, format: str = "csv") ->
             raise ParseError(f"invalid JSON: {exc}") from None
         if not isinstance(doc, dict) or "attributes" not in doc or "objects" not in doc:
             raise ParseError("JSON table must have 'attributes' and 'objects' keys")
-        attributes = tuple(str(a) for a in doc["attributes"])
-        body = [[str(v) for v in row] for row in doc["objects"]]
+        attributes = tuple(str(a) for a in _list_field(doc, "attributes"))
+        body = [[str(v) for v in row] for row in _list_field(doc, "objects", nested=True)]
     else:
         raise ParseError(f"unknown table format {format!r}")
 
@@ -318,14 +320,15 @@ def parse_context(source: str | io.TextIOBase) -> tuple[Universe, Granulation]:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "universe" not in doc:
         raise ParseError("context must be an object with a 'universe' key")
-    universe = Universe(tuple(str(e) for e in doc["universe"]))
+    universe = Universe(tuple(str(e) for e in _list_field(doc, "universe")))
     if ("granules" in doc) == ("partition" in doc):
         raise ParseError("context needs exactly one of 'granules' or 'partition'")
     try:
         if "granules" in doc:
-            gran = Granulation.from_sets(universe, doc["granules"])
+            gran = Granulation.from_sets(universe, _list_field(doc, "granules", nested=True))
         else:
-            gran = IndiscernibilityRelation.from_sets(universe, doc["partition"]).granulation()
+            blocks = _list_field(doc, "partition", nested=True)
+            gran = IndiscernibilityRelation.from_sets(universe, blocks).granulation()
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     return universe, gran
@@ -350,6 +353,14 @@ def indiscernibility_partition(table: InformationTable, attrs: Iterable[str]) ->
     return IndiscernibilityRelation(table.objects, blocks)
 
 
+def _list_field(doc: dict, key: str, nested: bool = False) -> list:
+    """``doc[key]``, refused with a ParseError unless it is a list (of lists)."""
+    value = doc[key]
+    if not isinstance(value, list) or nested and not all(isinstance(v, list) for v in value):
+        raise ParseError(f"{key!r} must be a list" + (" of lists" if nested else ""))
+    return value
+
+
 def _jsonify(x):
     """Report values as JSON: regions become sorted member lists."""
     if isinstance(x, Region):
@@ -359,6 +370,21 @@ def _jsonify(x):
     if isinstance(x, (list, tuple)):
         return [_jsonify(v) for v in x]
     return x
+
+
+def _distinct_masks(n: int, count: int, seed: int) -> list[int]:
+    """``count`` distinct seeded masks of ``n`` bits, sorted: a sampled audit basis."""
+    rng = random.Random(seed)
+    total = 1 << n
+    if total <= sys.maxsize:
+        return sorted(rng.sample(range(total), count))
+    # range(total) has no len() here, so rng.sample cannot draw from it.
+    if count < 0:
+        raise ValueError("budget must be >= 0")
+    seen: set[int] = set()
+    while len(seen) < count:
+        seen.add(rng.getrandbits(n))
+    return sorted(seen)
 
 
 def lower_bits(bits: int, masks: Iterable[int]) -> int:

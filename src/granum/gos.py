@@ -8,15 +8,15 @@ witnesses; nothing is assumed that was not scanned.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from . import parthood as ph
-from .core import (DEFAULT_SEED, Granulation, Region, Universe, _jsonify, lower_bits,
-                   upper_bits)
+from .core import (DEFAULT_SEED, Granulation, Region, Universe, _distinct_masks, _jsonify,
+                   lower_bits, upper_bits)
 
 EXHAUSTIVE_UNIVERSE_CAP = 14  # 16384 regions; beyond this audits sample
+AUDIT_SAMPLE = 2048
 QUOTIENT_UNIVERSE_CAP = 14
 
 OperatorLike = Callable[[Region], Region] | Mapping[Region, Region]
@@ -97,13 +97,17 @@ class GranularOperatorSpace:
     def parthood_holds(self, a: Region, b: Region) -> bool:
         return ph.holds(self.parthood, a, b, self)
 
-    def containment_violations(self, cap: int = 10) -> list[Region]:
-        """Regions where upper does not contain lower (checked, not assumed)."""
+    def containment_violations(self, cap: int = 10, seed: int = DEFAULT_SEED) -> list[Region]:
+        """Regions where upper does not contain lower (checked, not assumed).
+
+        Scans the axiom audits' basis: every region up to
+        ``EXHAUSTIVE_UNIVERSE_CAP`` elements, past it their seeded sample.
+        """
         bad = []
-        for a in self.universe.all_regions():
-            lo, up = self.signature_bits(a.bits)
+        for bits in _region_basis(self, EXHAUSTIVE_UNIVERSE_CAP, AUDIT_SAMPLE, seed)[0]:
+            lo, up = self.signature_bits(bits)
             if lo & ~up:
-                bad.append(a)
+                bad.append(self.universe.region_from_bits(bits))
                 if len(bad) >= cap:
                     break
         return bad
@@ -141,12 +145,11 @@ def _region_basis(gos: GranularOperatorSpace, cap: int, sample: int,
     n = len(gos.universe)
     if n <= cap:
         return list(range(1 << n)), "exhaustive"
-    rng = random.Random(seed)
-    return sorted(rng.randrange(1 << n) for _ in range(sample)), "sampled"
+    return _distinct_masks(n, sample, seed), "sampled"
 
 
 def audit_weak_representability(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
-                                sample: int = 2048, seed: int = DEFAULT_SEED,
+                                sample: int = AUDIT_SAMPLE, seed: int = DEFAULT_SEED,
                                 witness_cap: int = 10) -> AxiomReport:
     """Check that every region's lower and upper map to unions of granules."""
     basis, mode = _region_basis(gos, cap, sample, seed)
@@ -168,7 +171,7 @@ def audit_weak_representability(gos: GranularOperatorSpace, cap: int = EXHAUSTIV
 
 
 def audit_lower_stability(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
-                          sample: int = 2048, seed: int = DEFAULT_SEED,
+                          sample: int = AUDIT_SAMPLE, seed: int = DEFAULT_SEED,
                           witness_cap: int = 10) -> AxiomReport:
     """For every granule y and region x: parthood y x implies parthood y x^lower."""
     basis, mode = _region_basis(gos, cap, sample, seed)
@@ -189,20 +192,19 @@ def audit_lower_stability(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIV
 
 
 def audit_full_underlap(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
-                        sample: int = 2048, seed: int = DEFAULT_SEED) -> AxiomReport:
+                        sample: int = AUDIT_SAMPLE, seed: int = DEFAULT_SEED) -> AxiomReport:
     """Search, per granule pair, for a definite region properly above both."""
     basis, mode = _region_basis(gos, cap, sample, seed)
     u = gos.universe
     granules = gos.granulation.granules
     pairs = [(granules[i], granules[j])
              for i in range(len(granules)) for j in range(i, len(granules))]
+    definite = [u.region_from_bits(bits) for bits in basis
+                if gos.signature_bits(bits) == (bits, bits)]
 
     def probe(pair):
         x, y = pair
-        for bits in basis:
-            z = u.region_from_bits(bits)
-            if gos.signature_bits(bits) != (bits, bits):
-                continue
+        for z in definite:
             if ph.proper_part(gos.parthood, x, z, gos) and ph.proper_part(gos.parthood, y, z, gos):
                 return z
         return None

@@ -9,12 +9,10 @@ assumes a verdict that was not scanned.
 
 from __future__ import annotations
 
-import random
-import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from .core import DEFAULT_SEED, Region, _jsonify
+from .core import DEFAULT_SEED, Region, _distinct_masks, _jsonify
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gos import GranularOperatorSpace
@@ -162,17 +160,7 @@ def _scan_basis(ctx: "GranularOperatorSpace", budget: int | None, seed: int) -> 
     cap = EXHAUSTIVE_REGION_LIMIT if budget is None else budget
     if total <= cap:
         return list(ctx.universe.all_regions()), "exhaustive"
-    rng = random.Random(seed)
-    if total > sys.maxsize:
-        # range(total) has no len() here, so rng.sample cannot draw from it.
-        if cap < 0:
-            raise ValueError("budget must be >= 0")
-        seen: set[int] = set()
-        while len(seen) < cap:
-            seen.add(rng.getrandbits(n))
-        picks = sorted(seen)
-    else:
-        picks = sorted(rng.sample(range(total), cap))
+    picks = _distinct_masks(n, cap, seed)
     return [ctx.universe.region_from_bits(b) for b in picks], "sampled"
 
 

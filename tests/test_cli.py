@@ -121,6 +121,20 @@ class TestAudits:
                     witnessed += 1
         assert witnessed
 
+    def test_gos_audit_samples_containment_past_the_cap(self, tmp_path):
+        # the upper-contains-lower scan used to visit all 2**64 regions
+        universe = [f"e{i}" for i in range(64)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"universe": universe,
+                                    "granules": [universe[i:i + 3] for i in range(0, 62, 3)]}),
+                        encoding="utf-8")
+        code, doc = run_json(["gos-audit", "--axiom", "all", "--input", str(path),
+                              "--seed", "7"])
+        assert code == 0
+        assert doc["upper_contains_lower"] == {"holds": True, "witnesses": [],
+                                               "mode": "sampled", "seed": 7}
+        assert all(a["mode"] == "sampled" and a["seed"] == 7 for a in doc["axioms"])
+
     def test_parthood_audit_lateral_reflexivity_fails(self):
         code, doc = run_json(["parthood-audit", "--variant", "lateral",
                               "--input", TABLE])
@@ -250,6 +264,35 @@ class TestErrorsAndDeterminism:
                              "--parthood", "lateral", "--input", VEE])
         assert code == 2 and out == ""
         assert "not irreflexive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,doc", [
+        ("inverse", {"universe": 5, "pairs": []}),
+        ("inverse", {"universe": ["a"], "pairs": 5}),
+        ("approx", {"universe": 5, "granules": [["a"]]}),
+        ("approx", {"universe": ["a"], "granules": 5}),
+        ("approx", {"universe": ["a"], "granules": ["a"]}),
+        ("approx", {"universe": ["a"], "partition": 7}),
+        ("approx", {"attributes": 3, "objects": [["a", "x"]]}),
+        ("approx", {"attributes": ["c"], "objects": ["a"]}),
+    ])
+    def test_fields_that_are_not_lists_are_parse_errors(self, tmp_path, capsys,
+                                                         command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, "--input", str(path)]
+        code, out = run_cli(argv + (["--region", "a"] if command == "approx" else []))
+        assert code == 2 and out == ""
+        assert "must be a list" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_three(self, monkeypatch, capsys):
+        def broken(args, cfg):
+            raise RuntimeError("boom")
+        monkeypatch.setitem(cli._HANDLERS, "approx", broken)
+        code, out = run_cli(["approx", "--input", VEE, "--region", "p"])
+        assert code == 3 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError: boom (at ")
+        assert err.count("\n") == 1
 
     def test_env_seed_fallback(self, monkeypatch):
         monkeypatch.setenv("GRANUM_SEED", "42")

@@ -20,6 +20,20 @@ def classical_ops(granulation):
             lambda a: upper_approx(a, granulation))
 
 
+def logged_space(n):
+    """A singleton-granule space on n elements and the log of its signature lookups."""
+    u = Universe(tuple(f"e{i}" for i in range(n)))
+    space = GranularOperatorSpace(u, Granulation.from_sets(u, [[e] for e in u.elements]))
+    scanned = []
+    lookup = space.signature_bits
+
+    def logged(bits):
+        scanned.append(bits)
+        return lookup(bits)
+    space.signature_bits = logged
+    return space, scanned
+
+
 class TestWeakRepresentability:
     def test_classical_space_passes(self, space5):
         report = audit_weak_representability(space5)
@@ -234,6 +248,20 @@ class TestSpaceBasics:
     def test_explicit_mode_requires_both(self, u5, gran5):
         with pytest.raises(ValueError, match="both"):
             GranularOperatorSpace(u5, gran5, lower=lambda a: a)
+
+    def test_sampled_audit_scans_distinct_masks(self):
+        space, scanned = logged_space(16)
+        report = audit_weak_representability(space, seed=9)
+        assert report.mode == "sampled" and report.checked == 2048
+        assert len(scanned) == len(set(scanned)) == 2048
+
+    def test_containment_scans_the_audit_basis(self):
+        space, scanned = logged_space(16)
+        audit_weak_representability(space, seed=9)
+        basis = list(scanned)
+        scanned.clear()
+        assert space.containment_violations(seed=9) == []
+        assert scanned == basis
 
     def test_sampled_mode_for_large_universe(self):
         u = Universe(tuple(f"e{i}" for i in range(16)))
