@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -437,9 +436,12 @@ def run(argv: list[str] | None = None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:   # a defect: exit apart from the verdict and usage codes
-        where = traceback.extract_tb(exc.__traceback__)[-1]
+        tb = exc.__traceback__
+        while tb.tb_next is not None:   # the frame that raised
+            tb = tb.tb_next
         print(f"internal error: {type(exc).__name__}: {exc} "
-              f"(at {Path(where.filename).name}:{where.lineno})", file=sys.stderr)
+              f"(at {Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno})",
+              file=sys.stderr)
         return 3
     if cfg.output == "json":
         print(json.dumps(payload, sort_keys=True, indent=2), file=out)
