@@ -258,24 +258,20 @@ def _conflict_masks(items: Sequence[Item], conflict: ConflictFn,
     (unless ``irreflexive`` is false: hpc never reads the diagonal) and then
     an asymmetric pair.
     """
-    rows = []
-    for a in items:
-        row = 0
-        for j, b in enumerate(items):
-            if conflict(a, b):
-                row |= 1 << j
-        rows.append(row)
+    flags = ["".join("1" if conflict(a, b) else "0" for b in items) for a in items]
     if irreflexive:
-        for i, row in enumerate(rows):
-            if row >> i & 1:
+        for i, row in enumerate(flags):
+            if row[i] == "1":
                 a = items[i]
                 raise ValueError(f"conflict relation is not irreflexive: witness ({a!r}, {a!r})")
-    for i, row in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            if (row >> j ^ rows[j] >> i) & 1:
-                raise ValueError(f"relation is not symmetric: witness pair "
-                                 f"({items[i]!r}, {items[j]!r})")
-    return rows
+    # The first row that differs from its column does so first at its first
+    # asymmetric pair, which lies past the diagonal.
+    for i, (row, col) in enumerate(zip(flags, map("".join, zip(*flags)))):
+        if row != col:
+            j = next(k for k in range(len(row)) if row[k] != col[k])
+            raise ValueError(f"relation is not symmetric: witness pair "
+                             f"({items[i]!r}, {items[j]!r})")
+    return [int(row[::-1], 2) for row in flags]   # character j becomes bit j
 
 
 def _require_items(seq: OrderArrangement) -> list[Item]:
