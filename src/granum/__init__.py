@@ -2,9 +2,9 @@
 
 Approximation operators and information tables (:mod:`granum.core`),
 parthood predicates and their property auditor (:mod:`granum.parthood`),
-operator-space axioms and rough quotients (:mod:`granum.gos`),
-antichain counting procedures (:mod:`granum.counting`) and independent
-brute-force verifiers (:mod:`granum.oracles`).
+operator-space axioms, rough quotients and the rough-origin decision
+(:mod:`granum.gos`), antichain counting procedures (:mod:`granum.counting`)
+and independent brute-force verifiers (:mod:`granum.oracles`).
 """
 
 from .core import (Granulation, IndiscernibilityRelation, InformationTable,
@@ -16,11 +16,12 @@ from .counting import (AntichainDecomposition, CountLabel, CountingTrace,
                        find_coherent_order, hpc_count, hpca_count,
                        is_hpca_coherent, pca_count, verify_decomposition)
 from .gos import (AxiomReport, BasicRoughOrder, GranularOperatorSpace,
-                  RoughQuotient, RoughRepresentation, audit_full_underlap,
-                  audit_lower_stability, audit_weak_representability,
-                  basic_rough_order, interval_representation,
-                  knowledge_validity_check, rough_objects)
-from .oracles import (PartitionWitness, all_partitions, brute_force_signatures,
+                  PartitionWitness, RoughQuotient, RoughRepresentation,
+                  audit_full_underlap, audit_lower_stability,
+                  audit_weak_representability, basic_rough_order,
+                  interval_representation, knowledge_validity_check,
+                  rough_objects, rough_origin)
+from .oracles import (all_partitions, brute_force_signatures,
                       enumerate_maximal_antichains, inverse_rough_check,
                       minimum_antichain_cover)
 from .parthood import (ParthoodVariant, PropertyReport, VARIANTS,
@@ -44,6 +45,6 @@ __all__ = [
     "inverse_rough_check", "is_hpca_coherent", "knowledge_validity_check",
     "lower_approx", "minimum_antichain_cover", "parse_context",
     "parse_information_table", "pca_count", "proper_part", "rough_equality",
-    "rough_inclusion", "rough_objects", "upper_approx", "variant",
-    "verify_decomposition",
+    "rough_inclusion", "rough_objects", "rough_origin", "upper_approx",
+    "variant", "verify_decomposition",
 ]

@@ -11,6 +11,7 @@ an internal error (a defect: any other exception).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -192,16 +193,17 @@ def _cmd_approx(args, cfg: RunConfig):
 def _cmd_gos_audit(args, cfg: RunConfig):
     space = _load_space(cfg)
     wanted = AXIOM_ALIASES.get(args.axiom, args.axiom)
+    basis = gos_mod._region_basis(space, seed=cfg.seed)   # one scan basis for every check
     reports = []
     if wanted in ("weak-representability", "all"):
-        reports.append(gos_mod.audit_weak_representability(space, seed=cfg.seed))
+        reports.append(gos_mod.audit_weak_representability(space, seed=cfg.seed, basis=basis))
     if wanted in ("lower-stability", "all"):
-        reports.append(gos_mod.audit_lower_stability(space, seed=cfg.seed))
+        reports.append(gos_mod.audit_lower_stability(space, seed=cfg.seed, basis=basis))
     if wanted in ("full-underlap", "all"):
-        reports.append(gos_mod.audit_full_underlap(space, seed=cfg.seed))
+        reports.append(gos_mod.audit_full_underlap(space, seed=cfg.seed, basis=basis))
     if not reports:
         raise ParseError(f"unknown axiom {args.axiom!r} (use wra, ls, fu or all)")
-    violations = space.containment_violations(seed=cfg.seed)
+    violations = space.containment_violations(seed=cfg.seed, basis=basis)
     containment = {"holds": not violations, "witnesses": [sorted(v) for v in violations]}
     if reports[0].mode == "sampled":   # the containment scan shares the audits' basis
         containment.update(mode="sampled", seed=cfg.seed)
@@ -304,7 +306,7 @@ def _cmd_inverse(args, cfg: RunConfig):
             pairs.append((universe.region(p["lower"]), universe.region(p["upper"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"pair {i}: {exc}") from None
-    witness = oracles.inverse_rough_check(pairs, universe)
+    witness = gos_mod.rough_origin(pairs, universe)
     payload = {"realizable": witness is not None,
                "witness": witness.to_dict() if witness else None}
     if witness:
@@ -422,11 +424,16 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building it costs more than most runs."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -380,6 +380,12 @@ def hpca_count(seq: OrderArrangement, conflict: ConflictFn) -> tuple[CountingTra
     Hence the stop condition "no markers remain" is reached only once the
     collection is covered: the loop never runs out of markers first.
     """
+    trace = _hpca_trace(seq, conflict, "hpca")
+    return trace, verify_decomposition(trace, conflict)
+
+
+def _hpca_trace(seq: OrderArrangement, conflict: ConflictFn, algorithm: str) -> CountingTrace:
+    """The hpca run of :func:`hpca_count`, unverified, labelled ``algorithm``."""
     items = _require_items(seq)
     rows = _conflict_masks(items, conflict)
     index = {x: i for i, x in enumerate(items)}
@@ -415,9 +421,7 @@ def hpca_count(seq: OrderArrangement, conflict: ConflictFn) -> tuple[CountingTra
             passes.append(PassRecord(pass_no, order, start, assigned, rejected, cat_index))
         orders.append(order)
 
-    trace = CountingTrace("hpca", orders, labels, retained, passes)
-    decomposition = verify_decomposition(trace, conflict)
-    return trace, decomposition
+    return CountingTrace(algorithm, orders, labels, retained, passes)
 
 
 def verify_decomposition(trace: CountingTrace, conflict: ConflictFn) -> AntichainDecomposition:
@@ -519,15 +523,16 @@ def fhca_count(seq: OrderArrangement, conflict: ConflictFn,
 
     fhca permutes and re-collects only past a run that is not coherent, and
     by the coherence theorem in :func:`hpca_count`'s docstring every run is,
-    so fhca equals hpca relabelled (same labels and categories).  The
-    permuted-order collection rounds are :func:`fhca_rounds`.  ``budget``,
-    when given, must be >= 1.
+    so fhca equals hpca relabelled (same labels and categories).  Unlike
+    :func:`hpca_count` it does not verify its run; callers that want the
+    verdict call :func:`verify_decomposition`.  The permuted-order
+    collection rounds are :func:`fhca_rounds`.  ``budget``, when given,
+    must be >= 1.
     """
     _require_items(seq)
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
-    trace, _ = hpca_count(seq, conflict)
-    trace.algorithm = "fhca"
+    trace = _hpca_trace(seq, conflict, "fhca")
     return trace, [c.members for c in trace.categories]
 
 

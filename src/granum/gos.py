@@ -1,4 +1,5 @@
-"""Granular operator spaces: axiom audits, rough quotients, representations.
+"""Granular operator spaces: axiom audits, rough quotients, representations,
+and the rough-origin decision for families of approximation pairs.
 
 A space bundles a universe, a granulation, lower/upper operators (derived
 from the granulation by union, or supplied explicitly) and a parthood
@@ -9,17 +10,19 @@ witnesses; nothing is assumed that was not scanned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import parthood as ph
-from .core import (DEFAULT_SEED, Granulation, Region, Universe, _distinct_masks, _jsonify,
-                   lower_bits, upper_bits)
+from .core import (DEFAULT_SEED, Granulation, IndiscernibilityRelation, Region, Universe,
+                   _distinct_masks, _jsonify, lower_approx, lower_bits, upper_approx,
+                   upper_bits)
 
 EXHAUSTIVE_UNIVERSE_CAP = 14  # 16384 regions; beyond this audits sample
 AUDIT_SAMPLE = 2048
 QUOTIENT_UNIVERSE_CAP = 14
 
 OperatorLike = Callable[[Region], Region] | Mapping[Region, Region]
+Basis = tuple[list[int], str]   # region masks to scan, and "exhaustive" or "sampled"
 
 
 class GranularOperatorSpace:
@@ -97,14 +100,16 @@ class GranularOperatorSpace:
     def parthood_holds(self, a: Region, b: Region) -> bool:
         return ph.holds(self.parthood, a, b, self)
 
-    def containment_violations(self, cap: int = 10, seed: int = DEFAULT_SEED) -> list[Region]:
+    def containment_violations(self, cap: int = 10, seed: int = DEFAULT_SEED,
+                               basis: Basis | None = None) -> list[Region]:
         """Regions where upper does not contain lower (checked, not assumed).
 
-        Scans the axiom audits' basis: every region up to
-        ``EXHAUSTIVE_UNIVERSE_CAP`` elements, past it their seeded sample.
+        Scans the axiom audits' basis (drawn from ``seed`` unless given):
+        every region up to ``EXHAUSTIVE_UNIVERSE_CAP`` elements, past it
+        their seeded sample.
         """
         bad = []
-        for bits in _region_basis(self, EXHAUSTIVE_UNIVERSE_CAP, AUDIT_SAMPLE, seed)[0]:
+        for bits in (basis or _region_basis(self, seed=seed))[0]:
             lo, up = self.signature_bits(bits)
             if lo & ~up:
                 bad.append(self.universe.region_from_bits(bits))
@@ -140,8 +145,9 @@ class AxiomReport:
         return out
 
 
-def _region_basis(gos: GranularOperatorSpace, cap: int, sample: int,
-                  seed: int) -> tuple[list[int], str]:
+def _region_basis(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
+                  sample: int = AUDIT_SAMPLE, seed: int = DEFAULT_SEED) -> Basis:
+    """The region masks an audit scans, with its mode (exhaustive or sampled)."""
     n = len(gos.universe)
     if n <= cap:
         return list(range(1 << n)), "exhaustive"
@@ -150,9 +156,10 @@ def _region_basis(gos: GranularOperatorSpace, cap: int, sample: int,
 
 def audit_weak_representability(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
                                 sample: int = AUDIT_SAMPLE, seed: int = DEFAULT_SEED,
-                                witness_cap: int = 10) -> AxiomReport:
+                                witness_cap: int = 10,
+                                basis: Basis | None = None) -> AxiomReport:
     """Check that every region's lower and upper map to unions of granules."""
-    basis, mode = _region_basis(gos, cap, sample, seed)
+    basis, mode = basis or _region_basis(gos, cap, sample, seed)
     masks = gos.granulation.masks()
     u = gos.universe
     witnesses = []
@@ -172,9 +179,9 @@ def audit_weak_representability(gos: GranularOperatorSpace, cap: int = EXHAUSTIV
 
 def audit_lower_stability(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
                           sample: int = AUDIT_SAMPLE, seed: int = DEFAULT_SEED,
-                          witness_cap: int = 10) -> AxiomReport:
+                          witness_cap: int = 10, basis: Basis | None = None) -> AxiomReport:
     """For every granule y and region x: parthood y x implies parthood y x^lower."""
-    basis, mode = _region_basis(gos, cap, sample, seed)
+    basis, mode = basis or _region_basis(gos, cap, sample, seed)
     u = gos.universe
     witnesses = []
     failures = 0
@@ -192,9 +199,10 @@ def audit_lower_stability(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIV
 
 
 def audit_full_underlap(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
-                        sample: int = AUDIT_SAMPLE, seed: int = DEFAULT_SEED) -> AxiomReport:
+                        sample: int = AUDIT_SAMPLE, seed: int = DEFAULT_SEED,
+                        basis: Basis | None = None) -> AxiomReport:
     """Search, per granule pair, for a definite region properly above both."""
-    basis, mode = _region_basis(gos, cap, sample, seed)
+    basis, mode = basis or _region_basis(gos, cap, sample, seed)
     u = gos.universe
     granules = gos.granulation.granules
     pairs = [(granules[i], granules[j])
@@ -406,3 +414,66 @@ def knowledge_validity_check(a: Region, gos: GranularOperatorSpace) -> Knowledge
         {"name": "upper-idempotent", "holds": uu == up, "lhs": uu, "rhs": up},
     )
     return KnowledgeValidity(a, eqs)
+
+
+@dataclass(frozen=True)
+class PartitionWitness:
+    """A partition plus one realizing region per requested signature pair."""
+
+    partition: IndiscernibilityRelation
+    realizations: tuple[Region, ...]
+
+    def replays(self, pairs: Sequence[tuple[Region, Region]]) -> bool:
+        """Recompute each realization's signature and compare exactly."""
+        g = self.partition.granulation()
+        for region, (lo, up) in zip(self.realizations, pairs):
+            if lower_approx(region, g) != lo or upper_approx(region, g) != up:
+                return False
+        return True
+
+    def to_dict(self) -> dict:
+        return {
+            "partition": [sorted(b) for b in self.partition.blocks],
+            "realizations": [{"pair": i, "region": sorted(r)}
+                             for i, r in enumerate(self.realizations)],
+        }
+
+
+def rough_origin(pairs: Sequence[tuple[Region, Region]],
+                 universe: Universe) -> PartitionWitness | None:
+    """Decide whether some partition realizes every (lower, upper) pair.
+
+    Every lower and upper region of a witness is a union of its blocks, so a
+    witness refines the atoms of the Boolean algebra the regions generate.
+    Merging the blocks inside one atom keeps every region a union of blocks
+    and only enlarges boundary blocks.  Hence the family is realizable
+    exactly when every pair is nested and every atom inside some boundary
+    ``up \\ lo`` has at least two elements, and then the atom partition is
+    a witness.  With its blocks in least-element order it is the first
+    witness in restricted-growth order, the one
+    :func:`granum.oracles.inverse_rough_check` finds by scanning; each
+    realization adds the least element of every boundary atom to the lower
+    region.  O(n * pairs) on masks, for universes of any size.
+    """
+    for lo, up in pairs:
+        if lo.universe != universe or up.universe != universe:
+            raise ValueError("pair regions must live in the given universe")
+    masks = [(lo.bits, up.bits) for lo, up in pairs]
+    if any(lo & ~up for lo, up in masks):
+        return None
+    atoms = [(1 << len(universe)) - 1]
+    for lo, up in masks:
+        for m in (lo, up):
+            atoms = [part for a in atoms for part in (a & m, a & ~m) if part]
+    atoms.sort(key=lambda a: a & -a)
+    realizations = []
+    for lo, up in masks:
+        bits = lo
+        for a in atoms:
+            if a & up and not a & lo:
+                if a.bit_count() < 2:
+                    return None   # a one-element boundary block cannot stay proper
+                bits |= a & -a
+        realizations.append(universe.region_from_bits(bits))
+    blocks = tuple(universe.region_from_bits(a) for a in atoms)
+    return PartitionWitness(IndiscernibilityRelation(universe, blocks), tuple(realizations))

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they grade: antichain enumeration is
 a maximal-independent-set search over the conflict graph, signatures are
 recomputed element by element from the definitions, and the inverse check
-searches every partition of the universe.
+searches every partition of the universe (it grades the closed form
+:func:`granum.gos.rough_origin`).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .core import Granulation, IndiscernibilityRelation, Region, Universe
+from .gos import PartitionWitness
 
 Item = Hashable
 
@@ -174,30 +176,6 @@ def all_partitions(items: Sequence[str]) -> Iterator[tuple[tuple[str, ...], ...]
             i -= 1
         else:
             return
-
-
-@dataclass(frozen=True)
-class PartitionWitness:
-    """A partition plus one realizing region per requested signature pair."""
-
-    partition: IndiscernibilityRelation
-    realizations: tuple[Region, ...]
-
-    def replays(self, pairs: Sequence[tuple[Region, Region]]) -> bool:
-        """Recompute each realization's signature and compare exactly."""
-        from .core import lower_approx, upper_approx
-        g = self.partition.granulation()
-        for region, (lo, up) in zip(self.realizations, pairs):
-            if lower_approx(region, g) != lo or upper_approx(region, g) != up:
-                return False
-        return True
-
-    def to_dict(self) -> dict:
-        return {
-            "partition": [sorted(b) for b in self.partition.blocks],
-            "realizations": [{"pair": i, "region": sorted(r)}
-                             for i, r in enumerate(self.realizations)],
-        }
 
 
 def inverse_rough_check(pairs: Sequence[tuple[Region, Region]],

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from granum import (Granulation, GranularOperatorSpace, IndiscernibilityRelation,
-                    Universe)
+                    Universe, lower_approx, upper_approx)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -117,6 +117,19 @@ def recursive_partitions(items):
         for i in range(len(p)):
             yield p[:i] + ((first,) + p[i],) + p[i + 1:]
         yield p + ((first,),)
+
+
+def planted_pairs(rng: random.Random, universe: Universe, k: int) -> list:
+    """``k`` realizable (lower, upper) pairs: the signatures of random regions
+    under a random partition of the universe."""
+    n = len(universe)
+    width = rng.randint(1, n)
+    blocks: dict[int, list[str]] = {}
+    for e in universe.elements:
+        blocks.setdefault(rng.randrange(width), []).append(e)
+    g = IndiscernibilityRelation.from_sets(universe, list(blocks.values())).granulation()
+    regions = [universe.region_from_bits(rng.getrandbits(n)) for _ in range(k)]
+    return [(lower_approx(a, g), upper_approx(a, g)) for a in regions]
 
 
 def independently_realizable(pairs, elements) -> bool:

@@ -2,20 +2,24 @@
 
 import io
 import json
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from granum import GranularOperatorSpace, cli, parse_context
+from granum import (GranularOperatorSpace, IndiscernibilityRelation, PartitionWitness,
+                    Universe, cli, gos, oracles, parse_context)
 from granum import parthood as ph
 
-from conftest import FIXTURES
+from conftest import FIXTURES, planted_pairs
 
 VEE = str(FIXTURES / "ctx_vee.json")
 TABLE = str(FIXTURES / "table_blocks.csv")
 PAIRS_YES = str(FIXTURES / "pairs_yes.json")
 PAIRS_NO = str(FIXTURES / "pairs_no.json")
+PAIRS_WIDE12 = str(FIXTURES / "pairs_wide12.json")
 
 
 def run_cli(argv):
@@ -76,6 +80,66 @@ class TestInverse:
     def test_no_case_default_exit_zero(self):
         code, _ = run_json(["inverse", "--input", PAIRS_NO])
         assert code == 0
+
+    @staticmethod
+    def _replays(doc, path):
+        family = json.loads(Path(path).read_text(encoding="utf-8"))
+        u = Universe(tuple(family["universe"]))
+        pairs = [(u.region(p["lower"]), u.region(p["upper"])) for p in family["pairs"]]
+        witness = doc["witness"]
+        rel = IndiscernibilityRelation.from_sets(u, witness["partition"])
+        regions = tuple(u.region(r["region"]) for r in witness["realizations"])
+        return PartitionWitness(rel, regions).replays(pairs)
+
+    @pytest.mark.parametrize("n", [11, 12, 40])
+    def test_wide_families_are_answered(self, tmp_path, n):
+        # the partition scan refused these with exit 2 (more than 10 elements)
+        u = Universe(tuple(f"u{i}" for i in range(n)))
+        pairs = planted_pairs(random.Random(n), u, 4)
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"universe": list(u.elements), "pairs": [
+            {"lower": list(lo), "upper": list(up)} for lo, up in pairs]}), encoding="utf-8")
+        code, doc = run_json(["inverse", "--input", str(path), "--strict"])
+        assert code == 0 and doc["realizable"] is True
+        assert self._replays(doc, path)
+
+    def test_wide12_fixture_is_realizable(self):
+        code, doc = run_json(["inverse", "--input", PAIRS_WIDE12, "--strict"])
+        assert code == 0 and doc["realizable"] is True
+        assert self._replays(doc, PAIRS_WIDE12)
+
+    def test_no_partition_scan(self, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("inverse ran a partition scan")
+        monkeypatch.setattr(oracles, "all_partitions", scan)
+        monkeypatch.setattr(oracles, "inverse_rough_check", scan)
+        assert run_json(["inverse", "--input", PAIRS_YES])[1]["realizable"] is True
+        assert run_json(["inverse", "--input", PAIRS_NO])[1]["realizable"] is False
+        assert run_json(["inverse", "--input", PAIRS_WIDE12])[0] == 0
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert run_cli(["inverse", "--input", PAIRS_YES])[0] == 0
+        assert len(built) == 1
+        assert build() is not build()   # the public builder still builds afresh
+
+    def test_runs_share_no_state(self, monkeypatch):
+        # a reused parser must not carry options from one run into the next
+        argv = ["parthood-audit", "--variant", "rough-inclusion", "--input", TABLE]
+        run_cli(argv + ["--budget", "8", "--seed", "3"])
+        reused = run_cli(argv)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert reused == run_cli(argv)
 
 
 def _witness_violates(v, name, regions, space):
@@ -145,6 +209,18 @@ class TestAudits:
         assert refl["witnesses"]  # recorded witnesses re-verify in unit tests
         # {3} is one of the analytically forced counterexamples
         assert [["3"]] in refl["witnesses"] or refl["witnesses"]
+
+    def test_gos_audit_draws_one_basis(self, monkeypatch):
+        draws = []
+        draw = gos._region_basis
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return draw(*args, **kwargs)
+        monkeypatch.setattr(gos, "_region_basis", counted)
+        code, doc = run_json(["gos-audit", "--axiom", "all", "--input", TABLE])
+        assert code == 0 and len(doc["axioms"]) == 3
+        assert len(draws) == 1
 
     def test_gos_audit_all_pass_on_partition(self):
         code, doc = run_json(["gos-audit", "--input", TABLE])

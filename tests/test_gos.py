@@ -5,14 +5,18 @@ import random
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from granum import (Granulation, GranularOperatorSpace, Universe,
                     audit_full_underlap, audit_lower_stability,
                     audit_weak_representability, basic_rough_order,
-                    interval_representation, knowledge_validity_check,
-                    lower_approx, rough_objects, upper_approx)
+                    interval_representation, inverse_rough_check,
+                    knowledge_validity_check, lower_approx, rough_objects,
+                    rough_origin, upper_approx)
 from granum import parthood as ph
 
-from conftest import granulation_suite
+from conftest import granulation_suite, planted_pairs
 
 
 def classical_ops(granulation):
@@ -270,3 +274,98 @@ class TestSpaceBasics:
         report = audit_weak_representability(space, sample=64, seed=9)
         assert report.mode == "sampled"
         assert report.seed == 9
+
+
+def _universe(n):
+    return Universe(tuple(f"e{i}" for i in range(n)))
+
+
+def _families(seed, count):
+    """Seeded pair families on at most 6 elements, of four kinds: planted,
+    raw random masks (mostly not nested), nested, and planted plus one pair
+    whose boundary is a single element.  Some families are empty."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        n = rng.randint(1, 6)
+        u = _universe(n)
+        k = rng.randint(0, 4)
+        kind = ("planted", "raw", "nested", "single-boundary")[trial % 4]
+        if kind == "raw":
+            pairs = [(u.region_from_bits(rng.getrandbits(n)),
+                      u.region_from_bits(rng.getrandbits(n))) for _ in range(k)]
+        elif kind == "nested":
+            pairs = []
+            for _ in range(k):
+                up = rng.getrandbits(n)
+                pairs.append((u.region_from_bits(up & rng.getrandbits(n)),
+                              u.region_from_bits(up)))
+        else:
+            pairs = planted_pairs(rng, u, k)
+            if kind == "single-boundary":
+                lo = rng.getrandbits(n)
+                bit = 1 << rng.randrange(n)
+                pairs.insert(rng.randint(0, k), (u.region_from_bits(lo & ~bit),
+                                                 u.region_from_bits(lo | bit)))
+        yield kind, u, pairs
+
+
+class TestRoughOrigin:
+    """The closed form against the partition scan of the oracle."""
+
+    def test_agrees_with_oracle_on_seeded_families(self):
+        verdicts = {}
+        for kind, u, pairs in _families(seed=606, count=1600):
+            got = rough_origin(pairs, u)
+            want = inverse_rough_check(pairs, u)
+            assert (got and got.to_dict()) == (want and want.to_dict()), (kind, pairs)
+            verdicts.setdefault(kind, set()).add(got is not None)
+        # planted families are always realizable, single-boundary ones never
+        assert verdicts == {"planted": {True}, "raw": {False, True},
+                            "nested": {False, True}, "single-boundary": {False}}
+
+    def test_empty_family_is_one_block(self):
+        u = _universe(4)
+        w = rough_origin([], u)
+        assert w.to_dict() == inverse_rough_check([], u).to_dict() == {
+            "partition": [["e0", "e1", "e2", "e3"]], "realizations": []}
+
+    def test_foreign_region_raises_like_oracle(self):
+        u, other = _universe(3), _universe(4)
+        pairs = [(u.empty_region(), u.full_region()),
+                 (other.empty_region(), other.full_region())]
+        with pytest.raises(ValueError) as closed:
+            rough_origin(pairs, u)
+        with pytest.raises(ValueError) as oracle:
+            inverse_rough_check(pairs, u)
+        assert str(closed.value) == str(oracle.value) == \
+            "pair regions must live in the given universe"
+
+    @given(st.integers(1, 7), st.sampled_from(["planted", "nested", "raw"]),
+           st.lists(st.tuples(st.integers(0, 2**7 - 1), st.integers(0, 2**7 - 1)),
+                    max_size=4),
+           st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_witnesses_replay_and_refusals_agree(self, n, kind, raw, seed):
+        u = _universe(n)
+        full = (1 << n) - 1
+        if kind == "planted":
+            pairs = planted_pairs(random.Random(seed), u, len(raw))
+        else:
+            pairs = [(u.region_from_bits(a & full & (b if kind == "nested" else full)),
+                      u.region_from_bits(b & full)) for a, b in raw]
+        w = rough_origin(pairs, u)
+        if w is None:
+            assert inverse_rough_check(pairs, u) is None
+        else:
+            assert len(w.realizations) == len(pairs) and w.replays(pairs)
+
+    def test_wide_universes_answer_past_the_oracle_cap(self):
+        rng = random.Random(11)
+        for n in (11, 12, 40, 64):
+            u = _universe(n)
+            pairs = planted_pairs(rng, u, 4)
+            w = rough_origin(pairs, u)
+            assert w is not None and w.replays(pairs), n
+            lone = 1 << (n - 1)   # a boundary of one element
+            assert rough_origin(pairs + [(u.empty_region(), u.region_from_bits(lone))],
+                                u) is None
