@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import counting, gos as gos_mod, oracles, parthood as pH
@@ -34,23 +33,6 @@ AXIOM_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run; the seed pins all sampling."""
-
-    command: str
-    input: str | None
-    format: str | None
-    attrs: tuple[str, ...] | None
-    parthood: str
-    conflict: str
-    algorithm: str | None
-    seed: int
-    budget: int | None
-    output: str
-    strict: bool
-
-
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
@@ -63,43 +45,26 @@ def _resolve_seed(value: int | None) -> int:
     return DEFAULT_SEED
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    attrs = tuple(args.attrs.split(",")) if getattr(args, "attrs", None) else None
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        format=getattr(args, "format", None),
-        attrs=attrs,
-        parthood=getattr(args, "parthood", "rough-inclusion"),
-        conflict=getattr(args, "conflict", "comparability"),
-        algorithm=getattr(args, "algo", None) or getattr(args, "op", None),
-        seed=_resolve_seed(getattr(args, "seed", None)),
-        budget=getattr(args, "budget", None),
-        output=args.output,
-        strict=args.strict,
-    )
-
-
-def _load_space(cfg: RunConfig) -> gos_mod.GranularOperatorSpace:
-    if cfg.input is None:
+def _load_space(args: argparse.Namespace) -> gos_mod.GranularOperatorSpace:
+    if args.input is None:
         raise ParseError("an --input file is required")
-    path = Path(cfg.input)
+    path = Path(args.input)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    fmt = cfg.format
+    fmt = args.format
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "json"
     if fmt == "csv" or (fmt == "json" and _looks_like_table(text)):
         table = parse_information_table(text, fmt)
-        attrs = cfg.attrs or table.attributes
+        attrs = args.attrs.split(",") if args.attrs else table.attributes
         granulation = indiscernibility_partition(table, attrs).granulation()
         universe = table.objects
     else:
         universe, granulation = parse_context(text)
     return gos_mod.GranularOperatorSpace(universe, granulation,
-                                         parthood=pH.variant(cfg.parthood))
+                                         parthood=pH.variant(args.parthood))
 
 
 def _looks_like_table(text: str) -> bool:
@@ -121,40 +86,39 @@ def _parse_regions(space: gos_mod.GranularOperatorSpace, raw: list[str]) -> list
     return out
 
 
-def _singleton_conflict(space: gos_mod.GranularOperatorSpace, cfg: RunConfig):
-    singles = {e: space.universe.singleton(e) for e in space.universe}
-    v = pH.variant(cfg.parthood)
+def _items(space: gos_mod.GranularOperatorSpace, args: argparse.Namespace):
+    """The ``--items`` collection, its ``--conflict`` and its parthood order ``le``.
+
+    Items are universe elements (as singletons) or rough-object classes (by
+    representative); both relations read one set of parthood rows.
+    """
+    if args.items == "elements":
+        items = list(space.universe.elements)
+        masks = [1 << i for i in range(len(items))]
+    elif args.items == "rough-objects":
+        reps = [c.representative() for c in gos_mod.rough_objects(space).classes]
+        items = ["{%s}" % ",".join(r) for r in reps]
+        masks = [r.bits for r in reps]
+    else:
+        raise ParseError(f"unknown item collection {args.items!r}")
+    rows = pH.relation_rows(space.parthood, space, masks, masks)
+    either = [row | col for row, col in zip(rows, pH._transpose(rows, len(rows)))]
+    if args.conflict == "comparability":   # distinct regions related either way
+        conflicts = [row & ~(1 << i) for i, row in enumerate(either)]
+    else:                                  # incomparability, kept literal on the diagonal
+        conflicts = [~row for row in either]
+    index = {item: i for i, item in enumerate(items)}
 
     def conflict(a: str, b: str) -> bool:
-        return pH.conflict(v, singles[a], singles[b], space, cfg.conflict)
-    return list(space.universe.elements), conflict
+        return bool(conflicts[index[a]] >> index[b] & 1)
+
+    def le(a: str, b: str) -> bool:
+        return a == b or bool(rows[index[a]] >> index[b] & 1)
+    return items, conflict, le
 
 
-def _class_items(space: gos_mod.GranularOperatorSpace, cfg: RunConfig):
-    quotient = gos_mod.rough_objects(space)
-    reps = {}
-    items = []
-    for c in quotient.classes:
-        name = "{%s}" % ",".join(c.representative())
-        items.append(name)
-        reps[name] = c.representative()
-    v = pH.variant(cfg.parthood)
-
-    def conflict(a: str, b: str) -> bool:
-        return pH.conflict(v, reps[a], reps[b], space, cfg.conflict)
-    return items, conflict
-
-
-def _items_and_conflict(space, cfg: RunConfig, which: str):
-    if which == "elements":
-        return _singleton_conflict(space, cfg)
-    if which == "rough-objects":
-        return _class_items(space, cfg)
-    raise ParseError(f"unknown item collection {which!r}")
-
-
-def _cmd_approx(args, cfg: RunConfig):
-    space = _load_space(cfg)
+def _cmd_approx(args):
+    space = _load_space(args)
     regions = _parse_regions(space, args.region or [])
     if not regions:
         raise ParseError("at least one --region is required")
@@ -190,23 +154,23 @@ def _cmd_approx(args, cfg: RunConfig):
     return payload, "\n".join(lines), bool(negative)
 
 
-def _cmd_gos_audit(args, cfg: RunConfig):
-    space = _load_space(cfg)
+def _cmd_gos_audit(args):
+    space = _load_space(args)
     wanted = AXIOM_ALIASES.get(args.axiom, args.axiom)
-    basis = gos_mod._region_basis(space, seed=cfg.seed)   # one scan basis for every check
+    basis = gos_mod._region_basis(space, seed=args.seed)   # one scan basis for every check
     reports = []
     if wanted in ("weak-representability", "all"):
-        reports.append(gos_mod.audit_weak_representability(space, seed=cfg.seed, basis=basis))
+        reports.append(gos_mod.audit_weak_representability(space, seed=args.seed, basis=basis))
     if wanted in ("lower-stability", "all"):
-        reports.append(gos_mod.audit_lower_stability(space, seed=cfg.seed, basis=basis))
+        reports.append(gos_mod.audit_lower_stability(space, seed=args.seed, basis=basis))
     if wanted in ("full-underlap", "all"):
-        reports.append(gos_mod.audit_full_underlap(space, seed=cfg.seed, basis=basis))
+        reports.append(gos_mod.audit_full_underlap(space, seed=args.seed, basis=basis))
     if not reports:
         raise ParseError(f"unknown axiom {args.axiom!r} (use wra, ls, fu or all)")
-    violations = space.containment_violations(seed=cfg.seed, basis=basis)
+    violations = space.containment_violations(seed=args.seed, basis=basis)
     containment = {"holds": not violations, "witnesses": [sorted(v) for v in violations]}
     if reports[0].mode == "sampled":   # the containment scan shares the audits' basis
-        containment.update(mode="sampled", seed=cfg.seed)
+        containment.update(mode="sampled", seed=args.seed)
     payload = {"axioms": [r.to_dict() for r in reports], "upper_contains_lower": containment}
     lines = [f"{r.axiom}: {'pass' if r.passed else 'FAIL'} ({r.mode}, {r.checked} checks)"
              for r in reports]
@@ -216,11 +180,11 @@ def _cmd_gos_audit(args, cfg: RunConfig):
     return payload, "\n".join(lines), negative
 
 
-def _cmd_parthood_audit(args, cfg: RunConfig):
-    space = _load_space(cfg)
+def _cmd_parthood_audit(args):
+    space = _load_space(args)
     names = sorted(pH.VARIANTS) if args.variant == "all" else [args.variant]
-    reports = [pH.audit_properties(pH.variant(n), space, budget=cfg.budget,
-                                   seed=cfg.seed) for n in names]
+    reports = [pH.audit_properties(pH.variant(n), space, budget=args.budget,
+                                   seed=args.seed) for n in names]
     payload = {"reports": [r.to_dict() for r in reports]}
     lines = []
     for r in reports:
@@ -236,9 +200,9 @@ def _cmd_parthood_audit(args, cfg: RunConfig):
     return payload, "\n".join(lines), negative
 
 
-def _cmd_count(args, cfg: RunConfig):
-    space = _load_space(cfg)
-    items, conflict = _items_and_conflict(space, cfg, args.items)
+def _cmd_count(args):
+    space = _load_space(args)
+    items, conflict, _ = _items(space, args)
     seq = counting.arrangement(items)
     antichains = None
     decomposition = None
@@ -250,12 +214,12 @@ def _cmd_count(args, cfg: RunConfig):
     elif args.algo == "hpca":
         trace, decomposition = counting.hpca_count(seq, conflict)
     elif args.algo == "fhca":
-        trace, antichains = counting.fhca_count(seq, conflict, budget=cfg.budget)
+        trace, antichains = counting.fhca_count(seq, conflict, budget=args.budget)
         decomposition = counting.verify_decomposition(trace, conflict)
     else:
         raise ParseError(f"unknown algorithm {args.algo!r}")
     payload = {"config": {"algorithm": args.algo, "items": args.items,
-                          "parthood": cfg.parthood, "conflict": cfg.conflict},
+                          "parthood": args.parthood, "conflict": args.conflict},
                "trace": trace.to_dict()}
     if decomposition is not None:
         payload["decomposition"] = decomposition.to_dict()
@@ -269,16 +233,16 @@ def _cmd_count(args, cfg: RunConfig):
     return payload, text, negative
 
 
-def _cmd_coherence(args, cfg: RunConfig):
-    space = _load_space(cfg)
-    items, conflict = _items_and_conflict(space, cfg, args.items)
+def _cmd_coherence(args):
+    space = _load_space(args)
+    items, conflict, _ = _items(space, args)
     seq = counting.arrangement(items)
     coherent = counting.is_hpca_coherent(seq, conflict)
     payload: dict = {"order": list(items), "coherent": coherent}
     lines = [f"order {items}: {'coherent' if coherent else 'NOT coherent'}"]
     if args.search:
-        result = counting.find_coherent_order(items, conflict, budget=cfg.budget,
-                                              seed=cfg.seed)
+        result = counting.find_coherent_order(items, conflict, budget=args.budget,
+                                              seed=args.seed)
         payload["search"] = result.to_dict()
         if result.found is not None:
             lines.append(f"coherent order found after {result.tried} tries: "
@@ -290,11 +254,11 @@ def _cmd_coherence(args, cfg: RunConfig):
     return payload, "\n".join(lines), negative
 
 
-def _cmd_inverse(args, cfg: RunConfig):
-    if cfg.input is None:
+def _cmd_inverse(args):
+    if args.input is None:
         raise ParseError("an --input file is required")
     try:
-        doc = json.loads(Path(cfg.input).read_text(encoding="utf-8"))
+        doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read pairs file: {exc}") from None
     if not isinstance(doc, dict) or "universe" not in doc or "pairs" not in doc:
@@ -317,21 +281,16 @@ def _cmd_inverse(args, cfg: RunConfig):
     return payload, text, witness is None
 
 
-def _cmd_oracle(args, cfg: RunConfig):
-    space = _load_space(cfg)
+def _cmd_oracle(args):
+    space = _load_space(args)
     if args.op == "maximal-antichains":
-        items, conflict = _items_and_conflict(space, cfg, args.items)
+        items, conflict, _ = _items(space, args)
         chains = oracles.enumerate_maximal_antichains(conflict, items)
         payload = {"maximal_antichains": [list(c) for c in chains]}
         text = "\n".join("{%s}" % ", ".join(str(m) for m in c) for c in chains)
         return payload, text, False
     if args.op == "antichain-cover":
-        items, _ = _items_and_conflict(space, cfg, args.items)
-        v = pH.variant(cfg.parthood)
-        singles = {e: space.universe.singleton(e) for e in space.universe}
-
-        def le(a, b):
-            return a == b or pH.holds(v, singles[a], singles[b], space)
+        items, _, le = _items(space, args)
         cover = oracles.minimum_antichain_cover(le, items)
         payload = {"cover": cover.to_dict()}
         text = "\n".join(f"level {i}: {{{', '.join(l)}}}"
@@ -437,8 +396,8 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = _config(args)
-        payload, text, negative = _HANDLERS[args.command](args, cfg)
+        args.seed = _resolve_seed(args.seed)
+        payload, text, negative = _HANDLERS[args.command](args)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -450,11 +409,11 @@ def run(argv: list[str] | None = None, out=None) -> int:
               f"(at {Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno})",
               file=sys.stderr)
         return 3
-    if cfg.output == "json":
+    if args.output == "json":
         print(json.dumps(payload, sort_keys=True, indent=2), file=out)
     else:
         print(text, file=out)
-    return 1 if (negative and cfg.strict) else 0
+    return 1 if (negative and args.strict) else 0
 
 
 def main() -> None:

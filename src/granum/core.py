@@ -33,15 +33,18 @@ class Universe:
     """
 
     elements: tuple[str, ...]
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.elements, tuple):
             object.__setattr__(self, "elements", tuple(self.elements))
         if len(self.elements) == 0:
             raise ValueError("universe must contain at least one element")
-        if len(set(self.elements)) != len(self.elements):
+        positions = {e: i for i, e in enumerate(self.elements)}
+        if len(positions) != len(self.elements):
             dupes = sorted({e for e in self.elements if self.elements.count(e) > 1})
             raise ValueError(f"duplicate element identifiers: {dupes}")
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -51,8 +54,8 @@ class Universe:
 
     def index(self, element: str) -> int:
         try:
-            return self.elements.index(element)
-        except ValueError:
+            return self._positions[element]
+        except (KeyError, TypeError):   # TypeError: an unhashable id is unknown too
             raise ValueError(f"unknown element {element!r}") from None
 
     def region(self, members: Iterable[str] = ()) -> Region:
@@ -128,9 +131,12 @@ class Region:
         return bool(self.bits >> self.universe.index(element) & 1)
 
     def __iter__(self) -> Iterator[str]:
-        for i, e in enumerate(self.universe.elements):
-            if self.bits >> i & 1:
-                yield e
+        elements = self.universe.elements
+        rest = self.bits
+        while rest:
+            low = rest & -rest
+            yield elements[low.bit_length() - 1]
+            rest ^= low
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -372,19 +378,22 @@ def _jsonify(x):
     return x
 
 
-def _distinct_masks(n: int, count: int, seed: int) -> list[int]:
-    """``count`` distinct seeded masks of ``n`` bits, sorted: a sampled audit basis."""
-    rng = random.Random(seed)
+def _region_masks(n: int, limit: int, sample: int, seed: int) -> tuple[list[int], str]:
+    """An audit's masks of ``n`` bits and mode: all 2^n, ascending, if at most
+    ``limit`` ("exhaustive"), else ``sample`` distinct seeded ones, sorted ("sampled")."""
     total = 1 << n
+    if total <= limit:
+        return list(range(total)), "exhaustive"
+    rng = random.Random(seed)
     if total <= sys.maxsize:
-        return sorted(rng.sample(range(total), count))
+        return sorted(rng.sample(range(total), sample)), "sampled"
     # range(total) has no len() here, so rng.sample cannot draw from it.
-    if count < 0:
+    if sample < 0:
         raise ValueError("budget must be >= 0")
     seen: set[int] = set()
-    while len(seen) < count:
+    while len(seen) < sample:
         seen.add(rng.getrandbits(n))
-    return sorted(seen)
+    return sorted(seen), "sampled"
 
 
 def lower_bits(bits: int, masks: Iterable[int]) -> int:

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import parthood as ph
 from .core import (DEFAULT_SEED, Granulation, IndiscernibilityRelation, Region, Universe,
-                   _distinct_masks, _jsonify, lower_approx, lower_bits, upper_approx,
+                   _jsonify, _region_masks, lower_approx, lower_bits, upper_approx,
                    upper_bits)
 
 EXHAUSTIVE_UNIVERSE_CAP = 14  # 16384 regions; beyond this audits sample
@@ -97,9 +97,6 @@ class GranularOperatorSpace:
     def is_definite(self, a: Region) -> bool:
         return self.signature_bits(a.bits) == (a.bits, a.bits)
 
-    def parthood_holds(self, a: Region, b: Region) -> bool:
-        return ph.holds(self.parthood, a, b, self)
-
     def containment_violations(self, cap: int = 10, seed: int = DEFAULT_SEED,
                                basis: Basis | None = None) -> list[Region]:
         """Regions where upper does not contain lower (checked, not assumed).
@@ -148,10 +145,7 @@ class AxiomReport:
 def _region_basis(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
                   sample: int = AUDIT_SAMPLE, seed: int = DEFAULT_SEED) -> Basis:
     """The region masks an audit scans, with its mode (exhaustive or sampled)."""
-    n = len(gos.universe)
-    if n <= cap:
-        return list(range(1 << n)), "exhaustive"
-    return _distinct_masks(n, sample, seed), "sampled"
+    return _region_masks(len(gos.universe), 1 << cap, sample, seed)
 
 
 def audit_weak_representability(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
@@ -182,19 +176,24 @@ def audit_lower_stability(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIV
                           witness_cap: int = 10, basis: Basis | None = None) -> AxiomReport:
     """For every granule y and region x: parthood y x implies parthood y x^lower."""
     basis, mode = basis or _region_basis(gos, cap, sample, seed)
-    u = gos.universe
+    granules = gos.granulation.granules
+    masks = gos.granulation.masks()
+    to_x = ph.relation_rows(gos.parthood, gos, masks, basis)
+    to_xl = ph.relation_rows(gos.parthood, gos, masks,
+                             [gos.signature_bits(bits)[0] for bits in basis])
+    bad = [x & ~xl for x, xl in zip(to_x, to_xl)]   # per granule: regions that fail
     witnesses = []
-    failures = 0
-    for bits in basis:
-        x = u.region_from_bits(bits)
-        xl = gos.lower(x)
-        for y in gos.granulation.granules:
-            if gos.parthood_holds(y, x) and not gos.parthood_holds(y, xl):
-                failures += 1
-                if len(witnesses) < witness_cap:
-                    witnesses.append({"granule": y, "region": x})
-    return AxiomReport("lower-stability", failures == 0, mode,
-                       len(basis) * len(gos.granulation.granules), tuple(witnesses),
+    rest = 0
+    for row in bad:
+        rest |= row
+    while rest and len(witnesses) < witness_cap:   # region by region, then granule
+        low = rest & -rest
+        rest ^= low
+        region = gos.universe.region_from_bits(basis[low.bit_length() - 1])
+        witnesses += [{"granule": y, "region": region}
+                      for y, row in zip(granules, bad) if row & low]
+    return AxiomReport("lower-stability", not any(bad), mode,
+                       len(basis) * len(granules), tuple(witnesses[:witness_cap]),
                        seed=seed if mode == "sampled" else None)
 
 
@@ -203,22 +202,23 @@ def audit_full_underlap(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVER
                         basis: Basis | None = None) -> AxiomReport:
     """Search, per granule pair, for a definite region properly above both."""
     basis, mode = basis or _region_basis(gos, cap, sample, seed)
-    u = gos.universe
     granules = gos.granulation.granules
-    pairs = [(granules[i], granules[j])
-             for i in range(len(granules)) for j in range(i, len(granules))]
-    definite = [u.region_from_bits(bits) for bits in basis
-                if gos.signature_bits(bits) == (bits, bits)]
+    masks = gos.granulation.masks()
+    definite = [bits for bits in basis if gos.signature_bits(bits) == (bits, bits)]
+    up = ph.relation_rows(gos.parthood, gos, masks, definite)
+    down = ph._transpose(ph.relation_rows(gos.parthood, gos, definite, masks), len(masks))
+    proper = [u & ~d for u, d in zip(up, down)]   # per granule: definite regions properly above
 
-    def probe(pair):
-        x, y = pair
-        for z in definite:
-            if ph.proper_part(gos.parthood, x, z, gos) and ph.proper_part(gos.parthood, y, z, gos):
-                return z
-        return None
+    def witness(i: int, j: int) -> Region | None:   # the first definite region above both
+        both = proper[i] & proper[j]
+        if not both:
+            return None
+        return gos.universe.region_from_bits(definite[(both & -both).bit_length() - 1])
 
-    found = [probe(pair) for pair in pairs]
-    details = tuple({"pair": [a, b], "witness": w} for (a, b), w in zip(pairs, found))
+    pairs = [(i, j) for i in range(len(granules)) for j in range(i, len(granules))]
+    found = [witness(i, j) for i, j in pairs]
+    details = tuple({"pair": [granules[i], granules[j]], "witness": w}
+                    for (i, j), w in zip(pairs, found))
     return AxiomReport("full-underlap", all(w is not None for w in found), mode,
                        len(pairs) * len(basis), (),
                        details=details, seed=seed if mode == "sampled" else None)
@@ -327,12 +327,15 @@ def basic_rough_order(q: RoughQuotient) -> BasicRoughOrder:
     v = gos.parthood
     classes = q.classes
 
-    def related(alpha: RoughClass, beta: RoughClass) -> bool:
-        if v.signature_based:
-            return ph.holds(v, alpha.representative(), beta.representative(), gos)
-        return all(ph.holds(v, a, b, gos) for a in alpha.members for b in beta.members)
-
-    matrix = tuple(tuple(related(a, b) for b in classes) for a in classes)
+    if v.signature_based:   # one representative decides each class
+        reps = [c.representative().bits for c in classes]
+        matrix = tuple(tuple(bool(row >> j & 1) for j in range(len(reps)))
+                       for row in ph.relation_rows(v, gos, reps, reps))
+    else:                   # every member pair must hold
+        members = [[a.bits for a in c.members] for c in classes]
+        matrix = tuple(tuple(all(row == (1 << len(ys)) - 1
+                                 for row in ph.relation_rows(v, gos, xs, ys))
+                             for ys in members) for xs in members)
     return BasicRoughOrder(q, matrix)
 
 

@@ -1,7 +1,8 @@
 """Parthood predicates on regions and an empirical property auditor.
 
 Ten built-in predicate variants are evaluated from approximation signatures
-(g-simple reads granule containment directly).  The auditor measures
+(g-simple reads granule containment directly); ``relation_rows`` evaluates
+one over lists of region masks as bit rows.  The auditor measures
 reflexivity, transitivity, antisymmetry and strict confluence on a region
 basis and reports verdicts with concrete counterexample witnesses; it never
 assumes a verdict that was not scanned.
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from .core import DEFAULT_SEED, Region, _distinct_masks, _jsonify
+from .core import DEFAULT_SEED, Region, _jsonify, _region_masks
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gos import GranularOperatorSpace
@@ -97,6 +98,48 @@ def holds(v: ParthoodVariant, a: Region, b: Region, ctx: "GranularOperatorSpace"
     return _FORMULAS[v.name](al, au, bl, bu)
 
 
+def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
+                  sources: list[int], targets: list[int]) -> list[int]:
+    """Bit rows of ``v`` between region masks: one row per source.
+
+    Bit j of row i is set iff ``v`` holds from ``sources[i]`` to
+    ``targets[j]``.  A signature formula is evaluated once per pair of
+    distinct (lower, upper) signatures; g-simple and custom evaluators fall
+    back to :func:`holds` pair by pair.
+    """
+    formula = _FORMULAS.get(v.name) if v.evaluator is None else None
+    if formula is None:
+        region = ctx.universe.region_from_bits
+        ends = [region(b) for b in targets]
+        return [sum(1 << j for j, b in enumerate(ends) if holds(v, a, b, ctx))
+                for a in map(region, sources)]
+    classes: dict[tuple[int, int], int] = {}   # signature -> its targets' bits, disjoint
+    for j, b in enumerate(targets):
+        sig = ctx.signature_bits(b)
+        classes[sig] = classes.get(sig, 0) | 1 << j
+    by_sig: dict[tuple[int, int], int] = {}
+    rows = []
+    for a in sources:
+        sig = ctx.signature_bits(a)
+        row = by_sig.get(sig)
+        if row is None:
+            row = by_sig[sig] = sum(bits for (bl, bu), bits in classes.items()
+                                    if formula(*sig, bl, bu))
+        rows.append(row)
+    return rows
+
+
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """The ``width`` columns of a bit matrix: bit i of column j is bit j of row i."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return cols
+
+
 def proper_part(v: ParthoodVariant, a: Region, b: Region, ctx: "GranularOperatorSpace") -> bool:
     """Parthood holds one way but not the other."""
     return holds(v, a, b, ctx) and not holds(v, b, a, ctx)
@@ -154,16 +197,6 @@ class PropertyReport:
         }
 
 
-def _scan_basis(ctx: "GranularOperatorSpace", budget: int | None, seed: int) -> tuple[list[Region], str]:
-    n = len(ctx.universe)
-    total = 1 << n
-    cap = EXHAUSTIVE_REGION_LIMIT if budget is None else budget
-    if total <= cap:
-        return list(ctx.universe.all_regions()), "exhaustive"
-    picks = _distinct_masks(n, cap, seed)
-    return [ctx.universe.region_from_bits(b) for b in picks], "sampled"
-
-
 def audit_properties(v: ParthoodVariant, ctx: "GranularOperatorSpace",
                      budget: int | None = None, seed: int = DEFAULT_SEED,
                      witness_cap: int = 5,
@@ -175,22 +208,20 @@ def audit_properties(v: ParthoodVariant, ctx: "GranularOperatorSpace",
     otherwise.  Every ``fails`` verdict carries witnesses that re-evaluate to
     genuine violations.
     """
-    regions, mode = _scan_basis(ctx, budget, seed)
-    m = len(regions)
-    rows = []  # rows[i]: bit j set iff holds(regions[i], regions[j])
-    for a in regions:
-        bits = 0
-        for j, b in enumerate(regions):
-            if holds(v, a, b, ctx):
-                bits |= 1 << j
-        rows.append(bits)
+    cap = EXHAUSTIVE_REGION_LIMIT if budget is None else budget
+    masks, mode = _region_masks(len(ctx.universe), cap, cap, seed)
+    m = len(masks)
+    rows = relation_rows(v, ctx, masks, masks)
+
+    def witness(*ids: int) -> tuple[Region, ...]:
+        return tuple(ctx.universe.region_from_bits(masks[i]) for i in ids)
 
     ok_tag = "holds-exhaustively" if mode == "exhaustive" else "holds-sampled"
 
-    refl_bad = [(regions[i],) for i in range(m) if not rows[i] >> i & 1]
+    refl_bad = [i for i in range(m) if not rows[i] >> i & 1]
     checks = [PropertyCheck("reflexive",
                             "fails" if refl_bad else ok_tag,
-                            tuple(refl_bad[:witness_cap]))]
+                            tuple(witness(i) for i in refl_bad[:witness_cap]))]
 
     trans_bad = []
     for i in range(m):
@@ -202,7 +233,7 @@ def audit_properties(v: ParthoodVariant, ctx: "GranularOperatorSpace",
                 escape = rows[j] & ~row  # ks with i->j, j->k but not i->k
                 if escape:
                     k = (escape & -escape).bit_length() - 1
-                    trans_bad.append((regions[i], regions[j], regions[k]))
+                    trans_bad.append(witness(i, j, k))
             rest >>= 1
             j += 1
         if len(trans_bad) >= witness_cap:
@@ -215,7 +246,7 @@ def audit_properties(v: ParthoodVariant, ctx: "GranularOperatorSpace",
     for i in range(m):
         for j in range(i + 1, m):
             if rows[i] >> j & 1 and rows[j] >> i & 1:
-                anti_bad.append((regions[i], regions[j]))
+                anti_bad.append(witness(i, j))
                 if len(anti_bad) >= witness_cap:
                     break
         if len(anti_bad) >= witness_cap:
@@ -224,12 +255,12 @@ def audit_properties(v: ParthoodVariant, ctx: "GranularOperatorSpace",
                                 "fails" if anti_bad else ok_tag,
                                 tuple(anti_bad[:witness_cap])))
 
-    checks.append(_confluence_check("strictly-confluent", rows, regions,
+    checks.append(_confluence_check("strictly-confluent", rows, witness,
                                     ok_tag, witness_cap))
     if include_proper_confluence:
-        proper_rows = [rows[i] & ~_column(rows, i, m) for i in range(m)]
+        proper_rows = [row & ~col for row, col in zip(rows, _transpose(rows, m))]
         checks.append(_confluence_check("strictly-confluent-proper", proper_rows,
-                                        regions, ok_tag, witness_cap))
+                                        witness, ok_tag, witness_cap))
 
     scope = {"mode": mode, "basis_size": m, "universe_size": len(ctx.universe)}
     if mode == "sampled":
@@ -237,18 +268,10 @@ def audit_properties(v: ParthoodVariant, ctx: "GranularOperatorSpace",
     return PropertyReport(v.name, tuple(checks), scope)
 
 
-def _column(rows: list[int], i: int, m: int) -> int:
-    out = 0
-    for j in range(m):
-        if rows[j] >> i & 1:
-            out |= 1 << j
-    return out
-
-
-def _confluence_check(name: str, rows: list[int], regions: list[Region],
+def _confluence_check(name: str, rows: list[int], witness: Callable[..., tuple],
                       ok_tag: str, witness_cap: int) -> PropertyCheck:
     # holds(a,b) & holds(a,c) must admit some e with holds(b,e) & holds(c,e)
-    m = len(regions)
+    m = len(rows)
     bad = []
     joinable = [[rows[i] & rows[j] != 0 for j in range(m)] for i in range(m)]
     for i in range(m):
@@ -257,7 +280,7 @@ def _confluence_check(name: str, rows: list[int], regions: list[Region],
         for x, j in enumerate(succs):
             for k in succs[x:]:
                 if not joinable[j][k]:
-                    bad.append((regions[i], regions[j], regions[k]))
+                    bad.append(witness(i, j, k))
                     if len(bad) >= witness_cap:
                         return PropertyCheck(name, "fails", tuple(bad))
     return PropertyCheck(name, "fails" if bad else ok_tag, tuple(bad))

@@ -158,6 +158,20 @@ def independently_realizable(pairs, elements) -> bool:
     return False
 
 
+def seeded_space(rng: random.Random, n: int, explicit: bool = False) -> GranularOperatorSpace:
+    """A context on n elements with random granules; with ``explicit``, its
+    operators are random lookup tables instead of the derived ones."""
+    u = Universe(tuple(f"e{i}" for i in range(n)))
+    granules = sorted({tuple(sorted(rng.sample(u.elements, rng.randint(1, n))))
+                       for _ in range(rng.randint(1, n + 1))})
+    g = Granulation.from_sets(u, granules)
+    if not explicit:
+        return GranularOperatorSpace(u, g)
+    regions = list(u.all_regions())
+    return GranularOperatorSpace(u, g, lower={a: rng.choice(regions) for a in regions},
+                                 upper={a: rng.choice(regions) for a in regions})
+
+
 # --- granulation fixture suite ----------------------------------------------
 
 def granulation_suite() -> list[tuple[str, Granulation]]:

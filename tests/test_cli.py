@@ -91,9 +91,10 @@ class TestInverse:
         regions = tuple(u.region(r["region"]) for r in witness["realizations"])
         return PartitionWitness(rel, regions).replays(pairs)
 
-    @pytest.mark.parametrize("n", [11, 12, 40])
+    @pytest.mark.parametrize("n", [11, 12, 40, 4000])
     def test_wide_families_are_answered(self, tmp_path, n):
-        # the partition scan refused these with exit 2 (more than 10 elements)
+        # the partition scan refused these with exit 2 (more than 10 elements);
+        # 4000 elements also exercises Universe.index and Region.__iter__ at scale
         u = Universe(tuple(f"u{i}" for i in range(n)))
         pairs = planted_pairs(random.Random(n), u, 4)
         path = tmp_path / "pairs.json"
@@ -291,6 +292,21 @@ class TestCoherenceAndOracle:
         assert doc["cover"]["longest_chain"] == 2
         assert [set(l) for l in doc["cover"]["levels"]] == [{"q", "r", "s"}, {"p"}]
 
+    def test_oracle_cover_of_rough_objects(self):
+        code, doc = run_json(["oracle", "--op", "antichain-cover", "--items",
+                              "rough-objects", "--input", VEE])
+        assert code == 0
+        assert doc["cover"]["longest_chain"] == len(doc["cover"]["levels"]) == 6
+        assert doc["cover"]["levels"][0] == ["{}"]
+
+    def test_oracle_cover_of_rough_objects_rejects_cautious(self, capsys):
+        # cautious relates {} and {p} both ways: not antisymmetric, exit 2
+        code, out = run_cli(["oracle", "--op", "antichain-cover", "--items",
+                             "rough-objects", "--parthood", "cautious", "--input", VEE])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == ("error: relation is not a partial order: "
+                                           "antisymmetry fails on ('{}', '{p}')\n")
+
     def test_oracle_cover_rejects_non_partial_order(self):
         # very-cautious is not antisymmetric here: rejected with exit 2
         code, text = run_cli(["oracle", "--op", "antichain-cover", "--input", VEE,
@@ -361,7 +377,7 @@ class TestErrorsAndDeterminism:
         assert "must be a list" in capsys.readouterr().err
 
     def test_unexpected_exception_exits_three(self, monkeypatch, capsys):
-        def broken(args, cfg):
+        def broken(args):
             raise RuntimeError("boom")
         monkeypatch.setitem(cli._HANDLERS, "approx", broken)
         code, out = run_cli(["approx", "--input", VEE, "--region", "p"])

@@ -187,6 +187,25 @@ class TestRegionAlgebra:
         with pytest.raises(ValueError, match="duplicate"):
             Universe(("a", "a"))
 
+    def test_equal_elements_make_equal_universes(self):
+        a, b = Universe(("x", "y", "z")), Universe(["x", "y", "z"])
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a != Universe(("y", "x", "z"))
+        assert a.region("z") == b.region("z")
+
+    def test_unknown_element_rejected(self, u5):
+        for bad in ("9", 1, ["1"]):
+            with pytest.raises(ValueError, match="unknown element"):
+                u5.index(bad)
+
+    def test_sparse_region_iterates_in_universe_order(self):
+        u = Universe(tuple(f"e{i}" for i in range(4000)))
+        picks = [3999, 0, 2047, 17, 64]
+        region = u.region(f"e{i}" for i in picks)
+        assert list(region) == [f"e{i}" for i in sorted(picks)]
+        assert len(region) == 5 and list(u.empty_region()) == []
+        assert [u.index(e) for e in region] == sorted(picks)
+
     def test_granulation_rejects_empty_and_duplicate(self, u5):
         with pytest.raises(ValueError, match="nonempty"):
             Granulation(u5, (u5.empty_region(),))

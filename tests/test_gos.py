@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from granum import (Granulation, GranularOperatorSpace, Universe,
+from granum import (AxiomReport, Granulation, GranularOperatorSpace, Universe,
                     audit_full_underlap, audit_lower_stability,
                     audit_weak_representability, basic_rough_order,
                     interval_representation, inverse_rough_check,
@@ -16,7 +16,7 @@ from granum import (Granulation, GranularOperatorSpace, Universe,
                     rough_origin, upper_approx)
 from granum import parthood as ph
 
-from conftest import granulation_suite, planted_pairs
+from conftest import granulation_suite, planted_pairs, seeded_space
 
 
 def classical_ops(granulation):
@@ -274,6 +274,89 @@ class TestSpaceBasics:
         report = audit_weak_representability(space, sample=64, seed=9)
         assert report.mode == "sampled"
         assert report.seed == 9
+
+
+# --- the per-pair loops that parthood.relation_rows replaced: references -----
+
+def _reference_lower_stability(gos, basis, mode, seed, witness_cap=10):
+    u = gos.universe
+    witnesses = []
+    failures = 0
+    for bits in basis:
+        x = u.region_from_bits(bits)
+        xl = gos.lower(x)
+        for y in gos.granulation.granules:
+            if ph.holds(gos.parthood, y, x, gos) and not ph.holds(gos.parthood, y, xl, gos):
+                failures += 1
+                if len(witnesses) < witness_cap:
+                    witnesses.append({"granule": y, "region": x})
+    return AxiomReport("lower-stability", failures == 0, mode,
+                       len(basis) * len(gos.granulation.granules), tuple(witnesses),
+                       seed=seed if mode == "sampled" else None), failures
+
+
+def _reference_full_underlap(gos, basis, mode, seed):
+    u = gos.universe
+    granules = gos.granulation.granules
+    pairs = [(granules[i], granules[j])
+             for i in range(len(granules)) for j in range(i, len(granules))]
+    definite = [u.region_from_bits(bits) for bits in basis
+                if gos.signature_bits(bits) == (bits, bits)]
+
+    def probe(pair):
+        x, y = pair
+        for z in definite:
+            if ph.proper_part(gos.parthood, x, z, gos) and ph.proper_part(gos.parthood, y, z, gos):
+                return z
+        return None
+
+    found = [probe(pair) for pair in pairs]
+    details = tuple({"pair": [a, b], "witness": w} for (a, b), w in zip(pairs, found))
+    return AxiomReport("full-underlap", all(w is not None for w in found), mode,
+                       len(pairs) * len(basis), (),
+                       details=details, seed=seed if mode == "sampled" else None)
+
+
+AUDIT_VARIANTS = list(ph.VARIANTS.values()) + [
+    ph.ParthoodVariant.custom("subset", lambda ctx, a, b: a.issubset(b))]
+
+
+def _seeded_spaces(seed, count, max_n):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, seeded_space(rng, rng.randint(1, max_n))
+
+
+class TestAuditsMatchPairwiseReference:
+    @pytest.mark.parametrize("v", AUDIT_VARIANTS, ids=lambda v: v.name)
+    def test_lower_stability_and_full_underlap(self, v):
+        for rng, space in _seeded_spaces(f"audits-{v.name}", 10, 7):
+            space.parthood = v
+            n = len(space.universe)
+            sampled = sorted(rng.sample(range(1 << n), rng.randint(1, 1 << n)))
+            for basis, mode, seed in ((list(range(1 << n)), "exhaustive", 1729),
+                                      (sampled, "sampled", 5)):
+                for cap in (10, 1 << 20):   # the unlimited cap lists every failure
+                    want, failures = _reference_lower_stability(space, basis, mode, seed, cap)
+                    got = audit_lower_stability(space, seed=seed, witness_cap=cap,
+                                                basis=(basis, mode))
+                    assert got == want
+                    assert len(got.witnesses) == min(cap, failures)
+                assert audit_full_underlap(space, seed=seed, basis=(basis, mode)) == \
+                    _reference_full_underlap(space, basis, mode, seed)
+
+    @pytest.mark.parametrize("v", AUDIT_VARIANTS, ids=lambda v: v.name)
+    def test_basic_rough_order(self, v):
+        for _, space in _seeded_spaces(f"order-{v.name}", 6, 4):
+            space.parthood = v
+            q = rough_objects(space)
+
+            def related(a, b):
+                if v.signature_based:
+                    return ph.holds(v, a.representative(), b.representative(), space)
+                return all(ph.holds(v, x, y, space) for x in a.members for y in b.members)
+            assert basic_rough_order(q).matrix == \
+                tuple(tuple(related(a, b) for b in q.classes) for a in q.classes)
 
 
 def _universe(n):

@@ -1,11 +1,13 @@
-"""Parthood formulas and the property auditor."""
+"""Parthood formulas, the relation kernel and the property auditor."""
+
+import random
 
 import pytest
 
 from granum import GranularOperatorSpace, Universe, Granulation
 from granum import parthood as ph
 
-from conftest import granulation_suite
+from conftest import granulation_suite, seeded_space
 
 
 @pytest.fixture()
@@ -167,3 +169,56 @@ class TestAudits:
         report = ph.audit_properties(ph.ROUGH_INCLUSION, space5,
                                      include_proper_confluence=True)
         assert any(c.name == "strictly-confluent-proper" for c in report.checks)
+
+
+def _mask_lists(rng: random.Random, n: int):
+    """Source/target lists with duplicates, plus the empty list on either side."""
+    def draw():
+        masks = [rng.randrange(1 << n) for _ in range(rng.randint(1, 7))]
+        return masks + masks[:rng.randint(1, len(masks))]
+    yield draw(), draw()
+    yield [], draw()
+    yield draw(), []
+    yield [], []
+
+
+KERNEL_VARIANTS = list(ph.VARIANTS.values()) + [
+    ph.ParthoodVariant.custom("subset", lambda ctx, a, b: a.issubset(b)),
+    ph.ParthoodVariant.custom("not-larger", lambda ctx, a, b: len(a) <= len(b)),
+]
+
+
+class TestRelationRows:
+    @pytest.mark.parametrize("v", KERNEL_VARIANTS, ids=lambda v: v.name)
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
+    def test_matches_pairwise_holds(self, v, explicit):
+        rng = random.Random(f"{v.name}-{explicit}")
+        for _ in range(12):
+            n = rng.randint(1, 5)
+            space = seeded_space(rng, n, explicit)
+            region = space.universe.region_from_bits
+            for sources, targets in _mask_lists(rng, n):
+                rows = ph.relation_rows(v, space, sources, targets)
+                assert len(rows) == len(sources)
+                for row, a in zip(rows, sources):
+                    assert row >> len(targets) == 0
+                    assert [bool(row >> j & 1) for j in range(len(targets))] == \
+                        [ph.holds(v, region(a), region(b), space) for b in targets]
+
+    def test_formula_evaluated_once_per_signature_pair(self, space5, monkeypatch):
+        calls = []
+        formula = ph._FORMULAS["cautious"]
+
+        def counted(*sig):
+            calls.append(sig)
+            return formula(*sig)
+        monkeypatch.setitem(ph._FORMULAS, "cautious", counted)
+        masks = list(range(32))
+        ph.relation_rows(ph.CAUTIOUS, space5, masks, masks)
+        k = len({space5.signature_bits(b) for b in masks})
+        assert len(calls) == len(set(calls)) == k * k
+
+    def test_transpose(self):
+        rows = [0b011, 0b000, 0b110, 0b001]
+        assert ph._transpose(rows, 3) == [0b1001, 0b0101, 0b0100]
+        assert ph._transpose([], 2) == [0, 0]
