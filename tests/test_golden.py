@@ -3,8 +3,8 @@
 The recordings in ``fixtures/golden/`` (one file per input fixture) pin the
 command line byte for byte: each subcommand on each fixture in both output
 modes, every counting algorithm on both item collections, the coherence
-search at several budgets, sampled parthood audits (one on 62 elements)
-and two error cases.
+search at several budgets, sampled parthood audits (one on 62 elements,
+one of every variant on 16 overlapping elements) and two error cases.
 A change that alters any of them shows up here as a diff.
 
 Regenerate the recordings, only when an output change is intended, with::
@@ -72,6 +72,12 @@ CASES["ctx_wide62.json"] = {
     f"parthood-audit-budget48-seed5-{output}": [
         "parthood-audit", "--budget", "48", "--seed", "5",
         "--input", "{fixtures}/ctx_wide62.json", "--output", output]
+    for output in ("json", "text")}
+# 16 overlapping elements: a sampled audit of every variant at a real budget.
+CASES["ctx_overlap16.json"] = {
+    f"parthood-audit-budget256-seed7-{output}": [
+        "parthood-audit", "--variant", "all", "--budget", "256", "--seed", "7",
+        "--input", "{fixtures}/ctx_overlap16.json", "--output", output]
     for output in ("json", "text")}
 
 
