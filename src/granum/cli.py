@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "antichain counting and rough-origin checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, items=False, budget=False):
+    def common(p, *, items=False, budget=None):
         p.add_argument("--input", help="CSV table or JSON context file")
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--attrs", help="comma-separated attribute subset (CSV tables)")
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--items", default="elements",
                            choices=["elements", "rough-objects"])
         if budget:
-            p.add_argument("--budget", type=int)
+            p.add_argument("--budget", type=int, help=budget)
 
     p = sub.add_parser("approx", help="lower/upper approximations of regions")
     common(p)
@@ -349,16 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(set(AXIOM_ALIASES)) + ["all"])
 
     p = sub.add_parser("parthood-audit", help="measure parthood properties")
-    common(p, budget=True)
+    common(p, budget="regions to scan: all 2^n when that many fit, else this many "
+                     "sampled; at least 1 (default 32)")
     p.add_argument("--variant", default="all",
                    choices=sorted(pH.VARIANTS) + ["all"])
 
     p = sub.add_parser("count", help="run a counting procedure")
-    common(p, items=True, budget=True)
+    common(p, items=True, budget="fhca only; at least 1 when given")
     p.add_argument("--algo", required=True, choices=["hpc", "pca", "hpca", "fhca"])
 
     p = sub.add_parser("coherence", help="check or search for coherent orders")
-    common(p, items=True, budget=True)
+    common(p, items=True, budget="arrangements the search may try; below 1 tries none")
     p.add_argument("--search", action="store_true",
                    help="also search arrangements for a coherent one")
 

@@ -384,12 +384,12 @@ def _region_masks(n: int, limit: int, sample: int, seed: int) -> tuple[list[int]
     total = 1 << n
     if total <= limit:
         return list(range(total)), "exhaustive"
+    if sample < 1:
+        raise ValueError("budget must be >= 1")
     rng = random.Random(seed)
     if total <= sys.maxsize:
         return sorted(rng.sample(range(total), sample)), "sampled"
     # range(total) has no len() here, so rng.sample cannot draw from it.
-    if sample < 0:
-        raise ValueError("budget must be >= 0")
     seen: set[int] = set()
     while len(seen) < sample:
         seen.add(rng.getrandbits(n))

@@ -10,6 +10,8 @@ witnesses; nothing is assumed that was not scanned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import parthood as ph
@@ -182,16 +184,13 @@ def audit_lower_stability(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIV
     to_xl = ph.relation_rows(gos.parthood, gos, masks,
                              [gos.signature_bits(bits)[0] for bits in basis])
     bad = [x & ~xl for x, xl in zip(to_x, to_xl)]   # per granule: regions that fail
-    witnesses = []
-    rest = 0
-    for row in bad:
-        rest |= row
-    while rest and len(witnesses) < witness_cap:   # region by region, then granule
-        low = rest & -rest
-        rest ^= low
-        region = gos.universe.region_from_bits(basis[low.bit_length() - 1])
+    witnesses: list[dict] = []
+    for r in ph._bits(reduce(or_, bad, 0)):   # region by region, then granule
+        if len(witnesses) >= witness_cap:
+            break
+        region = gos.universe.region_from_bits(basis[r])
         witnesses += [{"granule": y, "region": region}
-                      for y, row in zip(granules, bad) if row & low]
+                      for y, row in zip(granules, bad) if row >> r & 1]
     return AxiomReport("lower-stability", not any(bad), mode,
                        len(basis) * len(granules), tuple(witnesses[:witness_cap]),
                        seed=seed if mode == "sampled" else None)
@@ -210,10 +209,8 @@ def audit_full_underlap(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVER
     proper = [u & ~d for u, d in zip(up, down)]   # per granule: definite regions properly above
 
     def witness(i: int, j: int) -> Region | None:   # the first definite region above both
-        both = proper[i] & proper[j]
-        if not both:
-            return None
-        return gos.universe.region_from_bits(definite[(both & -both).bit_length() - 1])
+        k = next(ph._bits(proper[i] & proper[j]), None)
+        return None if k is None else gos.universe.region_from_bits(definite[k])
 
     pairs = [(i, j) for i in range(len(granules)) for j in range(i, len(granules))]
     found = [witness(i, j) for i, j in pairs]
@@ -283,35 +280,32 @@ def rough_objects(gos: GranularOperatorSpace, notion: str = "maximal-consistent"
 
 @dataclass(frozen=True)
 class BasicRoughOrder:
-    """The parthood-induced relation between rough-object classes."""
+    """The parthood-induced relation between rough-object classes, as bit rows."""
 
     quotient: RoughQuotient
-    matrix: tuple[tuple[bool, ...], ...]
+    rows: tuple[int, ...]
 
     def holds(self, i: int, j: int) -> bool:
-        return self.matrix[i][j]
+        return bool(self.rows[i] >> j & 1)
 
     def reflexive_failures(self) -> list[int]:
-        return [i for i in range(len(self.matrix)) if not self.matrix[i][i]]
+        return list(ph._reflexive_failures(self.rows))
 
     def transitive_failures(self) -> list[tuple[int, int, int]]:
-        m = self.matrix
-        n = len(m)
-        return [(i, j, k) for i in range(n) for j in range(n) if m[i][j]
-                for k in range(n) if m[j][k] and not m[i][k]]
+        return [(i, j, k) for i, j, escape in ph._transitive_failures(self.rows)
+                for k in ph._bits(escape)]
 
     def antisymmetric_failures(self) -> list[tuple[int, int]]:
-        m = self.matrix
-        n = len(m)
-        return [(i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] and m[j][i]]
+        cols = ph._transpose(self.rows, len(self.rows))
+        return list(ph._antisymmetric_failures(self.rows, cols))
 
     def bottoms(self) -> list[int]:
-        n = len(self.matrix)
-        return [i for i in range(n) if all(self.matrix[i][j] for j in range(n))]
+        full = (1 << len(self.rows)) - 1
+        return [i for i, row in enumerate(self.rows) if row == full]
 
     def tops(self) -> list[int]:
-        n = len(self.matrix)
-        return [j for j in range(n) if all(self.matrix[i][j] for i in range(n))]
+        n = len(self.rows)
+        return [j for j, col in enumerate(ph._transpose(self.rows, n)) if col == (1 << n) - 1]
 
     def is_bounded(self) -> bool:
         return bool(self.bottoms()) and bool(self.tops())
@@ -329,14 +323,14 @@ def basic_rough_order(q: RoughQuotient) -> BasicRoughOrder:
 
     if v.signature_based:   # one representative decides each class
         reps = [c.representative().bits for c in classes]
-        matrix = tuple(tuple(bool(row >> j & 1) for j in range(len(reps)))
-                       for row in ph.relation_rows(v, gos, reps, reps))
+        rows = ph.relation_rows(v, gos, reps, reps)
     else:                   # every member pair must hold
         members = [[a.bits for a in c.members] for c in classes]
-        matrix = tuple(tuple(all(row == (1 << len(ys)) - 1
-                                 for row in ph.relation_rows(v, gos, xs, ys))
-                             for ys in members) for xs in members)
-    return BasicRoughOrder(q, matrix)
+        rows = [sum(1 << j for j, ys in enumerate(members)
+                    if all(row == (1 << len(ys)) - 1
+                           for row in ph.relation_rows(v, gos, xs, ys)))
+                for xs in members]
+    return BasicRoughOrder(q, tuple(rows))
 
 
 @dataclass(frozen=True)

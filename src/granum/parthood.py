@@ -11,7 +11,10 @@ assumes a verdict that was not scanned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from functools import cache, reduce
+from itertools import islice
+from operator import or_
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .core import DEFAULT_SEED, Region, _jsonify, _region_masks
 
@@ -205,62 +208,33 @@ def audit_properties(v: ParthoodVariant, ctx: "GranularOperatorSpace",
 
     The scan is exhaustive over all regions when their number fits the budget
     (default 32, i.e. universes of up to 5 elements) and seeded-sampled
-    otherwise.  Every ``fails`` verdict carries witnesses that re-evaluate to
-    genuine violations.
+    otherwise.  A check fails iff its scan finds a violation, whatever the
+    ``witness_cap``; it carries the first ``witness_cap`` genuine witnesses.
     """
     cap = EXHAUSTIVE_REGION_LIMIT if budget is None else budget
     masks, mode = _region_masks(len(ctx.universe), cap, cap, seed)
     m = len(masks)
     rows = relation_rows(v, ctx, masks, masks)
-
-    def witness(*ids: int) -> tuple[Region, ...]:
-        return tuple(ctx.universe.region_from_bits(masks[i]) for i in ids)
-
+    cols = _transpose(rows, m)
     ok_tag = "holds-exhaustively" if mode == "exhaustive" else "holds-sampled"
 
-    refl_bad = [i for i in range(m) if not rows[i] >> i & 1]
-    checks = [PropertyCheck("reflexive",
-                            "fails" if refl_bad else ok_tag,
-                            tuple(witness(i) for i in refl_bad[:witness_cap]))]
+    def check(name: str, failures: Iterator[tuple[int, ...]]) -> PropertyCheck:
+        first = list(islice(failures, max(witness_cap, 1)))
+        return PropertyCheck(name, "fails" if first else ok_tag, tuple(
+            tuple(ctx.universe.region_from_bits(masks[i]) for i in ids)
+            for ids in first[:witness_cap]))
 
-    trans_bad = []
-    for i in range(m):
-        row = rows[i]
-        j = 0
-        rest = row
-        while rest and len(trans_bad) < witness_cap:
-            if rest & 1:
-                escape = rows[j] & ~row  # ks with i->j, j->k but not i->k
-                if escape:
-                    k = (escape & -escape).bit_length() - 1
-                    trans_bad.append(witness(i, j, k))
-            rest >>= 1
-            j += 1
-        if len(trans_bad) >= witness_cap:
-            break
-    checks.append(PropertyCheck("transitive",
-                                "fails" if trans_bad else ok_tag,
-                                tuple(trans_bad[:witness_cap])))
-
-    anti_bad = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if rows[i] >> j & 1 and rows[j] >> i & 1:
-                anti_bad.append(witness(i, j))
-                if len(anti_bad) >= witness_cap:
-                    break
-        if len(anti_bad) >= witness_cap:
-            break
-    checks.append(PropertyCheck("antisymmetric",
-                                "fails" if anti_bad else ok_tag,
-                                tuple(anti_bad[:witness_cap])))
-
-    checks.append(_confluence_check("strictly-confluent", rows, witness,
-                                    ok_tag, witness_cap))
+    checks = [
+        check("reflexive", ((i,) for i in _reflexive_failures(rows))),
+        check("transitive", ((i, j, next(_bits(escape)))
+                             for i, j, escape in _transitive_failures(rows))),
+        check("antisymmetric", _antisymmetric_failures(rows, cols)),
+        check("strictly-confluent", _confluence_failures(rows, cols)),
+    ]
     if include_proper_confluence:
-        proper_rows = [row & ~col for row, col in zip(rows, _transpose(rows, m))]
-        checks.append(_confluence_check("strictly-confluent-proper", proper_rows,
-                                        witness, ok_tag, witness_cap))
+        proper = [row & ~col for row, col in zip(rows, cols)]
+        checks.append(check("strictly-confluent-proper",
+                            _confluence_failures(proper, _transpose(proper, m))))
 
     scope = {"mode": mode, "basis_size": m, "universe_size": len(ctx.universe)}
     if mode == "sampled":
@@ -268,22 +242,53 @@ def audit_properties(v: ParthoodVariant, ctx: "GranularOperatorSpace",
     return PropertyReport(v.name, tuple(checks), scope)
 
 
-def _confluence_check(name: str, rows: list[int], witness: Callable[..., tuple],
-                      ok_tag: str, witness_cap: int) -> PropertyCheck:
-    # holds(a,b) & holds(a,c) must admit some e with holds(b,e) & holds(c,e)
-    m = len(rows)
-    bad = []
-    joinable = [[rows[i] & rows[j] != 0 for j in range(m)] for i in range(m)]
-    for i in range(m):
-        row = rows[i]
-        succs = [j for j in range(m) if row >> j & 1]
-        for x, j in enumerate(succs):
-            for k in succs[x:]:
-                if not joinable[j][k]:
-                    bad.append(witness(i, j, k))
-                    if len(bad) >= witness_cap:
-                        return PropertyCheck(name, "fails", tuple(bad))
-    return PropertyCheck(name, "fails" if bad else ok_tag, tuple(bad))
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# Failure scans of bit rows (bit j of rows[i]: i -> j) and their transpose
+# ``cols``, in witness order: rows ascending, then set bits ascending.
+def _reflexive_failures(rows: Sequence[int]) -> Iterator[int]:
+    """Each i with i -/-> i."""
+    return (i for i, row in enumerate(rows) if not row >> i & 1)
+
+
+def _transitive_failures(rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each (i, j, escape): i -> j, and the nonzero escape holds each k with j -> k, i -/-> k."""
+    return _unless_clean(rows, lambda row: ((j, rows[j] & ~row) for j in _bits(row)
+                                            if rows[j] & ~row))
+
+
+def _antisymmetric_failures(rows: Sequence[int], cols: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Each (i, j) with i < j, i -> j and j -> i."""
+    return ((i, j) for i, row in enumerate(rows)
+            for j in _bits((row & cols[i]) >> i + 1 << i + 1))
+
+
+def _confluence_failures(rows: Sequence[int], cols: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each (i, j, k) with j <= k, i -> j, i -> k and no e with j -> e, k -> e."""
+    # meet(row): every k with some e where k -> e and row has e
+    meet = cache(lambda row: reduce(or_, (cols[e] for e in _bits(row)), 0))
+    return _unless_clean(rows, lambda row: ((j, k) for j in _bits(row)
+                                            for k in _bits((row & ~meet(rows[j])) >> j << j)))
+
+
+def _unless_clean(rows: Sequence[int], failures: Callable) -> Iterator[tuple[int, ...]]:
+    """``(i, *f)`` for each ``f`` in ``failures(rows[i])``.  ``failures`` reads
+    only the row's value, so a row equal to one found clean is skipped."""
+    clean: set[int] = set()
+    for i, row in enumerate(rows):
+        if row not in clean:
+            found = False
+            for f in failures(row):
+                found = True
+                yield (i, *f)
+            if not found:
+                clean.add(row)
 
 
 def audit_generalized_transitivity(v: ParthoodVariant, ctx: "GranularOperatorSpace",

@@ -211,6 +211,23 @@ class TestAudits:
         # {3} is one of the analytically forced counterexamples
         assert [["3"]] in refl["witnesses"] or refl["witnesses"]
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize("universe", ["vee", "wide62", "wide64"])
+    def test_parthood_audit_budget_below_one_refused(self, tmp_path, capsys, budget,
+                                                      universe):
+        # a budget of 0 used to pass every property after scanning no region
+        if universe == "wide64":
+            elements = [f"e{i}" for i in range(64)]
+            path = tmp_path / "wide64.json"
+            path.write_text(json.dumps({"universe": elements, "granules": [elements[:3]]}),
+                            encoding="utf-8")
+        else:
+            path = FIXTURES / f"ctx_{universe}.json"
+        code, _ = run_cli(["parthood-audit", "--budget", budget, "--input", str(path),
+                           "--strict"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: budget must be >= 1\n"
+
     def test_gos_audit_draws_one_basis(self, monkeypatch):
         draws = []
         draw = gos._region_basis

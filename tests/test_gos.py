@@ -355,8 +355,19 @@ class TestAuditsMatchPairwiseReference:
                 if v.signature_based:
                     return ph.holds(v, a.representative(), b.representative(), space)
                 return all(ph.holds(v, x, y, space) for x in a.members for y in b.members)
-            assert basic_rough_order(q).matrix == \
-                tuple(tuple(related(a, b) for b in q.classes) for a in q.classes)
+            m = [[related(a, b) for b in q.classes] for a in q.classes]
+            order = basic_rough_order(q)
+            n = len(m)
+            assert [[order.holds(i, j) for j in range(n)] for i in range(n)] == m
+            # the bool-matrix comprehensions the order's methods replaced
+            assert order.reflexive_failures() == [i for i in range(n) if not m[i][i]]
+            assert order.transitive_failures() == [
+                (i, j, k) for i in range(n) for j in range(n) if m[i][j]
+                for k in range(n) if m[j][k] and not m[i][k]]
+            assert order.antisymmetric_failures() == [
+                (i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] and m[j][i]]
+            assert order.bottoms() == [i for i in range(n) if all(m[i])]
+            assert order.tops() == [j for j in range(n) if all(m[i][j] for i in range(n))]
 
 
 def _universe(n):

@@ -6,6 +6,7 @@ import pytest
 
 from granum import GranularOperatorSpace, Universe, Granulation
 from granum import parthood as ph
+from granum.core import _region_masks
 
 from conftest import granulation_suite, seeded_space
 
@@ -222,3 +223,174 @@ class TestRelationRows:
         rows = [0b011, 0b000, 0b110, 0b001]
         assert ph._transpose(rows, 3) == [0b1001, 0b0101, 0b0100]
         assert ph._transpose([], 2) == [0, 0]
+
+
+def _reference_audit(v, ctx, budget=None, seed=1729, witness_cap=5,
+                     include_proper_confluence=False):
+    """The auditor's former hand-written loops, kept as the reference."""
+    cap = ph.EXHAUSTIVE_REGION_LIMIT if budget is None else budget
+    masks, mode = _region_masks(len(ctx.universe), cap, cap, seed)
+    m = len(masks)
+    rows = ph.relation_rows(v, ctx, masks, masks)
+
+    def witness(*ids):
+        return tuple(ctx.universe.region_from_bits(masks[i]) for i in ids)
+
+    ok_tag = "holds-exhaustively" if mode == "exhaustive" else "holds-sampled"
+
+    refl_bad = [i for i in range(m) if not rows[i] >> i & 1]
+    checks = [ph.PropertyCheck("reflexive", "fails" if refl_bad else ok_tag,
+                               tuple(witness(i) for i in refl_bad[:witness_cap]))]
+
+    trans_bad = []
+    for i in range(m):
+        row = rows[i]
+        j = 0
+        rest = row
+        while rest and len(trans_bad) < witness_cap:
+            if rest & 1:
+                escape = rows[j] & ~row
+                if escape:
+                    k = (escape & -escape).bit_length() - 1
+                    trans_bad.append(witness(i, j, k))
+            rest >>= 1
+            j += 1
+        if len(trans_bad) >= witness_cap:
+            break
+    checks.append(ph.PropertyCheck("transitive", "fails" if trans_bad else ok_tag,
+                                   tuple(trans_bad[:witness_cap])))
+
+    anti_bad = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            if rows[i] >> j & 1 and rows[j] >> i & 1:
+                anti_bad.append(witness(i, j))
+                if len(anti_bad) >= witness_cap:
+                    break
+        if len(anti_bad) >= witness_cap:
+            break
+    checks.append(ph.PropertyCheck("antisymmetric", "fails" if anti_bad else ok_tag,
+                                   tuple(anti_bad[:witness_cap])))
+
+    checks.append(_reference_confluence("strictly-confluent", rows, witness,
+                                        ok_tag, witness_cap))
+    if include_proper_confluence:
+        proper_rows = [row & ~col for row, col in zip(rows, ph._transpose(rows, m))]
+        checks.append(_reference_confluence("strictly-confluent-proper", proper_rows,
+                                            witness, ok_tag, witness_cap))
+
+    scope = {"mode": mode, "basis_size": m, "universe_size": len(ctx.universe)}
+    if mode == "sampled":
+        scope["seed"] = seed
+    return ph.PropertyReport(v.name, tuple(checks), scope)
+
+
+def _reference_confluence(name, rows, witness, ok_tag, witness_cap):
+    m = len(rows)
+    bad = []
+    joinable = [[rows[i] & rows[j] != 0 for j in range(m)] for i in range(m)]
+    for i in range(m):
+        row = rows[i]
+        succs = [j for j in range(m) if row >> j & 1]
+        for x, j in enumerate(succs):
+            for k in succs[x:]:
+                if not joinable[j][k]:
+                    bad.append(witness(i, j, k))
+                    if len(bad) >= witness_cap:
+                        return ph.PropertyCheck(name, "fails", tuple(bad))
+    return ph.PropertyCheck(name, "fails" if bad else ok_tag, tuple(bad))
+
+
+UNLIMITED = 1 << 30   # more witnesses than any scan here can find
+
+
+def _audit_cases(v, explicit):
+    """Seeded spaces with an exhaustive and a sampled basis each."""
+    rng = random.Random(f"audit-{v.name}-{explicit}")
+    for _ in range(12):
+        n = rng.randint(1, 5)
+        space = seeded_space(rng, n, explicit)
+        space.parthood = v
+        yield space, 1 << n, rng.randrange(1 << 30)   # every region
+        yield space, rng.randint(1, (1 << n) - 1), rng.randrange(1 << 30)   # a sample
+
+
+class TestAuditMatchesLoopReference:
+    @pytest.mark.parametrize("v", KERNEL_VARIANTS[:-1], ids=lambda v: v.name)
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
+    def test_report_equals_reference(self, v, explicit):
+        modes = set()
+        for space, budget, seed in _audit_cases(v, explicit):
+            for cap in (1, 5, UNLIMITED):
+                for proper in (False, True):
+                    got = ph.audit_properties(v, space, budget=budget, seed=seed,
+                                              witness_cap=cap,
+                                              include_proper_confluence=proper)
+                    want = _reference_audit(v, space, budget=budget, seed=seed,
+                                            witness_cap=cap,
+                                            include_proper_confluence=proper)
+                    assert got.to_dict() == want.to_dict(), (budget, seed, cap, proper)
+                    modes.add(got.scope["mode"])
+        assert modes == {"exhaustive", "sampled"}
+
+    def test_reference_finds_failures_of_every_check(self):
+        # the comparison above is not vacuous: each check fails somewhere
+        failing = set()
+        for v in KERNEL_VARIANTS[:-1]:
+            for space, budget, seed in _audit_cases(v, False):
+                report = _reference_audit(v, space, budget=budget, seed=seed,
+                                          include_proper_confluence=True)
+                failing |= {c.name for c in report.checks if c.verdict == "fails"}
+        assert failing == {"reflexive", "transitive", "antisymmetric",
+                           "strictly-confluent", "strictly-confluent-proper"}
+
+
+class TestWitnessCap:
+    @pytest.mark.parametrize("v", KERNEL_VARIANTS[:-1], ids=lambda v: v.name)
+    def test_verdicts_do_not_depend_on_the_cap(self, v):
+        for space, budget, seed in _audit_cases(v, False):
+            full = ph.audit_properties(v, space, budget=budget, seed=seed,
+                                       witness_cap=UNLIMITED, include_proper_confluence=True)
+            for cap in (0, 1, 5):
+                got = ph.audit_properties(v, space, budget=budget, seed=seed,
+                                          witness_cap=cap, include_proper_confluence=True)
+                assert got.scope == full.scope
+                for c, f in zip(got.checks, full.checks, strict=True):
+                    assert (c.name, c.verdict) == (f.name, f.verdict), cap
+                    assert c.witnesses == f.witnesses[:cap], (c.name, cap)
+
+    def test_cap_zero_keeps_failing_verdicts(self):
+        u = Universe(("0", "1", "2", "3"))
+        cautious = GranularOperatorSpace(
+            u, Granulation.from_sets(u, [["0", "1", "2"], ["0", "3"], ["1", "3"]]))
+        check = ph.audit_properties(ph.CAUTIOUS, cautious, witness_cap=0).check("transitive")
+        assert (check.verdict, check.witnesses) == ("fails", ())
+        lateral = GranularOperatorSpace(u, Granulation.from_sets(u, [["0"], ["1"], ["3"]]))
+        check = ph.audit_properties(ph.LATERAL, lateral,
+                                    witness_cap=0).check("strictly-confluent")
+        assert (check.verdict, check.witnesses) == ("fails", ())
+
+
+class TestFailureScans:
+    def test_bits(self):
+        assert list(ph._bits(0)) == []
+        assert list(ph._bits(0b101001)) == [0, 3, 5]
+        assert list(ph._bits(1 << 200 | 2)) == [1, 200]
+
+    def test_scans_on_a_small_relation(self):
+        rows = [0b011, 0b100, 0b011]   # 0 -> {0, 1}, 1 -> {2}, 2 -> {0, 1}
+        cols = ph._transpose(rows, 3)
+        assert list(ph._reflexive_failures(rows)) == [1, 2]
+        assert list(ph._transitive_failures(rows)) == [(0, 1, 0b100), (1, 2, 0b011),
+                                                       (2, 1, 0b100)]
+        assert list(ph._antisymmetric_failures(rows, cols)) == [(1, 2)]
+        assert list(ph._confluence_failures(rows, cols)) == [(0, 0, 1), (2, 0, 1)]
+
+    def test_rows_found_clean_are_skipped(self):
+        scanned = []
+
+        def failures(row):
+            scanned.append(row)
+            return [("bad",)] if row == 3 else []
+        assert list(ph._unless_clean([5, 3, 5, 3], failures)) == [(1, "bad"), (3, "bad")]
+        assert scanned == [5, 3, 3]
