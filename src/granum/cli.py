@@ -201,6 +201,8 @@ def _cmd_parthood_audit(args):
 
 
 def _cmd_count(args):
+    if args.budget is not None and args.algo != "fhca":
+        raise ParseError("--budget applies only to --algo fhca")
     space = _load_space(args)
     items, conflict, _ = _items(space, args)
     seq = counting.arrangement(items)
@@ -234,6 +236,8 @@ def _cmd_count(args):
 
 
 def _cmd_coherence(args):
+    if args.budget is not None and not args.search:
+        raise ParseError("--budget applies only with --search")
     space = _load_space(args)
     items, conflict, _ = _items(space, args)
     seq = counting.arrangement(items)
@@ -355,11 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(pH.VARIANTS) + ["all"])
 
     p = sub.add_parser("count", help="run a counting procedure")
-    common(p, items=True, budget="fhca only; at least 1 when given")
+    common(p, items=True, budget="fhca only, refused with the other algorithms; "
+                                 "at least 1 when given")
     p.add_argument("--algo", required=True, choices=["hpc", "pca", "hpca", "fhca"])
 
     p = sub.add_parser("coherence", help="check or search for coherent orders")
-    common(p, items=True, budget="arrangements the search may try; below 1 tries none")
+    common(p, items=True, budget="arrangements --search may try, refused without "
+                                 "--search; below 1 tries none")
     p.add_argument("--search", action="store_true",
                    help="also search arrangements for a coherent one")
 
@@ -384,6 +390,45 @@ _HANDLERS = {
 }
 
 
+_quote = json.encoder.encode_basestring_ascii
+_SCALARS = {str: _quote, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    The stdlib encoder runs in pure Python once ``indent`` is given.  This
+    writer dispatches on the exact type of each node (dict, list, tuple,
+    str, int, bool, None) and joins a list of strings in one C-level pass.
+    Any other type, or a dict key that is not a string, raises ``TypeError``.
+    """
+    kind = type(value)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        parts = []
+        for key in sorted(value):
+            item = value[key]
+            scalar = _SCALARS.get(type(item))
+            parts.append(_quote(key) + ": " + (scalar(item) if scalar is not None
+                                               else _json_text(item, inner)))
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        try:
+            body = ("," + inner).join(map(_quote, value))
+        except TypeError:   # not a list of strings
+            body = ("," + inner).join([_json_text(item, inner) for item in value])
+        return "[" + inner + body + indent + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The process's one parser: building it costs more than most runs."""
@@ -399,6 +444,8 @@ def run(argv: list[str] | None = None, out=None) -> int:
     try:
         args.seed = _resolve_seed(args.seed)
         payload, text, negative = _HANDLERS[args.command](args)
+        if args.output == "json":
+            text = _json_text(payload)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -410,10 +457,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
               f"(at {Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno})",
               file=sys.stderr)
         return 3
-    if args.output == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2), file=out)
-    else:
-        print(text, file=out)
+    print(text, file=out)
     return 1 if (negative and args.strict) else 0
 
 

@@ -1,11 +1,14 @@
 """Parthood predicates on regions and an empirical property auditor.
 
-Ten built-in predicate variants are evaluated from approximation signatures
-(g-simple reads granule containment directly); ``relation_rows`` evaluates
-one over lists of region masks as bit rows.  The auditor measures
-reflexivity, transitivity, antisymmetry and strict confluence on a region
-basis and reports verdicts with concrete counterexample witnesses; it never
-assumes a verdict that was not scanned.
+Nine of the ten built-in predicate variants are read from one table of
+subset tests on approximation signatures, ``X(a) <= Y(b)`` with X and Y
+each the lower, upper or boundary mask (g-simple reads granule containment
+directly).  ``holds`` evaluates a variant on one pair of regions;
+``relation_rows`` evaluates it over lists of region masks as bit rows, by
+ANDing per-element columns rather than testing pair by pair.  The auditor
+measures reflexivity, transitivity, antisymmetry and strict confluence on a
+region basis and reports verdicts with concrete counterexample witnesses;
+it never assumes a verdict that was not scanned.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import islice
-from operator import or_
+from operator import itemgetter, or_
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .core import DEFAULT_SEED, Region, _jsonify, _region_masks
@@ -23,22 +26,27 @@ if TYPE_CHECKING:  # pragma: no cover
 
 EXHAUSTIVE_REGION_LIMIT = 32  # 2^5: full pair/triple scans stay cheap below this
 
-
-def _subset(x: int, y: int) -> bool:
-    return x & ~y == 0
+_lower, _upper = itemgetter(0), itemgetter(1)
 
 
-# Signature formulas: arguments are (a_lower, a_upper, b_lower, b_upper) bit masks.
-_FORMULAS: dict[str, Callable[[int, int, int, int], bool]] = {
-    "very-cautious": lambda al, au, bl, bu: _subset(al, bl),
-    "cautious": lambda al, au, bl, bu: _subset(al, bu),
-    "lateral": lambda al, au, bl, bu: _subset(al, bu & ~bl),
-    "possibilist": lambda al, au, bl, bu: _subset(au, bu),
-    "ultra-cautious": lambda al, au, bl, bu: _subset(au, bl),
-    "lateral-plus": lambda al, au, bl, bu: _subset(au, bu & ~bl),
-    "bilateral": lambda al, au, bl, bu: _subset(au & ~al, bu & ~bl),
-    "lateral-plus-plus": lambda al, au, bl, bu: _subset(au & ~al, bl),
-    "rough-inclusion": lambda al, au, bl, bu: _subset(al, bl) and _subset(au, bu),
+def _boundary(sig: tuple[int, int]) -> int:
+    return sig[1] & ~sig[0]
+
+
+# Signature formulas: each variant holds from a to b iff X(a) is a subset of
+# Y(b) for every (X, Y) test listed, where X and Y map a (lower, upper)
+# signature to the lower, upper or boundary mask.
+_FORMULAS: dict[str, tuple[tuple[Callable[[tuple[int, int]], int],
+                                  Callable[[tuple[int, int]], int]], ...]] = {
+    "very-cautious": ((_lower, _lower),),
+    "cautious": ((_lower, _upper),),
+    "lateral": ((_lower, _boundary),),
+    "possibilist": ((_upper, _upper),),
+    "ultra-cautious": ((_upper, _lower),),
+    "lateral-plus": ((_upper, _boundary),),
+    "bilateral": ((_boundary, _boundary),),
+    "lateral-plus-plus": ((_boundary, _lower),),
+    "rough-inclusion": ((_lower, _lower), (_upper, _upper)),
 }
 
 
@@ -96,9 +104,8 @@ def holds(v: ParthoodVariant, a: Region, b: Region, ctx: "GranularOperatorSpace"
             if g.bits & ~a.bits == 0 and g.bits & ~b.bits != 0:
                 return False
         return True
-    al, au = ctx.signature_bits(a.bits)
-    bl, bu = ctx.signature_bits(b.bits)
-    return _FORMULAS[v.name](al, au, bl, bu)
+    sa, sb = ctx.signature_bits(a.bits), ctx.signature_bits(b.bits)
+    return all(x(sa) & ~y(sb) == 0 for x, y in _FORMULAS[v.name])
 
 
 def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
@@ -106,12 +113,17 @@ def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
     """Bit rows of ``v`` between region masks: one row per source.
 
     Bit j of row i is set iff ``v`` holds from ``sources[i]`` to
-    ``targets[j]``.  A signature formula is evaluated once per pair of
-    distinct (lower, upper) signatures; g-simple and custom evaluators fall
-    back to :func:`holds` pair by pair.
+    ``targets[j]``.  For a signature formula, the targets are grouped by
+    (lower, upper) signature, and each subset test ``X(a) <= Y(b)`` gets one
+    column per universe element e: the targets whose ``Y`` contains e.  A
+    source's row is then the AND of the columns of the elements of its
+    ``X`` (all targets when ``X`` is empty), built once per distinct source
+    signature: O(k * n) integer operations for k signatures on n elements,
+    not k * k formula calls.  g-simple and custom evaluators fall back to
+    :func:`holds` pair by pair.
     """
-    formula = _FORMULAS.get(v.name) if v.evaluator is None else None
-    if formula is None:
+    tests = _FORMULAS.get(v.name) if v.evaluator is None else None
+    if tests is None:
         region = ctx.universe.region_from_bits
         ends = [region(b) for b in targets]
         return [sum(1 << j for j, b in enumerate(ends) if holds(v, a, b, ctx))
@@ -120,14 +132,29 @@ def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
     for j, b in enumerate(targets):
         sig = ctx.signature_bits(b)
         classes[sig] = classes.get(sig, 0) | 1 << j
+    columns = []
+    for x, y in tests:
+        by_y: dict[int, int] = {}   # Y mask -> its targets' bits
+        for sig, bits in classes.items():
+            ym = y(sig)
+            by_y[ym] = by_y.get(ym, 0) | bits
+        cols = [0] * len(ctx.universe)
+        for ym, bits in by_y.items():
+            for e in _bits(ym):
+                cols[e] |= bits
+        columns.append((x, cols))
+    everything = (1 << len(targets)) - 1
     by_sig: dict[tuple[int, int], int] = {}
     rows = []
     for a in sources:
         sig = ctx.signature_bits(a)
         row = by_sig.get(sig)
         if row is None:
-            row = by_sig[sig] = sum(bits for (bl, bu), bits in classes.items()
-                                    if formula(*sig, bl, bu))
+            row = everything
+            for x, cols in columns:
+                for e in _bits(x(sig)):
+                    row &= cols[e]
+            by_sig[sig] = row
         rows.append(row)
     return rows
 

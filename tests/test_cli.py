@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from granum import (GranularOperatorSpace, IndiscernibilityRelation, PartitionWitness,
                     Universe, cli, gos, oracles, parse_context)
@@ -63,6 +65,21 @@ class TestCount:
                               "--input", VEE])
         assert code == 0
         assert doc["config"]["items"] == "rough-objects"
+
+    @pytest.mark.parametrize("algo", ["hpc", "pca", "hpca"])
+    @pytest.mark.parametrize("budget", ["-5", "0", "3"])
+    def test_budget_refused_without_fhca(self, capsys, algo, budget):
+        # only fhca reads --budget; the others used to accept and ignore it
+        code, out = run_cli(["count", "--algo", algo, "--budget", budget, "--input", VEE])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: --budget applies only to --algo fhca\n"
+
+    def test_fhca_reads_budget(self, capsys):
+        code, doc = run_json(["count", "--algo", "fhca", "--budget", "1", "--input", VEE])
+        assert code == 0 and doc["trace"]["algorithm"] == "fhca"
+        code, _ = run_cli(["count", "--algo", "fhca", "--budget", "0", "--input", VEE])
+        assert code == 2
+        assert capsys.readouterr().err == "error: budget must be >= 1\n"
 
 
 class TestInverse:
@@ -292,6 +309,17 @@ class TestCoherenceAndOracle:
         assert code == 0
         assert doc["search"]["found"] == ["p", "q", "r", "s"]
 
+    @pytest.mark.parametrize("budget", ["-5", "0", "3"])
+    def test_coherence_budget_refused_without_search(self, capsys, budget):
+        # only the search reads --budget; a plain check used to ignore it
+        code, out = run_cli(["coherence", "--budget", budget, "--input", VEE])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: --budget applies only with --search\n"
+
+    def test_coherence_search_reads_budget(self):
+        code, doc = run_json(["coherence", "--search", "--budget", "0", "--input", VEE])
+        assert code == 0 and doc["search"]["tried"] == 0
+
     def test_oracle_maximal_antichains(self):
         code, doc = run_json(["oracle", "--op", "maximal-antichains", "--input", VEE])
         assert code == 0
@@ -420,3 +448,80 @@ class TestErrorsAndDeterminism:
                               capture_output=True, text=True)
         assert proc.returncode == 1
         assert "no partition" in proc.stdout
+
+
+def _json_values():
+    text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f')))
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                        st.integers(-2**80, 2**80), text)
+    return st.recursive(scalars, lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple), st.lists(text),
+        st.dictionaries(text, children)), max_leaves=20)
+
+
+def _handler_payload(monkeypatch, argv):
+    """The payload a subcommand hands to the writer, and its JSON output."""
+    seen = []
+    handler = cli._HANDLERS[argv[0]]
+
+    def keep(args):
+        result = handler(args)
+        seen.append(result[0])
+        return result
+    monkeypatch.setitem(cli._HANDLERS, argv[0], keep)
+    code, text = run_cli(argv + ["--output", "json"])
+    assert code == 0
+    return seen[0], text
+
+
+class TestJsonWriter:
+    """``cli._json_text`` writes the bytes of ``json.dumps(sort_keys=True, indent=2)``."""
+
+    @given(_json_values())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_stdlib(self, value):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_edge_values(self):
+        for value in ([], {}, (), [[]], {"a": {}}, [True, 1, False, 0, None],
+                      {"b": (1, "x", [2, "y"]), "a": ["é中\U0001f600", '"\\\x00']},
+                      -2**100, 2**64, ["", "\x7f", "\n"]):
+            assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, [1, 2.0], {"a": {"b": {1}}}, {1: "a"},
+                                       {"a": 1, None: 2}, [b"x"], ["a", b"x"]],
+                             ids=repr)
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    def test_unwritable_payload_exits_three(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli._HANDLERS, "approx", lambda args: ({"ratio": 0.5}, "", False))
+        code, out = run_cli(["approx", "--input", VEE, "--region", "p", "--output", "json"])
+        assert code == 3 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: TypeError: Object of type float")
+        assert err.count("\n") == 1
+
+    def test_golden_recordings(self):
+        checked = 0
+        for path in sorted((FIXTURES / "golden").glob("*.json")):
+            for case, record in json.loads(path.read_text(encoding="utf-8")).items():
+                if case.endswith("-json") and record["stdout"]:
+                    text = record["stdout"]
+                    assert cli._json_text(json.loads(text)) + "\n" == text, case
+                    checked += 1
+        assert checked >= 50
+
+    def test_count_payload_on_120_elements(self, tmp_path, monkeypatch):
+        rng = random.Random(120)
+        universe = [f"x{i:03d}" for i in range(120)]
+        granules = [rng.sample(universe, rng.randint(2, 4)) for _ in range(60)]
+        path = tmp_path / "ctx120.json"
+        path.write_text(json.dumps({"universe": universe, "granules": granules}),
+                        encoding="utf-8")
+        payload, text = _handler_payload(monkeypatch, ["count", "--algo", "fhca",
+                                                       "--parthood", "cautious",
+                                                       "--input", str(path)])
+        assert len(payload["trace"]["passes"]) > 1
+        assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -1,8 +1,11 @@
 """Parthood formulas, the relation kernel and the property auditor."""
 
+import collections
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from granum import GranularOperatorSpace, Universe, Granulation
 from granum import parthood as ph
@@ -206,18 +209,85 @@ class TestRelationRows:
                     assert [bool(row >> j & 1) for j in range(len(targets))] == \
                         [ph.holds(v, region(a), region(b), space) for b in targets]
 
-    def test_formula_evaluated_once_per_signature_pair(self, space5, monkeypatch):
-        calls = []
-        formula = ph._FORMULAS["cautious"]
+    @pytest.mark.parametrize("name", sorted(ph._FORMULAS))
+    def test_extractors_called_once_per_signature(self, name, monkeypatch):
+        # Each X is called once per distinct source signature and each Y once
+        # per distinct target signature, not once per pair.
+        calls = collections.Counter()
 
-        def counted(*sig):
-            calls.append(sig)
-            return formula(*sig)
-        monkeypatch.setitem(ph._FORMULAS, "cautious", counted)
-        masks = list(range(32))
-        ph.relation_rows(ph.CAUTIOUS, space5, masks, masks)
-        k = len({space5.signature_bits(b) for b in masks})
-        assert len(calls) == len(set(calls)) == k * k
+        def counted(slot, fn):
+            def extract(sig):
+                calls[slot, sig] += 1
+                return fn(sig)
+            return extract
+        tests = tuple((counted(("x", t), x), counted(("y", t), y))
+                      for t, (x, y) in enumerate(ph._FORMULAS[name]))
+        monkeypatch.setitem(ph._FORMULAS, name, tests)
+        rng = random.Random(name)
+        space = seeded_space(rng, 6)
+        sources = [rng.randrange(64) for _ in range(40)]
+        targets = [rng.randrange(64) for _ in range(50)]
+        ph.relation_rows(ph.variant(name), space, sources, targets)
+        source_sigs = {space.signature_bits(a) for a in sources}
+        target_sigs = {space.signature_bits(b) for b in targets}
+        assert len(source_sigs) > 1 and len(target_sigs) > 1
+        for t in range(len(tests)):
+            assert {sig for (slot, sig) in calls if slot == ("x", t)} == source_sigs
+            assert {sig for (slot, sig) in calls if slot == ("y", t)} == target_sigs
+        assert set(calls.values()) == {1}
+
+    @given(st.sampled_from(KERNEL_VARIANTS), st.booleans(), st.randoms(use_true_random=False),
+           st.integers(1, 5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_pairwise_holds(self, v, explicit, rng, n, data):
+        space = seeded_space(rng, n, explicit)
+        masks = st.lists(st.integers(0, (1 << n) - 1), max_size=8)
+        targets = data.draw(masks)
+        targets += data.draw(st.lists(st.sampled_from(targets), max_size=3)) if targets else []
+        sources = data.draw(st.one_of(st.just(targets), masks))
+        rows = ph.relation_rows(v, space, sources, targets)
+        region = space.universe.region_from_bits
+        assert rows == [sum(1 << j for j, b in enumerate(targets)
+                            if ph.holds(v, region(a), region(b), space)) for a in sources]
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
+    def test_empty_x_relates_to_every_target(self, explicit):
+        rng = random.Random(f"empty-x-{explicit}")
+        for _ in range(20):
+            space = seeded_space(rng, 4, explicit)
+            targets = [rng.randrange(16) for _ in range(9)]
+            for name, tests in ph._FORMULAS.items():
+                sources = [a for a in range(16)
+                           if all(x(space.signature_bits(a)) == 0 for x, _ in tests)]
+                rows = ph.relation_rows(ph.variant(name), space, sources, targets)
+                assert rows == [(1 << len(targets)) - 1] * len(sources)
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
+    def test_table_matches_definitions(self, explicit):
+        # The subset tests, against each variant's definition on region sets.
+        space = seeded_space(random.Random(f"table-{explicit}"), 5, explicit)
+
+        def sig(r):
+            lo, up = space.signature(r)
+            return set(lo), set(up)
+        definitions = {
+            "very-cautious": lambda al, au, bl, bu: al <= bl,
+            "cautious": lambda al, au, bl, bu: al <= bu,
+            "lateral": lambda al, au, bl, bu: al <= bu - bl,
+            "possibilist": lambda al, au, bl, bu: au <= bu,
+            "ultra-cautious": lambda al, au, bl, bu: au <= bl,
+            "lateral-plus": lambda al, au, bl, bu: au <= bu - bl,
+            "bilateral": lambda al, au, bl, bu: au - al <= bu - bl,
+            "lateral-plus-plus": lambda al, au, bl, bu: au - al <= bl,
+            "rough-inclusion": lambda al, au, bl, bu: al <= bl and au <= bu,
+        }
+        assert sorted(definitions) == sorted(ph._FORMULAS)
+        regions = list(space.universe.all_regions())
+        for name, definition in definitions.items():
+            for a in regions:
+                for b in regions:
+                    assert ph.holds(ph.variant(name), a, b, space) == \
+                        definition(*sig(a), *sig(b)), (name, a, b)
 
     def test_transpose(self):
         rows = [0b011, 0b000, 0b110, 0b001]
