@@ -7,7 +7,7 @@ operator-space axioms, rough quotients and the rough-origin decision
 and independent brute-force verifiers (:mod:`granum.oracles`).
 """
 
-from .core import (Granulation, IndiscernibilityRelation, InformationTable,
+from .core import (Basis, Granulation, IndiscernibilityRelation, InformationTable,
                    ParseError, Region, Universe, indiscernibility_partition,
                    lower_approx, parse_context, parse_information_table,
                    rough_equality, rough_inclusion, upper_approx)
@@ -31,7 +31,7 @@ from .parthood import (ParthoodVariant, PropertyReport, VARIANTS,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntichainDecomposition", "AxiomReport", "BasicRoughOrder", "CountLabel",
+    "AntichainDecomposition", "AxiomReport", "Basis", "BasicRoughOrder", "CountLabel",
     "CountingTrace", "Granulation", "GranularOperatorSpace",
     "IndiscernibilityRelation", "InformationTable", "OrderArrangement",
     "ParseError", "ParthoodVariant", "PartitionWitness", "PropertyReport",

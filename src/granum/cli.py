@@ -45,7 +45,8 @@ def _resolve_seed(value: int | None) -> int:
     return DEFAULT_SEED
 
 
-def _load_space(args: argparse.Namespace) -> gos_mod.GranularOperatorSpace:
+def _load_space(args: argparse.Namespace,
+                parthood: pH.ParthoodVariant = pH.ROUGH_INCLUSION) -> gos_mod.GranularOperatorSpace:
     if args.input is None:
         raise ParseError("an --input file is required")
     path = Path(args.input)
@@ -63,8 +64,7 @@ def _load_space(args: argparse.Namespace) -> gos_mod.GranularOperatorSpace:
         universe = table.objects
     else:
         universe, granulation = parse_context(text)
-    return gos_mod.GranularOperatorSpace(universe, granulation,
-                                         parthood=pH.variant(args.parthood))
+    return gos_mod.GranularOperatorSpace(universe, granulation, parthood=parthood)
 
 
 def _looks_like_table(text: str) -> bool:
@@ -155,22 +155,20 @@ def _cmd_approx(args):
 
 
 def _cmd_gos_audit(args):
-    space = _load_space(args)
+    space = _load_space(args, pH.variant(args.parthood))
     wanted = AXIOM_ALIASES.get(args.axiom, args.axiom)
-    basis = gos_mod._region_basis(space, seed=args.seed)   # one scan basis for every check
-    reports = []
-    if wanted in ("weak-representability", "all"):
-        reports.append(gos_mod.audit_weak_representability(space, seed=args.seed, basis=basis))
-    if wanted in ("lower-stability", "all"):
-        reports.append(gos_mod.audit_lower_stability(space, seed=args.seed, basis=basis))
-    if wanted in ("full-underlap", "all"):
-        reports.append(gos_mod.audit_full_underlap(space, seed=args.seed, basis=basis))
+    basis = gos_mod._axiom_basis(len(space.universe), args.seed)   # one for every check
+    audits = {"weak-representability": gos_mod.audit_weak_representability,
+              "lower-stability": gos_mod.audit_lower_stability,
+              "full-underlap": gos_mod.audit_full_underlap}
+    reports = [audit(space, basis) for axiom, audit in audits.items()
+               if wanted in (axiom, "all")]
     if not reports:
         raise ParseError(f"unknown axiom {args.axiom!r} (use wra, ls, fu or all)")
-    violations = space.containment_violations(seed=args.seed, basis=basis)
+    violations = space.containment_violations(basis=basis)
     containment = {"holds": not violations, "witnesses": [sorted(v) for v in violations]}
-    if reports[0].mode == "sampled":   # the containment scan shares the audits' basis
-        containment.update(mode="sampled", seed=args.seed)
+    if basis.seed is not None:
+        containment.update(mode=basis.mode, seed=basis.seed)
     payload = {"axioms": [r.to_dict() for r in reports], "upper_contains_lower": containment}
     lines = [f"{r.axiom}: {'pass' if r.passed else 'FAIL'} ({r.mode}, {r.checked} checks)"
              for r in reports]
@@ -183,8 +181,8 @@ def _cmd_gos_audit(args):
 def _cmd_parthood_audit(args):
     space = _load_space(args)
     names = sorted(pH.VARIANTS) if args.variant == "all" else [args.variant]
-    reports = [pH.audit_properties(pH.variant(n), space, budget=args.budget,
-                                   seed=args.seed) for n in names]
+    basis = pH._property_basis(len(space.universe), args.budget, args.seed)
+    reports = [pH.audit_properties(pH.variant(n), space, basis) for n in names]
     payload = {"reports": [r.to_dict() for r in reports]}
     lines = []
     for r in reports:
@@ -203,7 +201,7 @@ def _cmd_parthood_audit(args):
 def _cmd_count(args):
     if args.budget is not None and args.algo != "fhca":
         raise ParseError("--budget applies only to --algo fhca")
-    space = _load_space(args)
+    space = _load_space(args, pH.variant(args.parthood))
     items, conflict, _ = _items(space, args)
     seq = counting.arrangement(items)
     antichains = None
@@ -238,7 +236,7 @@ def _cmd_count(args):
 def _cmd_coherence(args):
     if args.budget is not None and not args.search:
         raise ParseError("--budget applies only with --search")
-    space = _load_space(args)
+    space = _load_space(args, pH.variant(args.parthood))
     items, conflict, _ = _items(space, args)
     seq = counting.arrangement(items)
     coherent = counting.is_hpca_coherent(seq, conflict)
@@ -286,7 +284,7 @@ def _cmd_inverse(args):
 
 
 def _cmd_oracle(args):
-    space = _load_space(args)
+    space = _load_space(args, pH.variant(args.parthood))
     if args.op == "maximal-antichains":
         items, conflict, _ = _items(space, args)
         chains = oracles.enumerate_maximal_antichains(conflict, items)
@@ -320,60 +318,62 @@ def build_parser() -> argparse.ArgumentParser:
                     "antichain counting and rough-origin checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, items=False, budget=None):
-        p.add_argument("--input", help="CSV table or JSON context file")
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--attrs", help="comma-separated attribute subset (CSV tables)")
-        p.add_argument("--parthood", default="rough-inclusion",
-                       choices=sorted(pH.VARIANTS))
-        p.add_argument("--conflict", default="comparability",
-                       choices=["comparability", "incomparability"])
-        p.add_argument("--seed", type=int)
+    shared = {   # options that several subcommands read; each declares only its own
+        "--format": dict(choices=["csv", "json"]),
+        "--attrs": dict(help="comma-separated attribute subset (CSV tables)"),
+        "--parthood": dict(default="rough-inclusion", choices=sorted(pH.VARIANTS)),
+        "--conflict": dict(default="comparability", choices=["comparability", "incomparability"]),
+        "--seed": dict(type=int),
+        "--strict": dict(action="store_true", help="exit 1 when the analysis result is negative"),
+        "--items": dict(default="elements", choices=["elements", "rough-objects"]),
+    }
+    table = ("--format", "--attrs")   # how --input is read as a CSV or JSON table
+
+    def command(name: str, help: str, *options: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--input", help="CSV table or JSON context; for inverse, JSON pairs")
         p.add_argument("--output", default="text", choices=["text", "json"])
-        p.add_argument("--strict", action="store_true",
-                       help="exit 1 when the analysis result is negative")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored; every run is single-threaded")
-        if items:
-            p.add_argument("--items", default="elements",
-                           choices=["elements", "rough-objects"])
-        if budget:
-            p.add_argument("--budget", type=int, help=budget)
+        for option in options:
+            p.add_argument(option, **shared[option])
+        return p
 
-    p = sub.add_parser("approx", help="lower/upper approximations of regions")
-    common(p)
+    p = command("approx", "lower/upper approximations of regions", *table, "--strict")
     p.add_argument("--region", action="append",
                    help="comma-separated element ids; repeatable")
     p.add_argument("--knowledge", action="store_true",
                    help="include the stability equations for each region")
 
-    p = sub.add_parser("gos-audit", help="audit the space axioms")
-    common(p)
+    p = command("gos-audit", "audit the space axioms", *table, "--parthood", "--seed",
+                "--strict")
     p.add_argument("--axiom", default="all",
                    choices=sorted(set(AXIOM_ALIASES)) + ["all"])
 
-    p = sub.add_parser("parthood-audit", help="measure parthood properties")
-    common(p, budget="regions to scan: all 2^n when that many fit, else this many "
-                     "sampled; at least 1 (default 32)")
+    p = command("parthood-audit", "measure parthood properties", *table, "--seed", "--strict")
+    p.add_argument("--budget", type=int, default=pH.EXHAUSTIVE_REGION_LIMIT,
+                   help="regions to scan: all 2^n when that many fit, else this many "
+                        "sampled; at least 1 (default 32)")
     p.add_argument("--variant", default="all",
                    choices=sorted(pH.VARIANTS) + ["all"])
 
-    p = sub.add_parser("count", help="run a counting procedure")
-    common(p, items=True, budget="fhca only, refused with the other algorithms; "
-                                 "at least 1 when given")
+    p = command("count", "run a counting procedure", *table, "--parthood", "--conflict",
+                "--strict", "--items")
+    p.add_argument("--budget", type=int,
+                   help="fhca only, refused with the other algorithms; at least 1 when given")
     p.add_argument("--algo", required=True, choices=["hpc", "pca", "hpca", "fhca"])
 
-    p = sub.add_parser("coherence", help="check or search for coherent orders")
-    common(p, items=True, budget="arrangements --search may try, refused without "
-                                 "--search; below 1 tries none")
+    p = command("coherence", "check or search for coherent orders", *table, "--parthood",
+                "--conflict", "--seed", "--strict", "--items")
+    p.add_argument("--budget", type=int, help="arrangements --search may try, refused "
+                                                "without --search; below 1 tries none")
     p.add_argument("--search", action="store_true",
                    help="also search arrangements for a coherent one")
 
-    p = sub.add_parser("inverse", help="decide whether pairs have a rough origin")
-    common(p)
+    command("inverse", "decide whether pairs have a rough origin", "--strict")
 
-    p = sub.add_parser("oracle", help="run an independent brute-force verifier")
-    common(p, items=True)
+    p = command("oracle", "run an independent brute-force verifier", *table, "--parthood",
+                "--conflict", "--items")
     p.add_argument("--op", required=True,
                    choices=["maximal-antichains", "antichain-cover", "signatures"])
     return parser
@@ -442,7 +442,8 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        args.seed = _resolve_seed(args.seed)
+        if "seed" in args:
+            args.seed = _resolve_seed(args.seed)
         payload, text, negative = _HANDLERS[args.command](args)
         if args.output == "json":
             text = _json_text(payload)
@@ -458,6 +459,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
               file=sys.stderr)
         return 3
     print(text, file=out)
+    # Only subcommands that declare --strict can report a negative result.
     return 1 if (negative and args.strict) else 0
 
 

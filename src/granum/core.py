@@ -67,9 +67,6 @@ class Universe:
     def region_from_bits(self, bits: int) -> Region:
         return Region(self, bits)
 
-    def singleton(self, element: str) -> Region:
-        return Region(self, 1 << self.index(element))
-
     def empty_region(self) -> Region:
         return Region(self, 0)
 
@@ -141,9 +138,6 @@ class Region:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
-    def members(self) -> tuple[str, ...]:
-        return tuple(self)
-
     def is_empty(self) -> bool:
         return self.bits == 0
 
@@ -188,12 +182,6 @@ class Granulation:
     def masks(self) -> tuple[int, ...]:
         return tuple(g.bits for g in self.granules)
 
-    def covers_universe(self) -> bool:
-        bits = 0
-        for g in self.granules:
-            bits |= g.bits
-        return bits == (1 << len(self.universe)) - 1
-
     def is_partition(self) -> bool:
         total = 0
         for g in self.granules:
@@ -228,13 +216,6 @@ class IndiscernibilityRelation:
     @classmethod
     def from_sets(cls, universe: Universe, sets: Iterable[Iterable[str]]) -> IndiscernibilityRelation:
         return cls(universe, tuple(universe.region(s) for s in sets))
-
-    def block_of(self, element: str) -> Region:
-        bit = 1 << self.universe.index(element)
-        for b in self.blocks:
-            if b.bits & bit:
-                return b
-        raise AssertionError("partition does not cover element")  # unreachable
 
     def granulation(self) -> Granulation:
         return Granulation.from_partition(self)
@@ -378,22 +359,44 @@ def _jsonify(x):
     return x
 
 
-def _region_masks(n: int, limit: int, sample: int, seed: int) -> tuple[list[int], str]:
-    """An audit's masks of ``n`` bits and mode: all 2^n, ascending, if at most
-    ``limit`` ("exhaustive"), else ``sample`` distinct seeded ones, sorted ("sampled")."""
+@dataclass(frozen=True)
+class Basis:
+    """The region masks an audit scans: all 2^n, ascending ("exhaustive", seed
+    None), or distinct ones drawn with ``seed``, sorted ("sampled")."""
+
+    masks: list[int]
+    mode: str
+    seed: int | None
+
+    def __post_init__(self):
+        if (self.mode, self.seed is None) not in (("exhaustive", True), ("sampled", False)):
+            raise ValueError("a basis is exhaustive without a seed or sampled with one, "
+                             f"not {self.mode!r} with seed {self.seed!r}")
+
+    def scan(self, universe: Universe) -> list[int]:
+        """The masks, refused when an exhaustive basis misses regions of ``universe``."""
+        if self.mode == "exhaustive" and len(self.masks) != 1 << len(universe):
+            raise ValueError(f"an exhaustive basis of {len(self.masks)} masks cannot hold "
+                             f"all regions of {len(universe)} elements")
+        return self.masks
+
+
+def _region_masks(n: int, limit: int, sample: int, seed: int) -> Basis:
+    """The basis of ``n``-bit masks: all 2^n if at most ``limit``, else
+    ``sample`` distinct ones drawn with ``seed``."""
     total = 1 << n
     if total <= limit:
-        return list(range(total)), "exhaustive"
+        return Basis(list(range(total)), "exhaustive", None)
     if sample < 1:
         raise ValueError("budget must be >= 1")
     rng = random.Random(seed)
     if total <= sys.maxsize:
-        return sorted(rng.sample(range(total), sample)), "sampled"
+        return Basis(sorted(rng.sample(range(total), sample)), "sampled", seed)
     # range(total) has no len() here, so rng.sample cannot draw from it.
     seen: set[int] = set()
     while len(seen) < sample:
         seen.add(rng.getrandbits(n))
-    return sorted(seen), "sampled"
+    return Basis(sorted(seen), "sampled", seed)
 
 
 def lower_bits(bits: int, masks: Iterable[int]) -> int:

@@ -167,10 +167,6 @@ class CountingTrace:
     def label_history(self, item: Item) -> list[CountLabel]:
         return [lab for _, lab in self.labels.get(item, [])]
 
-    def rendered_labels(self) -> dict[Item, list[str]]:
-        return {x: [lab.render() for lab in self.label_history(x)]
-                for x in self.collection}
-
     def to_dict(self) -> dict:
         return {
             "algorithm": self.algorithm,

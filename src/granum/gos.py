@@ -10,21 +10,20 @@ witnesses; nothing is assumed that was not scanned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import parthood as ph
-from .core import (DEFAULT_SEED, Granulation, IndiscernibilityRelation, Region, Universe,
-                   _jsonify, _region_masks, lower_approx, lower_bits, upper_approx,
-                   upper_bits)
+from .core import (DEFAULT_SEED, Basis, Granulation, IndiscernibilityRelation, Region,
+                   Universe, _jsonify, _region_masks, lower_approx, lower_bits,
+                   upper_approx, upper_bits)
 
 EXHAUSTIVE_UNIVERSE_CAP = 14  # 16384 regions; beyond this audits sample
 AUDIT_SAMPLE = 2048
 QUOTIENT_UNIVERSE_CAP = 14
 
 OperatorLike = Callable[[Region], Region] | Mapping[Region, Region]
-Basis = tuple[list[int], str]   # region masks to scan, and "exhaustive" or "sampled"
 
 
 class GranularOperatorSpace:
@@ -99,16 +98,11 @@ class GranularOperatorSpace:
     def is_definite(self, a: Region) -> bool:
         return self.signature_bits(a.bits) == (a.bits, a.bits)
 
-    def containment_violations(self, cap: int = 10, seed: int = DEFAULT_SEED,
-                               basis: Basis | None = None) -> list[Region]:
-        """Regions where upper does not contain lower (checked, not assumed).
-
-        Scans the axiom audits' basis (drawn from ``seed`` unless given):
-        every region up to ``EXHAUSTIVE_UNIVERSE_CAP`` elements, past it
-        their seeded sample.
-        """
+    def containment_violations(self, cap: int = 10, basis: Basis | None = None) -> list[Region]:
+        """Regions where upper does not contain lower (checked, not assumed),
+        the first ``cap`` of them in ``basis`` (default: the axiom audits')."""
         bad = []
-        for bits in (basis or _region_basis(self, seed=seed))[0]:
+        for bits in (basis or _axiom_basis(len(self.universe))).scan(self.universe):
             lo, up = self.signature_bits(bits)
             if lo & ~up:
                 bad.append(self.universe.region_from_bits(bits))
@@ -144,66 +138,66 @@ class AxiomReport:
         return out
 
 
-def _region_basis(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
-                  sample: int = AUDIT_SAMPLE, seed: int = DEFAULT_SEED) -> Basis:
-    """The region masks an audit scans, with its mode (exhaustive or sampled)."""
-    return _region_masks(len(gos.universe), 1 << cap, sample, seed)
+def _axiom_basis(n: int, seed: int = DEFAULT_SEED) -> Basis:
+    """The basis the axiom audits scan unless given one: every region up to
+    ``EXHAUSTIVE_UNIVERSE_CAP`` elements, past it ``AUDIT_SAMPLE`` drawn with ``seed``.
+    Each audit reports the mode and seed of the basis it scanned."""
+    return _region_masks(n, 1 << EXHAUSTIVE_UNIVERSE_CAP, AUDIT_SAMPLE, seed)
 
 
-def audit_weak_representability(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
-                                sample: int = AUDIT_SAMPLE, seed: int = DEFAULT_SEED,
-                                witness_cap: int = 10,
-                                basis: Basis | None = None) -> AxiomReport:
-    """Check that every region's lower and upper map to unions of granules."""
-    basis, mode = basis or _region_basis(gos, cap, sample, seed)
+def audit_weak_representability(gos: GranularOperatorSpace, basis: Basis | None = None,
+                                witness_cap: int = 10) -> AxiomReport:
+    """Check that every region's lower and upper map to unions of granules,
+    testing each distinct value once; lists the first ``witness_cap`` failures."""
+    basis = basis or _axiom_basis(len(gos.universe))
+    scanned = basis.scan(gos.universe)
     masks = gos.granulation.masks()
-    u = gos.universe
+    region = gos.universe.region_from_bits
+    is_union = cache(lambda value: lower_bits(value, masks) == value)
     witnesses = []
     failures = 0
-    for bits in basis:
-        lo, up = gos.signature_bits(bits)
-        for side, value in (("lower", lo), ("upper", up)):
-            if lower_bits(value, masks) != value:
+    for bits in scanned:
+        for side, value in zip(("lower", "upper"), gos.signature_bits(bits)):
+            if not is_union(value):
                 failures += 1
                 if len(witnesses) < witness_cap:
-                    witnesses.append({"region": u.region_from_bits(bits), "side": side,
-                                      "value": u.region_from_bits(value)})
-    return AxiomReport("weak-representability", failures == 0, mode,
-                       len(basis), tuple(witnesses),
-                       seed=seed if mode == "sampled" else None)
+                    witnesses.append({"region": region(bits), "side": side,
+                                      "value": region(value)})
+    return AxiomReport("weak-representability", failures == 0, basis.mode,
+                       len(scanned), tuple(witnesses), seed=basis.seed)
 
 
-def audit_lower_stability(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
-                          sample: int = AUDIT_SAMPLE, seed: int = DEFAULT_SEED,
-                          witness_cap: int = 10, basis: Basis | None = None) -> AxiomReport:
-    """For every granule y and region x: parthood y x implies parthood y x^lower."""
-    basis, mode = basis or _region_basis(gos, cap, sample, seed)
+def audit_lower_stability(gos: GranularOperatorSpace, basis: Basis | None = None,
+                          witness_cap: int = 10) -> AxiomReport:
+    """For every granule y and region x: parthood y x implies parthood y x^lower;
+    lists the first ``witness_cap`` failures."""
+    basis = basis or _axiom_basis(len(gos.universe))
+    scanned = basis.scan(gos.universe)
     granules = gos.granulation.granules
     masks = gos.granulation.masks()
-    to_x = ph.relation_rows(gos.parthood, gos, masks, basis)
+    to_x = ph.relation_rows(gos.parthood, gos, masks, scanned)
     to_xl = ph.relation_rows(gos.parthood, gos, masks,
-                             [gos.signature_bits(bits)[0] for bits in basis])
+                             [gos.signature_bits(bits)[0] for bits in scanned])
     bad = [x & ~xl for x, xl in zip(to_x, to_xl)]   # per granule: regions that fail
     witnesses: list[dict] = []
     for r in ph._bits(reduce(or_, bad, 0)):   # region by region, then granule
         if len(witnesses) >= witness_cap:
             break
-        region = gos.universe.region_from_bits(basis[r])
+        region = gos.universe.region_from_bits(scanned[r])
         witnesses += [{"granule": y, "region": region}
                       for y, row in zip(granules, bad) if row >> r & 1]
-    return AxiomReport("lower-stability", not any(bad), mode,
-                       len(basis) * len(granules), tuple(witnesses[:witness_cap]),
-                       seed=seed if mode == "sampled" else None)
+    return AxiomReport("lower-stability", not any(bad), basis.mode,
+                       len(scanned) * len(granules), tuple(witnesses[:witness_cap]),
+                       seed=basis.seed)
 
 
-def audit_full_underlap(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVERSE_CAP,
-                        sample: int = AUDIT_SAMPLE, seed: int = DEFAULT_SEED,
-                        basis: Basis | None = None) -> AxiomReport:
-    """Search, per granule pair, for a definite region properly above both."""
-    basis, mode = basis or _region_basis(gos, cap, sample, seed)
+def audit_full_underlap(gos: GranularOperatorSpace, basis: Basis | None = None) -> AxiomReport:
+    """Search, per granule pair, for a definite region of the basis properly above both."""
+    basis = basis or _axiom_basis(len(gos.universe))
+    scanned = basis.scan(gos.universe)
     granules = gos.granulation.granules
     masks = gos.granulation.masks()
-    definite = [bits for bits in basis if gos.signature_bits(bits) == (bits, bits)]
+    definite = [bits for bits in scanned if gos.signature_bits(bits) == (bits, bits)]
     up = ph.relation_rows(gos.parthood, gos, masks, definite)
     down = ph._transpose(ph.relation_rows(gos.parthood, gos, definite, masks), len(masks))
     proper = [u & ~d for u, d in zip(up, down)]   # per granule: definite regions properly above
@@ -216,9 +210,8 @@ def audit_full_underlap(gos: GranularOperatorSpace, cap: int = EXHAUSTIVE_UNIVER
     found = [witness(i, j) for i, j in pairs]
     details = tuple({"pair": [granules[i], granules[j]], "witness": w}
                     for (i, j), w in zip(pairs, found))
-    return AxiomReport("full-underlap", all(w is not None for w in found), mode,
-                       len(pairs) * len(basis), (),
-                       details=details, seed=seed if mode == "sampled" else None)
+    return AxiomReport("full-underlap", all(w is not None for w in found), basis.mode,
+                       len(pairs) * len(scanned), (), details=details, seed=basis.seed)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from itertools import islice
 from operator import itemgetter, or_
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .core import DEFAULT_SEED, Region, _jsonify, _region_masks
+from .core import DEFAULT_SEED, Basis, Region, _jsonify, _region_masks
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gos import GranularOperatorSpace
@@ -227,23 +227,29 @@ class PropertyReport:
         }
 
 
+def _property_basis(n: int, budget: int = EXHAUSTIVE_REGION_LIMIT,
+                    seed: int = DEFAULT_SEED) -> Basis:
+    """The property audits' basis: all 2^n regions when at most ``budget``,
+    else ``budget`` distinct ones drawn with ``seed``."""
+    return _region_masks(n, budget, budget, seed)
+
+
 def audit_properties(v: ParthoodVariant, ctx: "GranularOperatorSpace",
-                     budget: int | None = None, seed: int = DEFAULT_SEED,
-                     witness_cap: int = 5,
+                     basis: Basis | None = None, witness_cap: int = 5,
                      include_proper_confluence: bool = False) -> PropertyReport:
     """Measure reflexivity, transitivity, antisymmetry and strict confluence.
 
-    The scan is exhaustive over all regions when their number fits the budget
-    (default 32, i.e. universes of up to 5 elements) and seeded-sampled
-    otherwise.  A check fails iff its scan finds a violation, whatever the
+    Scans ``basis`` (default: all regions up to 5 elements, past that 32
+    drawn with ``DEFAULT_SEED``); the scope states its mode and seed.  A
+    check fails iff its scan finds a violation, whatever the
     ``witness_cap``; it carries the first ``witness_cap`` genuine witnesses.
     """
-    cap = EXHAUSTIVE_REGION_LIMIT if budget is None else budget
-    masks, mode = _region_masks(len(ctx.universe), cap, cap, seed)
+    basis = basis or _property_basis(len(ctx.universe))
+    masks = basis.scan(ctx.universe)
     m = len(masks)
     rows = relation_rows(v, ctx, masks, masks)
     cols = _transpose(rows, m)
-    ok_tag = "holds-exhaustively" if mode == "exhaustive" else "holds-sampled"
+    ok_tag = "holds-exhaustively" if basis.mode == "exhaustive" else "holds-sampled"
 
     def check(name: str, failures: Iterator[tuple[int, ...]]) -> PropertyCheck:
         first = list(islice(failures, max(witness_cap, 1)))
@@ -263,9 +269,9 @@ def audit_properties(v: ParthoodVariant, ctx: "GranularOperatorSpace",
         checks.append(check("strictly-confluent-proper",
                             _confluence_failures(proper, _transpose(proper, m))))
 
-    scope = {"mode": mode, "basis_size": m, "universe_size": len(ctx.universe)}
-    if mode == "sampled":
-        scope["seed"] = seed
+    scope = {"mode": basis.mode, "basis_size": m, "universe_size": len(ctx.universe)}
+    if basis.seed is not None:
+        scope["seed"] = basis.seed
     return PropertyReport(v.name, tuple(checks), scope)
 
 
@@ -319,13 +325,12 @@ def _unless_clean(rows: Sequence[int], failures: Callable) -> Iterator[tuple[int
 
 
 def audit_generalized_transitivity(v: ParthoodVariant, ctx: "GranularOperatorSpace",
-                                   budget: int | None = None,
-                                   seed: int = DEFAULT_SEED) -> PropertyReport:
+                                   basis: Basis | None = None) -> PropertyReport:
     """Report the two implemented readings of generalized transitivity.
 
     Plain transitivity and strict confluence are measured by the same scans
     as :func:`audit_properties`; the report is restricted to those two rows.
     """
-    full = audit_properties(v, ctx, budget=budget, seed=seed)
+    full = audit_properties(v, ctx, basis)
     keep = tuple(c for c in full.checks if c.name in ("transitive", "strictly-confluent"))
     return PropertyReport(full.variant, keep, full.scope)

@@ -177,6 +177,18 @@ def _witness_violates(v, name, regions, space):
     return h(a, b) and h(a, c)
 
 
+def _count_draws(monkeypatch, module):
+    """The log of calls to the basis sampler as ``module`` binds it."""
+    draws = []
+    draw = module._region_masks
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+    monkeypatch.setattr(module, "_region_masks", counted)
+    return draws
+
+
 class TestAudits:
     @pytest.mark.parametrize("n", [64, 80])
     def test_parthood_audit_samples_universes_past_sys_maxsize(self, tmp_path, n):
@@ -246,15 +258,17 @@ class TestAudits:
         assert capsys.readouterr().err == "error: budget must be >= 1\n"
 
     def test_gos_audit_draws_one_basis(self, monkeypatch):
-        draws = []
-        draw = gos._region_basis
-
-        def counted(*args, **kwargs):
-            draws.append(args)
-            return draw(*args, **kwargs)
-        monkeypatch.setattr(gos, "_region_basis", counted)
+        draws = _count_draws(monkeypatch, gos)
         code, doc = run_json(["gos-audit", "--axiom", "all", "--input", TABLE])
         assert code == 0 and len(doc["axioms"]) == 3
+        assert len(draws) == 1
+
+    def test_parthood_audit_draws_one_basis(self, monkeypatch):
+        # one basis for all ten variants, not one per variant
+        draws = _count_draws(monkeypatch, ph)
+        code, doc = run_json(["parthood-audit", "--variant", "all", "--budget", "256",
+                              "--seed", "7", "--input", str(FIXTURES / "ctx_overlap16.json")])
+        assert code == 0 and len(doc["reports"]) == 10
         assert len(draws) == 1
 
     def test_gos_audit_all_pass_on_partition(self):
@@ -359,6 +373,21 @@ class TestCoherenceAndOracle:
         assert code == 2 and text == ""
 
 
+# Options each subcommand once accepted and ignored, after a command line it runs.
+_UNREAD = [(argv, extra) for argv, extras in [
+    (["approx", "--input", VEE, "--region", "p"],
+     [["--parthood", "lateral"], ["--conflict", "incomparability"], ["--seed", "3"]]),
+    (["gos-audit", "--input", VEE], [["--conflict", "incomparability"]]),
+    (["parthood-audit", "--input", VEE],
+     [["--parthood", "lateral"], ["--conflict", "incomparability"]]),
+    (["count", "--algo", "hpc", "--input", VEE], [["--seed", "3"]]),
+    (["inverse", "--input", PAIRS_YES],
+     [["--format", "json"], ["--attrs", "a"], ["--parthood", "lateral"],
+      ["--conflict", "incomparability"], ["--seed", "3"]]),
+    (["oracle", "--op", "signatures", "--input", VEE], [["--seed", "3"], ["--strict"]]),
+] for extra in extras]
+
+
 class TestErrorsAndDeterminism:
     def test_unknown_subcommand_exit_two(self):
         code, _ = run_cli(["frobnicate"])
@@ -441,6 +470,24 @@ class TestErrorsAndDeterminism:
         monkeypatch.setenv("GRANUM_SEED", "not-a-number")
         code, _ = run_cli(["coherence", "--input", VEE])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["approx", "--input", VEE, "--region", "p"],
+                                      ["count", "--algo", "hpc", "--input", VEE],
+                                      ["inverse", "--input", PAIRS_YES],
+                                      ["oracle", "--op", "signatures", "--input", VEE]],
+                             ids=lambda argv: argv[0])
+    def test_env_seed_unread_without_seed_option(self, monkeypatch, argv):
+        monkeypatch.setenv("GRANUM_SEED", "not-a-number")
+        assert run_cli(argv)[0] == 0
+
+    @pytest.mark.parametrize("argv,extra", _UNREAD,
+                             ids=[f"{argv[0]} {extra[0]}" for argv, extra in _UNREAD])
+    def test_options_a_subcommand_does_not_read_are_refused(self, capsys, argv, extra):
+        assert run_cli(argv + ["--threads", "2"])[0] == 0
+        capsys.readouterr()
+        code, out = run_cli(argv + extra)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "granum.cli", "inverse",

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from granum import (AxiomReport, Granulation, GranularOperatorSpace, Universe,
+from granum import (AxiomReport, Basis, Granulation, GranularOperatorSpace, Universe,
                     audit_full_underlap, audit_lower_stability,
                     audit_weak_representability, basic_rough_order,
                     interval_representation, inverse_rough_check,
                     knowledge_validity_check, lower_approx, rough_objects,
                     rough_origin, upper_approx)
-from granum import parthood as ph
+from granum import gos as gos_mod, parthood as ph
+from granum.core import _region_masks, lower_bits
+from granum.gos import _axiom_basis
 
 from conftest import granulation_suite, planted_pairs, seeded_space
 
@@ -255,34 +257,89 @@ class TestSpaceBasics:
 
     def test_sampled_audit_scans_distinct_masks(self):
         space, scanned = logged_space(16)
-        report = audit_weak_representability(space, seed=9)
+        report = audit_weak_representability(space, _axiom_basis(16, 9))
         assert report.mode == "sampled" and report.checked == 2048
         assert len(scanned) == len(set(scanned)) == 2048
 
     def test_containment_scans_the_audit_basis(self):
         space, scanned = logged_space(16)
-        audit_weak_representability(space, seed=9)
+        audit_weak_representability(space, _axiom_basis(16, 9))
         basis = list(scanned)
         scanned.clear()
-        assert space.containment_violations(seed=9) == []
+        assert space.containment_violations(basis=_axiom_basis(16, 9)) == []
         assert scanned == basis
+        scanned.clear()   # and by default both scan the basis of DEFAULT_SEED
+        audit_weak_representability(space)
+        basis = list(scanned)
+        scanned.clear()
+        assert space.containment_violations() == []
+        assert scanned == basis != _axiom_basis(16, 9).masks
 
     def test_sampled_mode_for_large_universe(self):
         u = Universe(tuple(f"e{i}" for i in range(16)))
         g = Granulation.from_sets(u, [[e] for e in u.elements])
         space = GranularOperatorSpace(u, g)
-        report = audit_weak_representability(space, sample=64, seed=9)
-        assert report.mode == "sampled"
+        report = audit_weak_representability(space, _region_masks(16, 1 << 14, 64, 9))
+        assert report.mode == "sampled" and report.checked == 64
         assert report.seed == 9
+
+
+class TestBasis:
+    def test_reports_carry_the_seed_of_the_basis(self):
+        # the seed a report states is the one its regions were drawn with
+        space, _ = logged_space(16)
+        basis = _axiom_basis(16, 3)
+        for audit in (audit_weak_representability, audit_lower_stability,
+                      audit_full_underlap):
+            report = audit(space, basis)
+            assert (report.mode, report.seed) == ("sampled", 3)
+            assert report.to_dict()["seed"] == 3
+        exhaustive = _axiom_basis(5, 3)
+        assert (exhaustive.mode, exhaustive.seed) == ("exhaustive", None)
+        assert exhaustive.masks == list(range(32))
+
+    @pytest.mark.parametrize("mode,seed", [("exhaustive", 3), ("sampled", None),
+                                           ("partial", None), ("partial", 3)])
+    def test_mode_and_seed_must_agree(self, mode, seed):
+        with pytest.raises(ValueError, match="exhaustive without a seed"):
+            Basis([0, 1], mode, seed)
+
+    def test_exhaustive_basis_must_hold_every_region(self):
+        space, _ = logged_space(16)
+        short = Basis(list(range(16)), "exhaustive", None)
+        for audit in (audit_weak_representability, audit_lower_stability,
+                      audit_full_underlap):
+            with pytest.raises(ValueError, match="cannot hold all regions of 16"):
+                audit(space, short)
+        with pytest.raises(ValueError, match="cannot hold"):
+            space.containment_violations(basis=short)
+        assert Basis(list(range(16)), "sampled", 0).scan(space.universe) == list(range(16))
 
 
 # --- the per-pair loops that parthood.relation_rows replaced: references -----
 
-def _reference_lower_stability(gos, basis, mode, seed, witness_cap=10):
+def _reference_weak_representability(gos, basis, witness_cap=10):
+    u = gos.universe
+    masks = gos.granulation.masks()
+    witnesses = []
+    failures = 0
+    for bits in basis.masks:
+        lo, up = gos.signature_bits(bits)
+        for side, value in (("lower", lo), ("upper", up)):
+            if lower_bits(value, masks) != value:
+                failures += 1
+                if len(witnesses) < witness_cap:
+                    witnesses.append({"region": u.region_from_bits(bits), "side": side,
+                                      "value": u.region_from_bits(value)})
+    return AxiomReport("weak-representability", failures == 0, basis.mode,
+                       len(basis.masks), tuple(witnesses), seed=basis.seed), failures
+
+
+def _reference_lower_stability(gos, basis, witness_cap=10):
     u = gos.universe
     witnesses = []
     failures = 0
-    for bits in basis:
+    for bits in basis.masks:
         x = u.region_from_bits(bits)
         xl = gos.lower(x)
         for y in gos.granulation.granules:
@@ -290,17 +347,17 @@ def _reference_lower_stability(gos, basis, mode, seed, witness_cap=10):
                 failures += 1
                 if len(witnesses) < witness_cap:
                     witnesses.append({"granule": y, "region": x})
-    return AxiomReport("lower-stability", failures == 0, mode,
-                       len(basis) * len(gos.granulation.granules), tuple(witnesses),
-                       seed=seed if mode == "sampled" else None), failures
+    return AxiomReport("lower-stability", failures == 0, basis.mode,
+                       len(basis.masks) * len(gos.granulation.granules), tuple(witnesses),
+                       seed=basis.seed), failures
 
 
-def _reference_full_underlap(gos, basis, mode, seed):
+def _reference_full_underlap(gos, basis):
     u = gos.universe
     granules = gos.granulation.granules
     pairs = [(granules[i], granules[j])
              for i in range(len(granules)) for j in range(i, len(granules))]
-    definite = [u.region_from_bits(bits) for bits in basis
+    definite = [u.region_from_bits(bits) for bits in basis.masks
                 if gos.signature_bits(bits) == (bits, bits)]
 
     def probe(pair):
@@ -312,9 +369,8 @@ def _reference_full_underlap(gos, basis, mode, seed):
 
     found = [probe(pair) for pair in pairs]
     details = tuple({"pair": [a, b], "witness": w} for (a, b), w in zip(pairs, found))
-    return AxiomReport("full-underlap", all(w is not None for w in found), mode,
-                       len(pairs) * len(basis), (),
-                       details=details, seed=seed if mode == "sampled" else None)
+    return AxiomReport("full-underlap", all(w is not None for w in found), basis.mode,
+                       len(pairs) * len(basis.masks), (), details=details, seed=basis.seed)
 
 
 AUDIT_VARIANTS = list(ph.VARIANTS.values()) + [
@@ -334,16 +390,38 @@ class TestAuditsMatchPairwiseReference:
             space.parthood = v
             n = len(space.universe)
             sampled = sorted(rng.sample(range(1 << n), rng.randint(1, 1 << n)))
-            for basis, mode, seed in ((list(range(1 << n)), "exhaustive", 1729),
-                                      (sampled, "sampled", 5)):
+            for basis in (Basis(list(range(1 << n)), "exhaustive", None),
+                          Basis(sampled, "sampled", 5)):
                 for cap in (10, 1 << 20):   # the unlimited cap lists every failure
-                    want, failures = _reference_lower_stability(space, basis, mode, seed, cap)
-                    got = audit_lower_stability(space, seed=seed, witness_cap=cap,
-                                                basis=(basis, mode))
+                    want, failures = _reference_lower_stability(space, basis, cap)
+                    got = audit_lower_stability(space, basis, witness_cap=cap)
                     assert got == want
                     assert len(got.witnesses) == min(cap, failures)
-                assert audit_full_underlap(space, seed=seed, basis=(basis, mode)) == \
-                    _reference_full_underlap(space, basis, mode, seed)
+                assert audit_full_underlap(space, basis) == \
+                    _reference_full_underlap(space, basis)
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
+    def test_weak_representability(self, explicit, monkeypatch):
+        tested = []
+        monkeypatch.setattr(gos_mod, "lower_bits", lambda value, masks: tested.append(value)
+                            or lower_bits(value, masks))
+        failing = 0
+        rng = random.Random(f"wra-{explicit}")
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            space = seeded_space(rng, n, explicit)
+            sampled = sorted(rng.sample(range(1 << n), rng.randint(1, 1 << n)))
+            for basis in (Basis(list(range(1 << n)), "exhaustive", None),
+                          Basis(sampled, "sampled", 5)):
+                for cap in (10, 1 << 20):
+                    want, failures = _reference_weak_representability(space, basis, cap)
+                    tested.clear()
+                    assert audit_weak_representability(space, basis, witness_cap=cap) == want
+                    # each distinct lower or upper value is tested once
+                    assert sorted(tested) == sorted({v for bits in basis.masks
+                                                     for v in space.signature_bits(bits)})
+                    failing += failures > 0
+        assert failing if explicit else not failing
 
     @pytest.mark.parametrize("v", AUDIT_VARIANTS, ids=lambda v: v.name)
     def test_basic_rough_order(self, v):

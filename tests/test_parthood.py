@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from granum import GranularOperatorSpace, Universe, Granulation
 from granum import parthood as ph
-from granum.core import _region_masks
+from granum.core import DEFAULT_SEED, Basis
 
 from conftest import granulation_suite, seeded_space
 
@@ -149,7 +149,21 @@ class TestAudits:
         space = GranularOperatorSpace(u, g)
         report = ph.audit_properties(ph.ROUGH_INCLUSION, space)
         assert report.scope["mode"] == "sampled"
+        assert report.scope["seed"] == DEFAULT_SEED
         assert report.check("reflexive").verdict == "holds-sampled"
+        # the stated seed is the one the basis was drawn with
+        basis = ph._property_basis(8, 32, 3)
+        for audit in (ph.audit_properties, ph.audit_generalized_transitivity):
+            report = audit(ph.ROUGH_INCLUSION, space, basis)
+            assert report.scope == {"mode": "sampled", "basis_size": 32,
+                                    "universe_size": 8, "seed": 3}
+
+    def test_exhaustive_basis_must_hold_every_region(self):
+        u = Universe(tuple(str(i) for i in range(8)))
+        space = GranularOperatorSpace(u, Granulation.from_sets(u, [u.elements]))
+        for audit in (ph.audit_properties, ph.audit_generalized_transitivity):
+            with pytest.raises(ValueError, match="cannot hold all regions of 8"):
+                audit(ph.ROUGH_INCLUSION, space, Basis(list(range(32)), "exhaustive", None))
 
     def test_generalized_transitivity_two_readings(self, space5):
         report = ph.audit_generalized_transitivity(ph.LATERAL_PLUS_PLUS, space5)
@@ -295,11 +309,9 @@ class TestRelationRows:
         assert ph._transpose([], 2) == [0, 0]
 
 
-def _reference_audit(v, ctx, budget=None, seed=1729, witness_cap=5,
-                     include_proper_confluence=False):
+def _reference_audit(v, ctx, basis, witness_cap=5, include_proper_confluence=False):
     """The auditor's former hand-written loops, kept as the reference."""
-    cap = ph.EXHAUSTIVE_REGION_LIMIT if budget is None else budget
-    masks, mode = _region_masks(len(ctx.universe), cap, cap, seed)
+    masks, mode = basis.masks, basis.mode
     m = len(masks)
     rows = ph.relation_rows(v, ctx, masks, masks)
 
@@ -351,7 +363,7 @@ def _reference_audit(v, ctx, budget=None, seed=1729, witness_cap=5,
 
     scope = {"mode": mode, "basis_size": m, "universe_size": len(ctx.universe)}
     if mode == "sampled":
-        scope["seed"] = seed
+        scope["seed"] = basis.seed
     return ph.PropertyReport(v.name, tuple(checks), scope)
 
 
@@ -381,8 +393,9 @@ def _audit_cases(v, explicit):
         n = rng.randint(1, 5)
         space = seeded_space(rng, n, explicit)
         space.parthood = v
-        yield space, 1 << n, rng.randrange(1 << 30)   # every region
-        yield space, rng.randint(1, (1 << n) - 1), rng.randrange(1 << 30)   # a sample
+        yield space, ph._property_basis(n, 1 << n, rng.randrange(1 << 30))   # every region
+        yield space, ph._property_basis(n, rng.randint(1, (1 << n) - 1),
+                                        rng.randrange(1 << 30))   # a sample
 
 
 class TestAuditMatchesLoopReference:
@@ -390,16 +403,14 @@ class TestAuditMatchesLoopReference:
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
     def test_report_equals_reference(self, v, explicit):
         modes = set()
-        for space, budget, seed in _audit_cases(v, explicit):
+        for space, basis in _audit_cases(v, explicit):
             for cap in (1, 5, UNLIMITED):
                 for proper in (False, True):
-                    got = ph.audit_properties(v, space, budget=budget, seed=seed,
-                                              witness_cap=cap,
+                    got = ph.audit_properties(v, space, basis, witness_cap=cap,
                                               include_proper_confluence=proper)
-                    want = _reference_audit(v, space, budget=budget, seed=seed,
-                                            witness_cap=cap,
+                    want = _reference_audit(v, space, basis, witness_cap=cap,
                                             include_proper_confluence=proper)
-                    assert got.to_dict() == want.to_dict(), (budget, seed, cap, proper)
+                    assert got.to_dict() == want.to_dict(), (basis.seed, cap, proper)
                     modes.add(got.scope["mode"])
         assert modes == {"exhaustive", "sampled"}
 
@@ -407,9 +418,8 @@ class TestAuditMatchesLoopReference:
         # the comparison above is not vacuous: each check fails somewhere
         failing = set()
         for v in KERNEL_VARIANTS[:-1]:
-            for space, budget, seed in _audit_cases(v, False):
-                report = _reference_audit(v, space, budget=budget, seed=seed,
-                                          include_proper_confluence=True)
+            for space, basis in _audit_cases(v, False):
+                report = _reference_audit(v, space, basis, include_proper_confluence=True)
                 failing |= {c.name for c in report.checks if c.verdict == "fails"}
         assert failing == {"reflexive", "transitive", "antisymmetric",
                            "strictly-confluent", "strictly-confluent-proper"}
@@ -418,12 +428,12 @@ class TestAuditMatchesLoopReference:
 class TestWitnessCap:
     @pytest.mark.parametrize("v", KERNEL_VARIANTS[:-1], ids=lambda v: v.name)
     def test_verdicts_do_not_depend_on_the_cap(self, v):
-        for space, budget, seed in _audit_cases(v, False):
-            full = ph.audit_properties(v, space, budget=budget, seed=seed,
-                                       witness_cap=UNLIMITED, include_proper_confluence=True)
+        for space, basis in _audit_cases(v, False):
+            full = ph.audit_properties(v, space, basis, witness_cap=UNLIMITED,
+                                       include_proper_confluence=True)
             for cap in (0, 1, 5):
-                got = ph.audit_properties(v, space, budget=budget, seed=seed,
-                                          witness_cap=cap, include_proper_confluence=True)
+                got = ph.audit_properties(v, space, basis, witness_cap=cap,
+                                          include_proper_confluence=True)
                 assert got.scope == full.scope
                 for c, f in zip(got.checks, full.checks, strict=True):
                     assert (c.name, c.verdict) == (f.name, f.verdict), cap
