@@ -4,12 +4,16 @@ The recordings in ``fixtures/golden/`` (one file per input fixture) pin the
 command line byte for byte: each subcommand on each fixture in both output
 modes, every counting algorithm on both item collections, the coherence
 search at several budgets, sampled parthood audits (one on 62 elements,
-one of every variant on 16 overlapping elements) and two error cases.
+one of every variant on 16 overlapping elements), two error cases, and
+every counting algorithm under both conflicts and two parthood variants on
+a dense 120-element and a sparse 60-element context (gzipped recordings).
 A change that alters any of them shows up here as a diff.
 
 Regenerate the recordings, only when an output change is intended, with::
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write [FIXTURE ...]
+
+Without fixture names every recording is rewritten.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import difflib
 import functools
+import gzip
 import io
 import json
 import sys
@@ -79,10 +84,23 @@ CASES["ctx_overlap16.json"] = {
         "parthood-audit", "--variant", "all", "--budget", "256", "--seed", "7",
         "--input", "{fixtures}/ctx_overlap16.json", "--output", output]
     for output in ("json", "text")}
+# Counting at benchmark scale, on contexts shaped as the count workload's:
+# conflict density about 0.98 (dense, 120 elements) and 0.5 (sparse, 60).
+COUNT_SCALE = ("ctx_dense120.json", "ctx_sparse60.json")
+for _name in COUNT_SCALE:
+    CASES[_name] = {
+        f"count-{algo}-{conflict}-{parthood}-{output}": [
+            "count", "--algo", algo, "--conflict", conflict, "--parthood", parthood,
+            "--input", f"{{fixtures}}/{_name}", "--output", output]
+        for algo in ("hpc", "pca", "hpca", "fhca")
+        for conflict in ("comparability", "incomparability")
+        for parthood in ("cautious", "rough-inclusion")
+        for output in ("json", "text")}
 
 
 def _record_path(name: str):
-    return GOLDEN / (name.replace(".", "_") + ".json")
+    path = GOLDEN / (name.replace(".", "_") + ".json")
+    return path.with_suffix(".json.gz") if name in COUNT_SCALE else path   # megabytes
 
 
 def replay(argv: list[str]) -> dict:
@@ -99,7 +117,10 @@ def replay(argv: list[str]) -> dict:
 
 @functools.cache
 def _recorded(name: str) -> dict:
-    return json.loads(_record_path(name).read_text(encoding="utf-8"))
+    data = _record_path(name).read_bytes()
+    if name in COUNT_SCALE:
+        data = gzip.decompress(data)
+    return json.loads(data.decode("utf-8"))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -123,17 +144,19 @@ def test_cli_output_matches_recording(name, case, monkeypatch):
     assert got["exit"] == want["exit"]
 
 
-def write_recordings() -> None:
+def write_recordings(names: list[str]) -> None:
     GOLDEN.mkdir(exist_ok=True)
-    for name, cases in CASES.items():
-        records = {case: replay(argv) for case, argv in cases.items()}
-        _record_path(name).write_text(json.dumps(records, indent=1, sort_keys=True)
-                                      + "\n", encoding="utf-8")
+    for name in names:
+        records = {case: replay(argv) for case, argv in CASES[name].items()}
+        data = (json.dumps(records, indent=1, sort_keys=True) + "\n").encode("utf-8")
+        if name in COUNT_SCALE:
+            data = gzip.compress(data, mtime=0)
+        _record_path(name).write_bytes(data)
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    if sys.argv[1:2] != ["--write"] or not set(sys.argv[2:]) <= set(CASES):
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write [FIXTURE ...]")
     import os
     os.environ.pop(cli.ENV_SEED, None)
-    write_recordings()
+    write_recordings(sys.argv[2:] or list(CASES))
