@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import counting, gos as gos_mod, oracles, parthood as pH
-from .core import (DEFAULT_SEED, ParseError, Region, Universe, _list_field,
+from .core import (DEFAULT_SEED, ParseError, Region, Universe, _list_field, _transpose,
                    indiscernibility_partition, parse_context, parse_information_table)
 
 ENV_SEED = "GRANUM_SEED"
@@ -63,6 +63,10 @@ def _load_space(args: argparse.Namespace,
         granulation = indiscernibility_partition(table, attrs).granulation()
         universe = table.objects
     else:
+        for option, value in (("--attrs", args.attrs), ("--format", args.format)):
+            if value is not None:
+                raise ParseError(f"{option} applies only to an information table, "
+                                 f"not to a JSON context")
         universe, granulation = parse_context(text)
     return gos_mod.GranularOperatorSpace(universe, granulation, parthood=parthood)
 
@@ -87,7 +91,8 @@ def _parse_regions(space: gos_mod.GranularOperatorSpace, raw: list[str]) -> list
 
 
 def _items(space: gos_mod.GranularOperatorSpace, args: argparse.Namespace):
-    """The ``--items`` collection, its ``--conflict`` and its parthood order ``le``.
+    """The ``--items`` collection, its ``--conflict``, its parthood order ``le``
+    and the conflict's bit rows over the collection.
 
     Items are universe elements (as singletons) or rough-object classes (by
     representative); both relations read one set of parthood rows.
@@ -102,11 +107,12 @@ def _items(space: gos_mod.GranularOperatorSpace, args: argparse.Namespace):
     else:
         raise ParseError(f"unknown item collection {args.items!r}")
     rows = pH.relation_rows(space.parthood, space, masks, masks)
-    either = [row | col for row, col in zip(rows, pH._transpose(rows, len(rows)))]
+    either = [row | col for row, col in zip(rows, _transpose(rows, len(rows)))]
     if args.conflict == "comparability":   # distinct regions related either way
         conflicts = [row & ~(1 << i) for i, row in enumerate(either)]
     else:                                  # incomparability, kept literal on the diagonal
-        conflicts = [~row for row in either]
+        full = (1 << len(items)) - 1
+        conflicts = [row ^ full for row in either]
     index = {item: i for i, item in enumerate(items)}
 
     def conflict(a: str, b: str) -> bool:
@@ -114,7 +120,7 @@ def _items(space: gos_mod.GranularOperatorSpace, args: argparse.Namespace):
 
     def le(a: str, b: str) -> bool:
         return a == b or bool(rows[index[a]] >> index[b] & 1)
-    return items, conflict, le
+    return items, conflict, le, conflicts
 
 
 def _cmd_approx(args):
@@ -202,20 +208,20 @@ def _cmd_count(args):
     if args.budget is not None and args.algo != "fhca":
         raise ParseError("--budget applies only to --algo fhca")
     space = _load_space(args, pH.variant(args.parthood))
-    items, conflict, _ = _items(space, args)
+    items, conflict, _, rows = _items(space, args)
     seq = counting.arrangement(items)
     antichains = None
     decomposition = None
     if args.algo == "hpc":
-        trace = counting.hpc_count(seq, conflict)
+        trace = counting.hpc_count(seq, conflict, rows=rows)
     elif args.algo == "pca":
-        trace = counting.pca_count(seq, conflict)
-        decomposition = counting.verify_decomposition(trace, conflict)
+        trace = counting.pca_count(seq, conflict, rows=rows)
+        decomposition = counting.verify_decomposition(trace, conflict, rows=rows)
     elif args.algo == "hpca":
-        trace, decomposition = counting.hpca_count(seq, conflict)
+        trace, decomposition = counting.hpca_count(seq, conflict, rows=rows)
     elif args.algo == "fhca":
-        trace, antichains = counting.fhca_count(seq, conflict, budget=args.budget)
-        decomposition = counting.verify_decomposition(trace, conflict)
+        trace, antichains = counting.fhca_count(seq, conflict, budget=args.budget, rows=rows)
+        decomposition = counting.verify_decomposition(trace, conflict, rows=rows)
     else:
         raise ParseError(f"unknown algorithm {args.algo!r}")
     payload = {"config": {"algorithm": args.algo, "items": args.items,
@@ -237,14 +243,14 @@ def _cmd_coherence(args):
     if args.budget is not None and not args.search:
         raise ParseError("--budget applies only with --search")
     space = _load_space(args, pH.variant(args.parthood))
-    items, conflict, _ = _items(space, args)
+    items, conflict, _, rows = _items(space, args)
     seq = counting.arrangement(items)
-    coherent = counting.is_hpca_coherent(seq, conflict)
+    coherent = counting.is_hpca_coherent(seq, conflict, rows=rows)
     payload: dict = {"order": list(items), "coherent": coherent}
     lines = [f"order {items}: {'coherent' if coherent else 'NOT coherent'}"]
     if args.search:
         result = counting.find_coherent_order(items, conflict, budget=args.budget,
-                                              seed=args.seed)
+                                              seed=args.seed, rows=rows)
         payload["search"] = result.to_dict()
         if result.found is not None:
             lines.append(f"coherent order found after {result.tried} tries: "
@@ -286,13 +292,13 @@ def _cmd_inverse(args):
 def _cmd_oracle(args):
     space = _load_space(args, pH.variant(args.parthood))
     if args.op == "maximal-antichains":
-        items, conflict, _ = _items(space, args)
+        items, conflict, _, _ = _items(space, args)
         chains = oracles.enumerate_maximal_antichains(conflict, items)
         payload = {"maximal_antichains": [list(c) for c in chains]}
         text = "\n".join("{%s}" % ", ".join(str(m) for m in c) for c in chains)
         return payload, text, False
     if args.op == "antichain-cover":
-        items, _, le = _items(space, args)
+        items, _, le, _ = _items(space, args)
         cover = oracles.minimum_antichain_cover(le, items)
         payload = {"cover": cover.to_dict()}
         text = "\n".join(f"level {i}: {{{', '.join(l)}}}"

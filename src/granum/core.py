@@ -399,6 +399,20 @@ def _region_masks(n: int, limit: int, sample: int, seed: int) -> Basis:
     return Basis(sorted(seen), "sampled", seed)
 
 
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """The ``width`` columns of a bit matrix of ``width``-bit rows: bit i of
+    column j is bit j of row i.
+
+    One C-level ``zip`` over the rows' binary strings, last row first, so
+    that each column's string reads most significant bit first: the cost
+    does not depend on how many bits are set.
+    """
+    if not rows or not width:
+        return [0] * width
+    strings = [format(row, f"0{width}b") for row in reversed(rows)]
+    return [int("".join(col), 2) for col in zip(*strings)][::-1]
+
+
 def lower_bits(bits: int, masks: Iterable[int]) -> int:
     """Union of granule masks contained in ``bits``."""
     out = 0

@@ -20,6 +20,16 @@ symmetric conflict relation:
 Every run is deterministic in (sequence, conflict), ``fhca_rounds`` and the
 arrangement search also in their seed, and the trace records enough to
 replay each pass rule by rule.
+
+Each procedure works on the conflict's bit rows over the sequence: bit j of
+row i is set when item i conflicts with item j.  A caller that already holds
+them passes ``rows=`` and the conflict callback is never called; otherwise
+the rows are built from one call per ordered pair, n² calls in all.  Either
+way they are refused, with the first witness, unless irreflexive (hpc never
+reads the diagonal) and symmetric.  ``verify_decomposition`` re-checks a
+run on masks too, and reads the relation as it is; its pair-by-pair form,
+asking the callback lazily, is :func:`granum.oracles.verify_decomposition_by_calls`,
+the tests' reference.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .core import DEFAULT_SEED
+from .core import DEFAULT_SEED, _transpose
 
 Item = Hashable
 ConflictFn = Callable[[Item, Item], bool]
@@ -246,28 +256,52 @@ class AntichainDecomposition:
         }
 
 
-def _conflict_masks(items: Sequence[Item], conflict: ConflictFn,
-                    irreflexive: bool = True) -> list[int]:
-    """Row i has bit j set iff ``conflict(items[i], items[j])``: the only calls a run makes.
+def _raw_rows(items: Sequence[Item], conflict: ConflictFn) -> list[int]:
+    """Row i has bit j set iff ``conflict(items[i], items[j])``: one call per ordered pair."""
+    return [int("".join("1" if conflict(a, b) else "0" for b in items)[::-1], 2)
+            for a in items]
 
-    Refuses, with the first witness in sequence order, a reflexive item
-    (unless ``irreflexive`` is false: hpc never reads the diagonal) and then
-    an asymmetric pair.
+
+def _row_shape(items: Sequence[Item], rows: Sequence[int]) -> list[int]:
+    """``rows`` as a list, refused unless it holds ``n`` masks of ``n`` bits."""
+    n = len(items)
+    rows = list(rows)
+    if len(rows) != n or not all(0 <= row < 1 << n for row in rows):
+        raise ValueError(f"conflict rows must be {n} masks of {n} bits")
+    return rows
+
+
+def _check_rows(items: Sequence[Item], rows: Sequence[int],
+                irreflexive: bool = True) -> list[int]:
+    """The conflict's bit rows over ``items`` (bit j of row i: ``items[i]``
+    conflicts with ``items[j]``), refused unless a run can use them.
+
+    Refuses rows that are not ``n`` masks of ``n`` bits, then, with the first
+    witness in sequence order, a reflexive item (unless ``irreflexive`` is
+    false: hpc never reads the diagonal) and then an asymmetric pair.
     """
-    flags = ["".join("1" if conflict(a, b) else "0" for b in items) for a in items]
+    rows = _row_shape(items, rows)
     if irreflexive:
-        for i, row in enumerate(flags):
-            if row[i] == "1":
+        for i, row in enumerate(rows):
+            if row >> i & 1:
                 a = items[i]
                 raise ValueError(f"conflict relation is not irreflexive: witness ({a!r}, {a!r})")
     # The first row that differs from its column does so first at its first
     # asymmetric pair, which lies past the diagonal.
-    for i, (row, col) in enumerate(zip(flags, map("".join, zip(*flags)))):
+    for i, (row, col) in enumerate(zip(rows, _transpose(rows, len(rows)))):
         if row != col:
-            j = next(k for k in range(len(row)) if row[k] != col[k])
+            j = ((row ^ col) & -(row ^ col)).bit_length() - 1
             raise ValueError(f"relation is not symmetric: witness pair "
                              f"({items[i]!r}, {items[j]!r})")
-    return [int(row[::-1], 2) for row in flags]   # character j becomes bit j
+    return rows
+
+
+def _conflict_masks(items: Sequence[Item], conflict: ConflictFn, irreflexive: bool = True,
+                    rows: Sequence[int] | None = None) -> list[int]:
+    """The checked conflict rows of a run: ``rows`` when given, else built
+    from ``conflict``, the only calls a run makes (see :func:`_check_rows`)."""
+    return _check_rows(items, _raw_rows(items, conflict) if rows is None else rows,
+                       irreflexive)
 
 
 def _require_items(seq: OrderArrangement) -> list[Item]:
@@ -277,7 +311,8 @@ def _require_items(seq: OrderArrangement) -> list[Item]:
     return items
 
 
-def hpc_count(seq: OrderArrangement, relation: ConflictFn) -> CountingTrace:
+def hpc_count(seq: OrderArrangement, relation: ConflictFn, *,
+              rows: Sequence[int] | None = None) -> CountingTrace:
     """History-based primitive counting over a symmetric relation.
 
     The first element opens type 1.  Each next element: related to its
@@ -286,7 +321,7 @@ def hpc_count(seq: OrderArrangement, relation: ConflictFn) -> CountingTrace:
     predecessor -> also opens the next type (history-aware gap rule).
     """
     items = _require_items(seq)
-    rows = _conflict_masks(items, relation, irreflexive=False)
+    rows = _conflict_masks(items, relation, irreflexive=False, rows=rows)
     labels: dict[Item, list[tuple[int, CountLabel]]] = {}
     type_index = 1
     power = 0
@@ -307,7 +342,8 @@ def hpc_count(seq: OrderArrangement, relation: ConflictFn) -> CountingTrace:
     return CountingTrace("hpc", [seq], labels, categories, [rec])
 
 
-def pca_count(seq: OrderArrangement, conflict: ConflictFn) -> CountingTrace:
+def pca_count(seq: OrderArrangement, conflict: ConflictFn, *,
+              rows: Sequence[int] | None = None) -> CountingTrace:
     """First-fit counting: join the least-indexed conflict-free category.
 
     An element that conflicts with every open category opens the next one.
@@ -315,7 +351,7 @@ def pca_count(seq: OrderArrangement, conflict: ConflictFn) -> CountingTrace:
     1_j .. Q_j with no gaps.
     """
     items = _require_items(seq)
-    rows = _conflict_masks(items, conflict)
+    rows = _conflict_masks(items, conflict, rows=rows)
     taken: list[int] = []   # position mask of each category
     labels: dict[Item, list[tuple[int, CountLabel]]] = {}
     for i, x in enumerate(items):
@@ -348,7 +384,8 @@ def _greedy_pass(order: OrderArrangement, index: dict[Item, int], rows: list[int
     return taken, tuple(assigned), tuple(rejected)
 
 
-def hpca_count(seq: OrderArrangement, conflict: ConflictFn) -> tuple[CountingTrace, AntichainDecomposition]:
+def hpca_count(seq: OrderArrangement, conflict: ConflictFn, *, rows: Sequence[int] | None = None
+               ) -> tuple[CountingTrace, AntichainDecomposition]:
     """History-aware counting on antichains with deferred restart markers.
 
     Pass 1 scans the whole sequence building category 1; every rejected
@@ -375,15 +412,22 @@ def hpca_count(seq: OrderArrangement, conflict: ConflictFn) -> tuple[CountingTra
 
     Hence the stop condition "no markers remain" is reached only once the
     collection is covered: the loop never runs out of markers first.
+
+    ``rows``, when given, are the conflict's bit rows over ``seq`` in
+    sequence order; they get the same refusals as rows built from
+    ``conflict``, which is then never called.  Otherwise ``conflict`` is
+    called once per ordered pair, n² calls in all.  The run is verified by
+    :func:`verify_decomposition` on the same rows, with no further calls.
     """
-    trace = _hpca_trace(seq, conflict, "hpca")
-    return trace, verify_decomposition(trace, conflict)
-
-
-def _hpca_trace(seq: OrderArrangement, conflict: ConflictFn, algorithm: str) -> CountingTrace:
-    """The hpca run of :func:`hpca_count`, unverified, labelled ``algorithm``."""
     items = _require_items(seq)
-    rows = _conflict_masks(items, conflict)
+    rows = _conflict_masks(items, conflict, rows=rows)
+    trace = _hpca_trace(seq, rows, "hpca")
+    return trace, verify_decomposition(trace, conflict, rows=rows)
+
+
+def _hpca_trace(seq: OrderArrangement, rows: list[int], algorithm: str) -> CountingTrace:
+    """The hpca run of :func:`hpca_count` on checked rows, unverified, labelled ``algorithm``."""
+    items = seq.sequence
     index = {x: i for i, x in enumerate(items)}
     full = (1 << len(items)) - 1
 
@@ -420,37 +464,51 @@ def _hpca_trace(seq: OrderArrangement, conflict: ConflictFn, algorithm: str) -> 
     return CountingTrace(algorithm, orders, labels, retained, passes)
 
 
-def verify_decomposition(trace: CountingTrace, conflict: ConflictFn) -> AntichainDecomposition:
+def verify_decomposition(trace: CountingTrace, conflict: ConflictFn, *,
+                         rows: Sequence[int] | None = None) -> AntichainDecomposition:
     """Re-check a trace's categories: conflict-freeness, maximality, coverage.
 
     All verdicts are recomputed against the full collection; nothing is
-    trusted from the run itself.
+    trusted from the run itself.  The relation is read as it is, from
+    ``rows`` (bit rows over the collection, in collection order) when given,
+    else from one call of ``conflict`` per ordered pair, and is not refused
+    when reflexive or asymmetric.  A category's conflict witness is its first
+    conflicting pair in member order; its maximality witness is the first
+    item in collection order that could still join it.
     """
-    items = list(trace.collection)
+    items = trace.collection
+    rows = _raw_rows(items, conflict) if rows is None else _row_shape(items, rows)
+    cols = _transpose(rows, len(items))   # bit q of cols[p]: items[q] conflicts with items[p]
+    index = {x: i for i, x in enumerate(items)}
+    full = (1 << len(items)) - 1
     verdicts = []
-    covered: set[Item] = set()
-    total = 0
+    covered = total = 0
     for cat in trace.categories:
-        members = list(cat.members)
-        covered.update(members)
+        members = cat.members
+        try:
+            places = [index[m] for m in members]
+        except KeyError as exc:
+            raise ValueError(f"category {cat.index} holds {exc.args[0]!r}, "
+                             f"which is not in the collection") from None
+        mask = blocked = 0
+        for p in places:
+            mask |= 1 << p
+            blocked |= cols[p]
+        covered |= mask
         total += len(members)
         cw = None
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if conflict(a, b):
-                    cw = (a, b)
+        for i, p in enumerate(places):
+            row = rows[p]
+            if row & mask:   # some member, maybe earlier or itself: look later only
+                k = next((k for k in range(i + 1, len(places)) if row >> places[k] & 1), None)
+                if k is not None:
+                    cw = (members[i], members[k])
                     break
-            if cw:
-                break
-        mw = None
-        member_set = set(members)
-        for x in items:
-            if x not in member_set and all(not conflict(x, m) for m in members):
-                mw = x
-                break
+        free = full & ~(mask | blocked)   # outside the category, conflicting with no member
+        mw = items[(free & -free).bit_length() - 1] if free else None
         verdicts.append(CategoryVerdict(cat.index, cat.members,
                                         cw is None, cw, mw is None, mw))
-    missing = tuple(x for x in items if x not in covered)
+    missing = tuple(x for p, x in enumerate(items) if not covered >> p & 1)
     counts_match = (total == len(items)) if trace.algorithm == "pca" else None
     coverage = not missing
     coherent = None
@@ -461,9 +519,10 @@ def verify_decomposition(trace: CountingTrace, conflict: ConflictFn) -> Antichai
                                   len(items), counts_match, coherent)
 
 
-def is_hpca_coherent(seq: OrderArrangement, conflict: ConflictFn) -> bool:
+def is_hpca_coherent(seq: OrderArrangement, conflict: ConflictFn, *,
+                     rows: Sequence[int] | None = None) -> bool:
     """True when the run covers the collection with maximal antichains."""
-    _, decomposition = hpca_count(seq, conflict)
+    _, decomposition = hpca_count(seq, conflict, rows=rows)
     return bool(decomposition.coherent)
 
 
@@ -487,8 +546,8 @@ EXHAUSTIVE_ARRANGEMENT_CAP = 8  # 8! = 40320 arrangements
 
 
 def find_coherent_order(collection: Iterable[Item], conflict: ConflictFn,
-                        budget: int | None = None,
-                        seed: int = DEFAULT_SEED) -> CoherentOrderSearch:
+                        budget: int | None = None, seed: int = DEFAULT_SEED, *,
+                        rows: Sequence[int] | None = None) -> CoherentOrderSearch:
     """Return the first arrangement of the collection that a search would try.
 
     By the coherence theorem in :func:`hpca_count`'s docstring every
@@ -500,7 +559,7 @@ def find_coherent_order(collection: Iterable[Item], conflict: ConflictFn,
     items = tuple(collection)
     if not items:
         raise ValueError("cannot search arrangements of an empty collection")
-    _conflict_masks(items, conflict)
+    _conflict_masks(items, conflict, rows=rows)
     if budget is not None and budget < 1:
         return CoherentOrderSearch(None, 0, exhaustive=False)
     n = len(items)
@@ -513,8 +572,8 @@ def find_coherent_order(collection: Iterable[Item], conflict: ConflictFn,
         OrderArrangement(tuple(order), f"permutation(seed={seed},try=1)"), 1, exhaustive=False)
 
 
-def fhca_count(seq: OrderArrangement, conflict: ConflictFn,
-               budget: int | None = None) -> tuple[CountingTrace, list[tuple]]:
+def fhca_count(seq: OrderArrangement, conflict: ConflictFn, budget: int | None = None, *,
+               rows: Sequence[int] | None = None) -> tuple[CountingTrace, list[tuple]]:
     """Full-history counting: the hpca run, relabelled ``fhca``.
 
     fhca permutes and re-collects only past a run that is not coherent, and
@@ -525,16 +584,17 @@ def fhca_count(seq: OrderArrangement, conflict: ConflictFn,
     collection rounds are :func:`fhca_rounds`.  ``budget``, when given,
     must be >= 1.
     """
-    _require_items(seq)
+    items = _require_items(seq)
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
-    trace = _hpca_trace(seq, conflict, "fhca")
+    trace = _hpca_trace(seq, _conflict_masks(items, conflict, rows=rows), "fhca")
     return trace, [c.members for c in trace.categories]
 
 
 def fhca_rounds(seq: OrderArrangement, conflict: ConflictFn,
                 strategy: str = "rotation", budget: int | None = None,
-                seed: int = DEFAULT_SEED) -> tuple[CountingTrace, list[tuple]]:
+                seed: int = DEFAULT_SEED, *,
+                rows: Sequence[int] | None = None) -> tuple[CountingTrace, list[tuple]]:
     """Collect first-pass maximal antichains under permuted orders until covered.
 
     Each round takes the first-pass maximal antichain of the current order
@@ -543,7 +603,7 @@ def fhca_rounds(seq: OrderArrangement, conflict: ConflictFn,
     Any other strategy takes a seeded random permutation.
     """
     items = _require_items(seq)
-    rows = _conflict_masks(items, conflict)
+    rows = _conflict_masks(items, conflict, rows=rows)
     n = len(items)
     if budget is None:
         budget = n

@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import parthood as ph
 from .core import (DEFAULT_SEED, Basis, Granulation, IndiscernibilityRelation, Region,
-                   Universe, _jsonify, _region_masks, lower_approx, lower_bits,
-                   upper_approx, upper_bits)
+                   Universe, _jsonify, _region_masks, _transpose, lower_approx,
+                   lower_bits, upper_approx, upper_bits)
 
 EXHAUSTIVE_UNIVERSE_CAP = 14  # 16384 regions; beyond this audits sample
 AUDIT_SAMPLE = 2048
@@ -100,14 +100,15 @@ class GranularOperatorSpace:
 
     def containment_violations(self, cap: int = 10, basis: Basis | None = None) -> list[Region]:
         """Regions where upper does not contain lower (checked, not assumed),
-        the first ``cap`` of them in ``basis`` (default: the axiom audits')."""
+        the first ``cap`` of them in ``basis`` (default: the axiom audits');
+        none below a cap of 1."""
         bad = []
         for bits in (basis or _axiom_basis(len(self.universe))).scan(self.universe):
+            if len(bad) >= cap:
+                break
             lo, up = self.signature_bits(bits)
             if lo & ~up:
                 bad.append(self.universe.region_from_bits(bits))
-                if len(bad) >= cap:
-                    break
         return bad
 
 
@@ -199,7 +200,7 @@ def audit_full_underlap(gos: GranularOperatorSpace, basis: Basis | None = None) 
     masks = gos.granulation.masks()
     definite = [bits for bits in scanned if gos.signature_bits(bits) == (bits, bits)]
     up = ph.relation_rows(gos.parthood, gos, masks, definite)
-    down = ph._transpose(ph.relation_rows(gos.parthood, gos, definite, masks), len(masks))
+    down = _transpose(ph.relation_rows(gos.parthood, gos, definite, masks), len(masks))
     proper = [u & ~d for u, d in zip(up, down)]   # per granule: definite regions properly above
 
     def witness(i: int, j: int) -> Region | None:   # the first definite region above both
@@ -289,7 +290,7 @@ class BasicRoughOrder:
                 for k in ph._bits(escape)]
 
     def antisymmetric_failures(self) -> list[tuple[int, int]]:
-        cols = ph._transpose(self.rows, len(self.rows))
+        cols = _transpose(self.rows, len(self.rows))
         return list(ph._antisymmetric_failures(self.rows, cols))
 
     def bottoms(self) -> list[int]:
@@ -298,7 +299,7 @@ class BasicRoughOrder:
 
     def tops(self) -> list[int]:
         n = len(self.rows)
-        return [j for j, col in enumerate(ph._transpose(self.rows, n)) if col == (1 << n) - 1]
+        return [j for j, col in enumerate(_transpose(self.rows, n)) if col == (1 << n) - 1]
 
     def is_bounded(self) -> bool:
         return bool(self.bottoms()) and bool(self.tops())

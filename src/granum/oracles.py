@@ -2,9 +2,11 @@
 
 These deliberately avoid the code paths they grade: antichain enumeration is
 a maximal-independent-set search over the conflict graph, signatures are
-recomputed element by element from the definitions, and the inverse check
+recomputed element by element from the definitions, the inverse check
 searches every partition of the universe (it grades the closed form
-:func:`granum.gos.rough_origin`).
+:func:`granum.gos.rough_origin`), and a run's decomposition is re-verified
+by asking the conflict callback pair by pair (it grades the mask verifier
+:func:`granum.counting.verify_decomposition`).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .core import Granulation, IndiscernibilityRelation, Region, Universe
+from .counting import AntichainDecomposition, CategoryVerdict, CountingTrace
 from .gos import PartitionWitness
 
 Item = Hashable
@@ -63,6 +66,50 @@ def enumerate_maximal_antichains(conflict: Callable[[Item, Item], bool],
     sets = [tuple(items[i] for i in _bit_indices(mask)) for mask in found]
     sets.sort(key=lambda s: tuple(items.index(m) for m in s))
     return sets
+
+
+def verify_decomposition_by_calls(trace: CountingTrace,
+                                  conflict: Callable[[Item, Item], bool]) -> AntichainDecomposition:
+    """:func:`granum.counting.verify_decomposition` asked of the callback, lazily.
+
+    Each category's pairs are asked in member order until one conflicts,
+    and each item outside it, in collection order, against its members
+    until one conflicts.  The relation is taken as it is, reflexive or
+    asymmetric ones included.
+    """
+    items = list(trace.collection)
+    verdicts = []
+    covered: set[Item] = set()
+    total = 0
+    for cat in trace.categories:
+        members = list(cat.members)
+        covered.update(members)
+        total += len(members)
+        cw = None
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                if conflict(a, b):
+                    cw = (a, b)
+                    break
+            if cw:
+                break
+        mw = None
+        member_set = set(members)
+        for x in items:
+            if x not in member_set and all(not conflict(x, m) for m in members):
+                mw = x
+                break
+        verdicts.append(CategoryVerdict(cat.index, cat.members,
+                                        cw is None, cw, mw is None, mw))
+    missing = tuple(x for x in items if x not in covered)
+    counts_match = (total == len(items)) if trace.algorithm == "pca" else None
+    coverage = not missing
+    coherent = None
+    if trace.algorithm in ("hpca", "fhca"):
+        coherent = coverage and all(v.maximal and v.conflict_free for v in verdicts)
+    return AntichainDecomposition(tuple(c.members for c in trace.categories),
+                                  tuple(verdicts), coverage, missing, total,
+                                  len(items), counts_match, coherent)
 
 
 def _bit_indices(mask: int) -> Iterator[int]:

@@ -19,7 +19,7 @@ from itertools import islice
 from operator import itemgetter, or_
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .core import DEFAULT_SEED, Basis, Region, _jsonify, _region_masks
+from .core import DEFAULT_SEED, Basis, Region, _jsonify, _region_masks, _transpose
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gos import GranularOperatorSpace
@@ -157,17 +157,6 @@ def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
             by_sig[sig] = row
         rows.append(row)
     return rows
-
-
-def _transpose(rows: list[int], width: int) -> list[int]:
-    """The ``width`` columns of a bit matrix: bit i of column j is bit j of row i."""
-    cols = [0] * width
-    for i, row in enumerate(rows):
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= 1 << i
-            row ^= low
-    return cols
 
 
 def proper_part(v: ParthoodVariant, a: Region, b: Region, ctx: "GranularOperatorSpace") -> bool:

@@ -489,6 +489,30 @@ class TestErrorsAndDeterminism:
         assert code == 2 and out == ""
         assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [["--attrs", "zzz"], ["--attrs", "a,b"],
+                                       ["--format", "json"], ["--format", "csv"]])
+    @pytest.mark.parametrize("argv", [["gos-audit"], ["approx", "--region", "p"],
+                                      ["count", "--algo", "hpc"]])
+    def test_table_options_refused_on_a_json_context(self, capsys, argv, extra):
+        assert run_cli(argv + ["--input", VEE])[0] == 0
+        capsys.readouterr()
+        code, out = run_cli(argv + ["--input", VEE] + extra)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        if extra[1] != "csv":   # read as a CSV table, the context is refused as one
+            assert err == f"error: {extra[0]} applies only to an information table, " \
+                          f"not to a JSON context\n"
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_table_options_read_on_a_json_table(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"attributes": ["a", "b"],
+                                    "objects": [["1", "x", "u"], ["2", "x", "v"],
+                                                ["3", "y", "v"]]}), encoding="utf-8")
+        code, doc = run_json(["approx", "--input", str(path), "--format", "json",
+                              "--attrs", "a", "--region", "1"])
+        assert code == 0 and doc["granules"] == [["1", "2"], ["3"]]
+
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "granum.cli", "inverse",
                                "--input", PAIRS_NO, "--strict"],

@@ -1,5 +1,6 @@
 """Counting procedures: label traces, categories, coherence, verification."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from granum import counting as C
 from granum.counting import arrangement, fhca_rounds
-from granum.oracles import enumerate_maximal_antichains, minimum_antichain_cover
+from granum.oracles import (enumerate_maximal_antichains, minimum_antichain_cover,
+                            verify_decomposition_by_calls)
 
 from conftest import random_poset
 
@@ -28,6 +30,22 @@ def arranged_conflict_graphs(draw, max_items=6):
     edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     order = draw(st.permutations(range(n)))
     return order, pair_conflict(p for p, e in zip(pairs, edges) if e)
+
+
+@st.composite
+def raw_relations(draw, max_items=7):
+    """Items 0..n-1 in a random order and any relation on them, reflexive or
+    asymmetric ones included, as a set of ordered pairs."""
+    n = draw(st.integers(1, max_items))
+    order = draw(st.permutations(range(n)))
+    flags = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return order, {(a, b) for (a, b), f in zip(itertools.product(range(n), repeat=2), flags)
+                   if f}
+
+
+def rows_of(items, conflict):
+    """The conflict's bit rows over ``items``, asked pair by pair."""
+    return [sum(1 << j for j, b in enumerate(items) if conflict(a, b)) for a in items]
 
 
 class TestLabels:
@@ -129,6 +147,46 @@ class TestVerifyDecomposition:
         assert not dec.verdicts[0].conflict_free
         assert dec.verdicts[0].conflict_witness == ("a", "b")
 
+    @settings(max_examples=300, deadline=None)
+    @given(raw_relations(), st.sampled_from(("pca", "hpca", "fhca")), st.data())
+    def test_masks_match_callback_reference(self, drawn, algo, data):
+        # Runs on the symmetric, irreflexive core of a random relation, then
+        # tampered with and verified against the raw relation.
+        order, rel = drawn
+        core = {(a, b) for a, b in rel | {(b, a) for a, b in rel} if a != b}
+        seq = arrangement(order)
+        trace = {"pca": C.pca_count, "hpca": lambda s, cf: C.hpca_count(s, cf)[0],
+                 "fhca": lambda s, cf: C.fhca_count(s, cf)[0]}[algo](
+                     seq, lambda a, b: (a, b) in core)
+        cats = [list(c.members) for c in trace.categories]
+        for _ in range(data.draw(st.integers(0, 3))):
+            cat = data.draw(st.sampled_from(cats))
+            tamper = data.draw(st.sampled_from(("drop", "inject", "uncover")))
+            if tamper == "drop" and cat:
+                del cat[data.draw(st.integers(0, len(cat) - 1))]
+            elif tamper == "inject":   # any item, a member already or not
+                cat.insert(data.draw(st.integers(0, len(cat))), data.draw(st.sampled_from(order)))
+            elif tamper == "uncover":
+                x = data.draw(st.sampled_from(order))
+                cats = [[m for m in c if m != x] for c in cats]
+        tampered = dataclasses.replace(trace, categories=[
+            C.Category(i, tuple(c)) for i, c in enumerate(cats, start=1)])
+
+        def conflict(a, b):
+            return (a, b) in rel
+        want = verify_decomposition_by_calls(tampered, conflict)
+        for got in (C.verify_decomposition(tampered, conflict),
+                    C.verify_decomposition(tampered, conflict,
+                                           rows=rows_of(order, conflict))):
+            assert got == want
+            assert got.to_dict() == want.to_dict()
+
+    def test_member_outside_the_collection_refused(self):
+        trace = C.CountingTrace("pca", [arrangement(["a", "b"])], {},
+                                [C.Category(1, ("a", "z"))])
+        with pytest.raises(ValueError, match="category 1 holds 'z', which is not in"):
+            C.verify_decomposition(trace, lambda a, b: False)
+
     def test_maximality_verdicts_agree_with_oracle(self, poset_corpus):
         for name, (items, _, conflict) in poset_corpus[:40]:
             trace = C.pca_count(arrangement(items), conflict)
@@ -137,6 +195,76 @@ class TestVerifyDecomposition:
                        for s in enumerate_maximal_antichains(conflict, items)}
             for v in dec.verdicts:
                 assert (frozenset(v.members) in maximal) == v.maximal, name
+
+
+def reference_masks(items, conflict, irreflexive=True):
+    """The conflict rows and refusals as built from 0/1 strings, pair by pair."""
+    flags = ["".join("1" if conflict(a, b) else "0" for b in items) for a in items]
+    if irreflexive:
+        for i, row in enumerate(flags):
+            if row[i] == "1":
+                a = items[i]
+                raise ValueError(f"conflict relation is not irreflexive: witness ({a!r}, {a!r})")
+    for i in range(len(items)):
+        for j in range(len(items)):
+            if flags[i][j] != flags[j][i]:
+                raise ValueError(f"relation is not symmetric: witness pair "
+                                 f"({items[i]!r}, {items[j]!r})")
+    return [int(row[::-1], 2) for row in flags]
+
+
+def outcome(run):
+    try:
+        return run()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestCheckRows:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_relations(max_items=8), st.booleans())
+    def test_refusals_match_callback_rows(self, drawn, irreflexive):
+        order, rel = drawn
+
+        def conflict(a, b):
+            return (a, b) in rel
+        items = [f"i{x}" for x in order]   # reprs with quotes, as in the messages
+        named = dict(zip(items, order))
+
+        def by_name(a, b):
+            return conflict(named[a], named[b])
+        want = outcome(lambda: reference_masks(items, by_name, irreflexive))
+        rows = rows_of(items, by_name)
+        assert outcome(lambda: C._check_rows(items, rows, irreflexive)) == want
+        assert outcome(lambda: C._conflict_masks(items, by_name, irreflexive)) == want
+        assert outcome(lambda: C._conflict_masks(items, None, irreflexive, rows=rows)) == want
+
+    def test_procedures_refuse_given_rows_as_callback_rows(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            rel = {(a, b) for a in range(n) for b in range(n) if rng.random() < 0.3}
+            items = list(range(n))
+            rng.shuffle(items)
+            seq = arrangement(items)
+
+            def conflict(a, b):
+                return (a, b) in rel
+            rows = rows_of(items, conflict)
+            for run in (C.hpc_count, C.pca_count, C.hpca_count, C.fhca_count,
+                        C.is_hpca_coherent, fhca_rounds,
+                        lambda s, cf, **kw: C.find_coherent_order(s.sequence, cf, **kw)):
+                want = outcome(lambda: run(seq, conflict))
+                got = outcome(lambda: run(seq, None, rows=rows))
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert not isinstance(got, str)
+
+    @pytest.mark.parametrize("rows", [[0], [0, 0, 0], [0b100, 0], [-1, 0], [0, 1 << 5]])
+    def test_malformed_rows_refused(self, rows):
+        with pytest.raises(ValueError, match="conflict rows must be 2 masks of 2 bits"):
+            C.pca_count(arrangement(["a", "b"]), None, rows=rows)
 
 
 class TestHpca:
@@ -380,39 +508,49 @@ def counted(conflict):
 
 
 class TestConflictCalls:
-    """Each procedure asks the conflict about every ordered pair exactly once;
-    where a procedure verifies its run (hpca, is_hpca_coherent),
-    ``verify_decomposition``'s independent checks come on top, unchanged.
-    fhca does not verify: its caller does, once."""
+    """Without ``rows=``, each procedure asks the conflict about every ordered
+    pair exactly once, n² calls in all; hpca and is_hpca_coherent verify on
+    those rows with no further call, and ``verify_decomposition`` alone makes
+    its own n².  Given ``rows=``, no procedure calls the conflict."""
+
+    RUNS = {
+        "hpc": C.hpc_count,
+        "pca": C.pca_count,
+        "hpca": C.hpca_count,
+        "is_hpca_coherent": C.is_hpca_coherent,
+        "fhca": C.fhca_count,
+        "fhca_rounds": fhca_rounds,
+        "fhca_rounds-random": lambda seq, cf, **kw: fhca_rounds(seq, cf, strategy="random",
+                                                                **kw),
+        "find_coherent_order": lambda seq, cf, **kw: C.find_coherent_order(seq.sequence, cf,
+                                                                          **kw),
+    }
+
+    @staticmethod
+    def runs(seq, conflict):
+        """Every procedure, and verify_decomposition on a run made apart."""
+        trace = C.pca_count(seq, conflict)
+        return {**TestConflictCalls.RUNS,
+                "verify_decomposition": lambda _, cf, **kw: C.verify_decomposition(trace, cf,
+                                                                                   **kw)}
 
     def test_each_ordered_pair_asked_once(self, poset_corpus):
-        runs = {
-            "hpc": C.hpc_count,
-            "pca": C.pca_count,
-            "fhca_rounds": fhca_rounds,
-            "fhca_rounds-random": lambda seq, cf: fhca_rounds(seq, cf, strategy="random"),
-            "find_coherent_order": lambda seq, cf: C.find_coherent_order(seq.sequence, cf),
-        }
-        for name, (items, _, conflict) in poset_corpus[:60]:
-            pairs = sorted(itertools.product(items, repeat=2))
-            for proc, run in runs.items():
-                cf, calls = counted(conflict)
-                run(arrangement(items), cf)
-                assert sorted(calls) == pairs, (proc, name)
-
-    def test_verification_calls_come_on_top(self, poset_corpus):
         for name, (items, _, conflict) in poset_corpus[:60]:
             seq = arrangement(items)
-            n2 = len(items) ** 2
             pairs = sorted(itertools.product(items, repeat=2))
-            vf, verify_calls = counted(conflict)
-            C.verify_decomposition(C.hpca_count(seq, conflict)[0], vf)
-            for run, verified in ((C.hpca_count, True), (C.fhca_count, False),
-                                  (C.is_hpca_coherent, True)):
+            for proc, run in self.runs(seq, conflict).items():
                 cf, calls = counted(conflict)
                 run(seq, cf)
-                assert sorted(calls[:n2]) == pairs, (run.__name__, name)
-                assert calls[n2:] == (verify_calls if verified else []), (run.__name__, name)
+                assert sorted(calls) == pairs, (proc, name)
+
+    def test_given_rows_make_no_calls(self, poset_corpus):
+        for name, (items, _, conflict) in poset_corpus[:60]:
+            seq = arrangement(items)
+            rows = rows_of(items, conflict)
+            for proc, run in self.runs(seq, conflict).items():
+                cf, calls = counted(conflict)
+                assert run(seq, cf, rows=rows) == run(seq, conflict), (proc, name)
+                assert calls == [], (proc, name)
 
 
 class TestDeterminismAndExport:

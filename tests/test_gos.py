@@ -251,6 +251,16 @@ class TestSpaceBasics:
         bad = space.containment_violations()
         assert bad  # upper misses parts of lower: reported, not an exception
 
+    @pytest.mark.parametrize("cap,listed", [(-3, 0), (0, 0), (1, 1), (3, 3), (10, 4)])
+    def test_containment_lists_at_most_cap(self, cap, listed):
+        # lower is the full region and upper the empty one: all 4 regions violate
+        u = Universe(("a", "b"))
+        space = GranularOperatorSpace(u, Granulation.from_sets(u, [["a"], ["b"]]),
+                                      lower=lambda r: u.full_region(),
+                                      upper=lambda r: u.empty_region())
+        assert len(space.containment_violations()) == 4
+        assert space.containment_violations(cap) == space.containment_violations()[:listed]
+
     def test_explicit_mode_requires_both(self, u5, gran5):
         with pytest.raises(ValueError, match="both"):
             GranularOperatorSpace(u5, gran5, lower=lambda a: a)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from granum import GranularOperatorSpace, Universe, Granulation
 from granum import parthood as ph
-from granum.core import DEFAULT_SEED, Basis
+from granum.core import DEFAULT_SEED, Basis, _transpose
 
 from conftest import granulation_suite, seeded_space
 
@@ -305,8 +305,20 @@ class TestRelationRows:
 
     def test_transpose(self):
         rows = [0b011, 0b000, 0b110, 0b001]
-        assert ph._transpose(rows, 3) == [0b1001, 0b0101, 0b0100]
-        assert ph._transpose([], 2) == [0, 0]
+        assert _transpose(rows, 3) == [0b1001, 0b0101, 0b0100]
+        assert _transpose([], 2) == [0, 0]
+
+    @pytest.mark.parametrize("density", [0, 0.05, 0.5, 0.98, 1])
+    def test_transpose_matches_per_bit_reference(self, density):
+        rng = random.Random(str(density))
+        for width in range(201):
+            square = {width} if width <= 64 or width in (120, 200) else set()
+            for m in {0, 1, rng.randint(2, 40)} | square:
+                rows = [sum(1 << j for j in range(width) if rng.random() < density)
+                        for _ in range(m)]
+                want = [sum((row >> j & 1) << i for i, row in enumerate(rows))
+                        for j in range(width)]
+                assert _transpose(rows, width) == want, (width, m)
 
 
 def _reference_audit(v, ctx, basis, witness_cap=5, include_proper_confluence=False):
@@ -357,7 +369,7 @@ def _reference_audit(v, ctx, basis, witness_cap=5, include_proper_confluence=Fal
     checks.append(_reference_confluence("strictly-confluent", rows, witness,
                                         ok_tag, witness_cap))
     if include_proper_confluence:
-        proper_rows = [row & ~col for row, col in zip(rows, ph._transpose(rows, m))]
+        proper_rows = [row & ~col for row, col in zip(rows, _transpose(rows, m))]
         checks.append(_reference_confluence("strictly-confluent-proper", proper_rows,
                                             witness, ok_tag, witness_cap))
 
@@ -459,7 +471,7 @@ class TestFailureScans:
 
     def test_scans_on_a_small_relation(self):
         rows = [0b011, 0b100, 0b011]   # 0 -> {0, 1}, 1 -> {2}, 2 -> {0, 1}
-        cols = ph._transpose(rows, 3)
+        cols = _transpose(rows, 3)
         assert list(ph._reflexive_failures(rows)) == [1, 2]
         assert list(ph._transitive_failures(rows)) == [(0, 1, 0b100), (1, 2, 0b011),
                                                        (2, 1, 0b100)]
