@@ -23,7 +23,8 @@ replay each pass rule by rule.
 
 Each procedure works on the conflict's bit rows over the sequence: bit j of
 row i is set when item i conflicts with item j.  A caller that already holds
-them passes ``rows=`` and the conflict callback is never called; otherwise
+them passes ``rows=`` (every procedure but ``fhca_rounds``, which the command
+line does not run) and the conflict callback is never called; otherwise
 the rows are built from one call per ordered pair, n² calls in all.  Either
 way they are refused, with the first witness, unless irreflexive (hpc never
 reads the diagonal) and symmetric.  ``verify_decomposition`` re-checks a
@@ -593,8 +594,7 @@ def fhca_count(seq: OrderArrangement, conflict: ConflictFn, budget: int | None =
 
 def fhca_rounds(seq: OrderArrangement, conflict: ConflictFn,
                 strategy: str = "rotation", budget: int | None = None,
-                seed: int = DEFAULT_SEED, *,
-                rows: Sequence[int] | None = None) -> tuple[CountingTrace, list[tuple]]:
+                seed: int = DEFAULT_SEED) -> tuple[CountingTrace, list[tuple]]:
     """Collect first-pass maximal antichains under permuted orders until covered.
 
     Each round takes the first-pass maximal antichain of the current order
@@ -603,7 +603,7 @@ def fhca_rounds(seq: OrderArrangement, conflict: ConflictFn,
     Any other strategy takes a seeded random permutation.
     """
     items = _require_items(seq)
-    rows = _conflict_masks(items, conflict, rows=rows)
+    rows = _conflict_masks(items, conflict)
     n = len(items)
     if budget is None:
         budget = n

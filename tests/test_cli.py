@@ -489,7 +489,7 @@ class TestErrorsAndDeterminism:
         assert code == 2 and out == ""
         assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [["--attrs", "zzz"], ["--attrs", "a,b"],
+    @pytest.mark.parametrize("extra", [["--attrs", "zzz"], ["--attrs", "a,b"], ["--attrs", ""],
                                        ["--format", "json"], ["--format", "csv"]])
     @pytest.mark.parametrize("argv", [["gos-audit"], ["approx", "--region", "p"],
                                       ["count", "--algo", "hpc"]])

@@ -252,7 +252,7 @@ class TestCheckRows:
                 return (a, b) in rel
             rows = rows_of(items, conflict)
             for run in (C.hpc_count, C.pca_count, C.hpca_count, C.fhca_count,
-                        C.is_hpca_coherent, fhca_rounds,
+                        C.is_hpca_coherent,
                         lambda s, cf, **kw: C.find_coherent_order(s.sequence, cf, **kw)):
                 want = outcome(lambda: run(seq, conflict))
                 got = outcome(lambda: run(seq, None, rows=rows))
@@ -519,26 +519,25 @@ class TestConflictCalls:
         "hpca": C.hpca_count,
         "is_hpca_coherent": C.is_hpca_coherent,
         "fhca": C.fhca_count,
-        "fhca_rounds": fhca_rounds,
-        "fhca_rounds-random": lambda seq, cf, **kw: fhca_rounds(seq, cf, strategy="random",
-                                                                **kw),
         "find_coherent_order": lambda seq, cf, **kw: C.find_coherent_order(seq.sequence, cf,
                                                                           **kw),
     }
 
     @staticmethod
     def runs(seq, conflict):
-        """Every procedure, and verify_decomposition on a run made apart."""
+        """Every procedure that takes rows=, and verify_decomposition on a run made apart."""
         trace = C.pca_count(seq, conflict)
         return {**TestConflictCalls.RUNS,
                 "verify_decomposition": lambda _, cf, **kw: C.verify_decomposition(trace, cf,
                                                                                    **kw)}
 
     def test_each_ordered_pair_asked_once(self, poset_corpus):
+        rounds = {"fhca_rounds": fhca_rounds,
+                  "fhca_rounds-random": lambda seq, cf: fhca_rounds(seq, cf, strategy="random")}
         for name, (items, _, conflict) in poset_corpus[:60]:
             seq = arrangement(items)
             pairs = sorted(itertools.product(items, repeat=2))
-            for proc, run in self.runs(seq, conflict).items():
+            for proc, run in {**self.runs(seq, conflict), **rounds}.items():
                 cf, calls = counted(conflict)
                 run(seq, cf)
                 assert sorted(calls) == pairs, (proc, name)
