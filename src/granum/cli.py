@@ -91,8 +91,9 @@ def _parse_regions(space: gos_mod.GranularOperatorSpace, raw: list[str]) -> list
 
 
 def _items(space: gos_mod.GranularOperatorSpace, args: argparse.Namespace):
-    """The ``--items`` collection, its ``--conflict``, its parthood order ``le``
-    and the conflict's bit rows over the collection.
+    """The ``--items`` collection, the bit rows of its ``--conflict`` and of
+    its parthood order over the collection: bit j of row i relates item i
+    to item j.
 
     Items are universe elements (as singletons) or rough-object classes (by
     representative); both relations read one set of parthood rows.
@@ -113,14 +114,13 @@ def _items(space: gos_mod.GranularOperatorSpace, args: argparse.Namespace):
     else:                                  # incomparability, kept literal on the diagonal
         full = (1 << len(items)) - 1
         conflicts = [row ^ full for row in either]
+    return items, conflicts, rows
+
+
+def _relation(items: list[str], rows: list[int]):
+    """The relation that bit rows over ``items`` hold, as a callback."""
     index = {item: i for i, item in enumerate(items)}
-
-    def conflict(a: str, b: str) -> bool:
-        return bool(conflicts[index[a]] >> index[b] & 1)
-
-    def le(a: str, b: str) -> bool:
-        return a == b or bool(rows[index[a]] >> index[b] & 1)
-    return items, conflict, le, conflicts
+    return lambda a, b: bool(rows[index[a]] >> index[b] & 1)
 
 
 def _cmd_approx(args):
@@ -208,20 +208,20 @@ def _cmd_count(args):
     if args.budget is not None and args.algo != "fhca":
         raise ParseError("--budget applies only to --algo fhca")
     space = _load_space(args, pH.variant(args.parthood))
-    items, conflict, _, rows = _items(space, args)
+    items, rows, _ = _items(space, args)
     seq = counting.arrangement(items)
     antichains = None
     decomposition = None
     if args.algo == "hpc":
-        trace = counting.hpc_count(seq, conflict, rows=rows)
+        trace = counting.hpc_count(seq, None, rows=rows)
     elif args.algo == "pca":
-        trace = counting.pca_count(seq, conflict, rows=rows)
-        decomposition = counting.verify_decomposition(trace, conflict, rows=rows)
+        trace = counting.pca_count(seq, None, rows=rows)
+        decomposition = counting.verify_decomposition(trace, None, rows=rows)
     elif args.algo == "hpca":
-        trace, decomposition = counting.hpca_count(seq, conflict, rows=rows)
+        trace, decomposition = counting.hpca_count(seq, None, rows=rows)
     elif args.algo == "fhca":
-        trace, antichains = counting.fhca_count(seq, conflict, budget=args.budget, rows=rows)
-        decomposition = counting.verify_decomposition(trace, conflict, rows=rows)
+        trace, antichains = counting.fhca_count(seq, None, budget=args.budget, rows=rows)
+        decomposition = counting.verify_decomposition(trace, None, rows=rows)
     else:
         raise ParseError(f"unknown algorithm {args.algo!r}")
     payload = {"config": {"algorithm": args.algo, "items": args.items,
@@ -243,13 +243,13 @@ def _cmd_coherence(args):
     if args.budget is not None and not args.search:
         raise ParseError("--budget applies only with --search")
     space = _load_space(args, pH.variant(args.parthood))
-    items, conflict, _, rows = _items(space, args)
+    items, rows, _ = _items(space, args)
     seq = counting.arrangement(items)
-    coherent = counting.is_hpca_coherent(seq, conflict, rows=rows)
+    coherent = counting.is_hpca_coherent(seq, None, rows=rows)
     payload: dict = {"order": list(items), "coherent": coherent}
     lines = [f"order {items}: {'coherent' if coherent else 'NOT coherent'}"]
     if args.search:
-        result = counting.find_coherent_order(items, conflict, budget=args.budget,
+        result = counting.find_coherent_order(items, None, budget=args.budget,
                                               seed=args.seed, rows=rows)
         payload["search"] = result.to_dict()
         if result.found is not None:
@@ -292,13 +292,14 @@ def _cmd_inverse(args):
 def _cmd_oracle(args):
     space = _load_space(args, pH.variant(args.parthood))
     if args.op == "maximal-antichains":
-        items, conflict, _, _ = _items(space, args)
-        chains = oracles.enumerate_maximal_antichains(conflict, items)
+        items, conflicts, _ = _items(space, args)
+        chains = oracles.enumerate_maximal_antichains(_relation(items, conflicts), items)
         payload = {"maximal_antichains": [list(c) for c in chains]}
         text = "\n".join("{%s}" % ", ".join(str(m) for m in c) for c in chains)
         return payload, text, False
     if args.op == "antichain-cover":
-        items, _, le, _ = _items(space, args)
+        items, _, rows = _items(space, args)
+        le = _relation(items, [row | 1 << i for i, row in enumerate(rows)])
         cover = oracles.minimum_antichain_cover(le, items)
         payload = {"cover": cover.to_dict()}
         text = "\n".join(f"level {i}: {{{', '.join(l)}}}"

@@ -403,20 +403,12 @@ def _transpose(rows: list[int], width: int) -> list[int]:
     """The ``width`` columns of a bit matrix of ``width``-bit rows: bit i of
     column j is bit j of row i.
 
-    A matrix with at most one bit in 20 set walks its set bits.  A denser
-    one takes one C-level ``zip`` over the rows' binary strings, last row
-    first so that each column's string reads most significant bit first,
-    at a cost that does not depend on how many bits are set.  On 256 x 256
-    matrices the two cost the same near that density.
+    One C-level ``zip`` over the rows' binary strings, last row first so
+    that each column's string reads most significant bit first; its cost
+    does not depend on how many bits are set.
     """
-    if sum(map(int.bit_count, rows)) * 20 <= len(rows) * width:
-        cols = [0] * width
-        for i, row in enumerate(rows):
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        return cols
+    if not rows or not width:
+        return [0] * width
     strings = [format(row, f"0{width}b") for row in reversed(rows)]
     return [int("".join(col), 2) for col in zip(*strings)][::-1]
 

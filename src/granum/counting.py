@@ -24,11 +24,11 @@ replay each pass rule by rule.
 Each procedure works on the conflict's bit rows over the sequence: bit j of
 row i is set when item i conflicts with item j.  A caller that already holds
 them passes ``rows=`` (every procedure but ``fhca_rounds``, which the command
-line does not run) and the conflict callback is never called; otherwise
-the rows are built from one call per ordered pair, n² calls in all.  Either
-way they are refused, with the first witness, unless irreflexive (hpc never
-reads the diagonal) and symmetric.  ``verify_decomposition`` re-checks a
-run on masks too, and reads the relation as it is; its pair-by-pair form,
+line does not run) and the conflict callback is never read, so it may be
+``None``; otherwise the rows are built from one call per ordered pair, n²
+calls in all.  Either way they are refused, with the first witness, unless
+irreflexive (hpc never reads the diagonal) and symmetric.
+``verify_decomposition`` re-checks a run on masks too, and reads the relation as it is; its pair-by-pair form,
 asking the callback lazily, is :func:`granum.oracles.verify_decomposition_by_calls`,
 the tests' reference.
 """
@@ -320,6 +320,7 @@ def hpc_count(seq: OrderArrangement, relation: ConflictFn, *,
     predecessor -> opens the next type; related to no earlier element ->
     successor of the current type; related to an earlier element but not the
     predecessor -> also opens the next type (history-aware gap rule).
+    With ``rows=`` given, ``relation`` is not read and may be ``None``.
     """
     items = _require_items(seq)
     rows = _conflict_masks(items, relation, irreflexive=False, rows=rows)
@@ -349,7 +350,8 @@ def pca_count(seq: OrderArrangement, conflict: ConflictFn, *,
 
     An element that conflicts with every open category opens the next one.
     Labels are per-category running counts, so category j ends up labeled
-    1_j .. Q_j with no gaps.
+    1_j .. Q_j with no gaps.  With ``rows=`` given, ``conflict`` is not
+    read and may be ``None``.
     """
     items = _require_items(seq)
     rows = _conflict_masks(items, conflict, rows=rows)
@@ -416,8 +418,8 @@ def hpca_count(seq: OrderArrangement, conflict: ConflictFn, *, rows: Sequence[in
 
     ``rows``, when given, are the conflict's bit rows over ``seq`` in
     sequence order; they get the same refusals as rows built from
-    ``conflict``, which is then never called.  Otherwise ``conflict`` is
-    called once per ordered pair, n² calls in all.  The run is verified by
+    ``conflict``, which is then never read and may be ``None``.  Otherwise
+    ``conflict`` is called once per ordered pair, n² calls in all.  The run is verified by
     :func:`verify_decomposition` on the same rows, with no further calls.
     """
     items = _require_items(seq)
@@ -472,7 +474,8 @@ def verify_decomposition(trace: CountingTrace, conflict: ConflictFn, *,
     All verdicts are recomputed against the full collection; nothing is
     trusted from the run itself.  The relation is read as it is, from
     ``rows`` (bit rows over the collection, in collection order) when given,
-    else from one call of ``conflict`` per ordered pair, and is not refused
+    else from one call of ``conflict`` per ordered pair (with ``rows``
+    given, ``conflict`` is not read and may be ``None``), and is not refused
     when reflexive or asymmetric.  A category's conflict witness is its first
     conflicting pair in member order; its maximality witness is the first
     item in collection order that could still join it.
@@ -522,7 +525,10 @@ def verify_decomposition(trace: CountingTrace, conflict: ConflictFn, *,
 
 def is_hpca_coherent(seq: OrderArrangement, conflict: ConflictFn, *,
                      rows: Sequence[int] | None = None) -> bool:
-    """True when the run covers the collection with maximal antichains."""
+    """True when the run covers the collection with maximal antichains.
+
+    With ``rows=`` given, ``conflict`` is not read and may be ``None``.
+    """
     _, decomposition = hpca_count(seq, conflict, rows=rows)
     return bool(decomposition.coherent)
 
@@ -555,7 +561,8 @@ def find_coherent_order(collection: Iterable[Item], conflict: ConflictFn,
     arrangement is coherent, so the first one tried is the answer: the
     canonical order when n <= 8 (``exhaustive`` when the budget admits all
     n! arrangements), otherwise the first seeded shuffle.  A budget below 1
-    tries nothing and finds nothing.
+    tries nothing and finds nothing.  With ``rows=`` given, ``conflict`` is
+    not read and may be ``None``.
     """
     items = tuple(collection)
     if not items:
@@ -583,7 +590,8 @@ def fhca_count(seq: OrderArrangement, conflict: ConflictFn, budget: int | None =
     :func:`hpca_count` it does not verify its run; callers that want the
     verdict call :func:`verify_decomposition`.  The permuted-order
     collection rounds are :func:`fhca_rounds`.  ``budget``, when given,
-    must be >= 1.
+    must be >= 1.  With ``rows=`` given, ``conflict`` is not read and may be
+    ``None``.
     """
     items = _require_items(seq)
     if budget is not None and budget < 1:

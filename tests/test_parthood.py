@@ -308,7 +308,7 @@ class TestRelationRows:
         assert _transpose(rows, 3) == [0b1001, 0b0101, 0b0100]
         assert _transpose([], 2) == [0, 0]
 
-    @pytest.mark.parametrize("density", [0, 0.02, 0.05, 0.5, 0.98, 1])
+    @pytest.mark.parametrize("density", [0, 0.05, 0.5, 0.98, 1])
     def test_transpose_matches_per_bit_reference(self, density):
         rng = random.Random(str(density))
         for width in range(201):
