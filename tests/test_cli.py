@@ -366,6 +366,18 @@ class TestCoherenceAndOracle:
         assert capsys.readouterr().err == ("error: relation is not a partial order: "
                                            "antisymmetry fails on ('{}', '{p}')\n")
 
+    @pytest.mark.parametrize("variant, levels", [
+        ("ultra-cautious", [{"p", "q", "r", "s"}]),
+        ("lateral-plus-plus", [{"s"}, {"p", "q", "r"}]),
+    ])
+    def test_oracle_cover_reads_each_item_below_itself(self, variant, levels):
+        # neither variant relates every item to itself here; the cover's
+        # order is the parthood with the diagonal added
+        code, doc = run_json(["oracle", "--op", "antichain-cover", "--input", VEE,
+                              "--parthood", variant])
+        assert code == 0
+        assert [set(l) for l in doc["cover"]["levels"]] == levels
+
     def test_oracle_cover_rejects_non_partial_order(self):
         # very-cautious is not antisymmetric here: rejected with exit 2
         code, text = run_cli(["oracle", "--op", "antichain-cover", "--input", VEE,
