@@ -4,9 +4,11 @@ The recordings in ``fixtures/golden/`` (one file per input fixture) pin the
 command line byte for byte: each subcommand on each fixture in both output
 modes, every counting algorithm on both item collections, the coherence
 search at several budgets, sampled parthood audits (one on 62 elements,
-one of every variant on 16 overlapping elements), two error cases, and
-every counting algorithm under both conflicts and two parthood variants on
-a dense 120-element and a sparse 60-element context (gzipped recordings).
+one of every variant on 16 overlapping elements, g-simple on 24), two
+error cases, every axiom audit under every parthood variant on a
+14-element table (all 16384 regions), and every counting algorithm under
+both conflicts and two parthood variants on a dense 120-element and a
+sparse 60-element context (gzipped recordings).
 A change that alters any of them shows up here as a diff.
 
 Regenerate the recordings, only when an output change is intended, with::
@@ -28,7 +30,7 @@ import sys
 
 import pytest
 
-from granum import cli
+from granum import cli, parthood as pH
 
 from conftest import FIXTURES
 
@@ -83,6 +85,19 @@ CASES["ctx_overlap16.json"] = {
     f"parthood-audit-budget256-seed7-{output}": [
         "parthood-audit", "--variant", "all", "--budget", "256", "--seed", "7",
         "--input", "{fixtures}/ctx_overlap16.json", "--output", output]
+    for output in ("json", "text")}
+# Axiom audits at the exhaustive cap (14 elements, 16384 regions) under every
+# parthood variant, on an 8-block table shaped as the audit workload's tables.
+CASES["table_cap14.csv"] = {
+    f"gos-audit-{parthood}-{output}": [
+        "gos-audit", "--axiom", "all", "--parthood", parthood,
+        "--input", "{fixtures}/table_cap14.csv", "--output", output]
+    for parthood in sorted(pH.VARIANTS) for output in ("json", "text")}
+# g-simple on 24 overlapping elements, as in the audit workload.
+CASES["ctx_overlap24.json"] = {
+    f"parthood-audit-g-simple-budget128-seed7-{output}": [
+        "parthood-audit", "--variant", "g-simple", "--budget", "128", "--seed", "7",
+        "--input", "{fixtures}/ctx_overlap24.json", "--output", output]
     for output in ("json", "text")}
 # Counting at benchmark scale, on contexts shaped as the count workload's:
 # conflict density about 0.98 (dense, 120 elements) and 0.5 (sparse, 60).
