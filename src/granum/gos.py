@@ -5,12 +5,20 @@ A space bundles a universe, a granulation, lower/upper operators (derived
 from the granulation by union, or supplied explicitly) and a parthood
 variant.  The audits check the defining axioms empirically and report
 witnesses; nothing is assumed that was not scanned.
+
+The audits read the (lower, upper) signatures of their basis in one call,
+:meth:`GranularOperatorSpace.signatures`.  On a derived space, asked for
+all 2^n regions in ascending order, it builds their signature table by
+doubling on each element in turn and keeps it, so that later reads (the
+lowers of scanned regions, the targets of a parthood relation) are list
+lookups.  Explicit operators are asked region by region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
+from itertools import chain, islice
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -44,6 +52,7 @@ class GranularOperatorSpace:
         self._lower_op = self._wrap(lower)
         self._upper_op = self._wrap(upper)
         self._cache: dict[int, tuple[int, int]] = {}
+        self._table: list[tuple[int, int]] | None = None   # every region's signature
 
     @classmethod
     def from_sets(cls, elements: Iterable[str], granules: Iterable[Iterable[str]],
@@ -85,6 +94,24 @@ class GranularOperatorSpace:
         self._cache[bits] = sig
         return sig
 
+    def signatures(self, masks: Sequence[int]) -> list[tuple[int, int]]:
+        """(lower, upper) masks of each region mask, in order.
+
+        On a derived space, the first request for all 2^n masks in ascending
+        order builds the table of every region's signature (see
+        :func:`_signature_table`); the space keeps it and reads any later
+        masks from it.  Explicit operators and other mask lists go through
+        :meth:`signature_bits`, mask by mask.
+        """
+        table = self._table
+        if table is None and self._lower_op is None:
+            n = len(self.universe)
+            if len(masks) == 1 << n and masks == list(range(1 << n)):
+                table = self._table = _signature_table(self._masks, n)
+        if table is None:
+            return [self.signature_bits(bits) for bits in masks]
+        return list(map(table.__getitem__, masks))
+
     def lower(self, a: Region) -> Region:
         return Region(self.universe, self.signature_bits(a.bits)[0])
 
@@ -102,14 +129,34 @@ class GranularOperatorSpace:
         """Regions where upper does not contain lower (checked, not assumed),
         the first ``cap`` of them in ``basis`` (default: the axiom audits');
         none below a cap of 1."""
-        bad = []
-        for bits in (basis or _axiom_basis(len(self.universe))).scan(self.universe):
-            if len(bad) >= cap:
-                break
-            lo, up = self.signature_bits(bits)
-            if lo & ~up:
-                bad.append(self.universe.region_from_bits(bits))
-        return bad
+        scanned = (basis or _axiom_basis(len(self.universe))).scan(self.universe)
+        bad = (bits for bits, (lo, up) in zip(scanned, self.signatures(scanned)) if lo & ~up)
+        return [self.universe.region_from_bits(bits) for bits in islice(bad, max(cap, 0))]
+
+
+def _signature_table(granules: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """The (lower, upper) masks of every ``n``-bit region, indexed by mask.
+
+    Doubles the table once per element e: the masks with bit e and no
+    higher bit are the earlier masks m with ``1 << e`` added.  Their upper
+    gains the granules that hold e; their lower gains each granule whose
+    highest element is e, where the rest of it lies inside m (a granule
+    with a higher element fits no such mask, one without e was counted in
+    m).  Empty and repeated granules add nothing.  About 2^n list steps
+    per element and per granule of that top element, instead of one pass
+    over the granules per region.
+    """
+    lowers, uppers = [0], [0]
+    for e in range(n):
+        bit = 1 << e
+        hold = reduce(or_, (g for g in granules if g & bit), 0)
+        uppers += [up | hold for up in uppers]
+        top = lowers
+        for g in {g for g in granules if g.bit_length() == e + 1}:
+            rest = g ^ bit
+            top = [lo | g if m & rest == rest else lo for m, lo in enumerate(top)]
+        lowers = lowers + top
+    return list(zip(lowers, uppers))
 
 
 @dataclass(frozen=True)
@@ -154,18 +201,15 @@ def audit_weak_representability(gos: GranularOperatorSpace, basis: Basis | None 
     scanned = basis.scan(gos.universe)
     masks = gos.granulation.masks()
     region = gos.universe.region_from_bits
-    is_union = cache(lambda value: lower_bits(value, masks) == value)
-    witnesses = []
-    failures = 0
-    for bits in scanned:
-        for side, value in zip(("lower", "upper"), gos.signature_bits(bits)):
-            if not is_union(value):
-                failures += 1
-                if len(witnesses) < witness_cap:
-                    witnesses.append({"region": region(bits), "side": side,
-                                      "value": region(value)})
-    return AxiomReport("weak-representability", failures == 0, basis.mode,
-                       len(scanned), tuple(witnesses), seed=basis.seed)
+    sigs = gos.signatures(scanned)
+    bad = {value for value in set(chain.from_iterable(sigs))
+           if lower_bits(value, masks) != value}
+    found = ({"region": region(bits), "side": side, "value": region(value)}
+             for bits, sig in zip(scanned, sigs)
+             for side, value in zip(("lower", "upper"), sig) if value in bad)
+    witnesses = tuple(islice(found, max(witness_cap, 0))) if bad else ()
+    return AxiomReport("weak-representability", not bad, basis.mode,
+                       len(scanned), witnesses, seed=basis.seed)
 
 
 def audit_lower_stability(gos: GranularOperatorSpace, basis: Basis | None = None,
@@ -178,7 +222,7 @@ def audit_lower_stability(gos: GranularOperatorSpace, basis: Basis | None = None
     masks = gos.granulation.masks()
     to_x = ph.relation_rows(gos.parthood, gos, masks, scanned)
     to_xl = ph.relation_rows(gos.parthood, gos, masks,
-                             [gos.signature_bits(bits)[0] for bits in scanned])
+                             [lo for lo, _ in gos.signatures(scanned)])
     bad = [x & ~xl for x, xl in zip(to_x, to_xl)]   # per granule: regions that fail
     witnesses: list[dict] = []
     for r in ph._bits(reduce(or_, bad, 0)):   # region by region, then granule
@@ -198,7 +242,8 @@ def audit_full_underlap(gos: GranularOperatorSpace, basis: Basis | None = None) 
     scanned = basis.scan(gos.universe)
     granules = gos.granulation.granules
     masks = gos.granulation.masks()
-    definite = [bits for bits in scanned if gos.signature_bits(bits) == (bits, bits)]
+    definite = [bits for bits, sig in zip(scanned, gos.signatures(scanned))
+                if sig == (bits, bits)]
     up = ph.relation_rows(gos.parthood, gos, masks, definite)
     down = _transpose(ph.relation_rows(gos.parthood, gos, definite, masks), len(masks))
     proper = [u & ~d for u, d in zip(up, down)]   # per granule: definite regions properly above
@@ -256,15 +301,16 @@ def rough_objects(gos: GranularOperatorSpace, notion: str = "maximal-consistent"
     n = len(gos.universe)
     if n > QUOTIENT_UNIVERSE_CAP:
         raise ValueError(f"universe too large for quotient enumeration (n={n} > {QUOTIENT_UNIVERSE_CAP})")
+    sigs = gos.signatures(list(range(1 << n)))   # indexed by mask
     grouped: dict[tuple[int, int], list[Region]] = {}
-    for a in gos.universe.all_regions():
-        grouped.setdefault(gos.signature_bits(a.bits), []).append(a)
+    for a, sig in zip(gos.universe.all_regions(), sigs):
+        grouped.setdefault(sig, []).append(a)
     classes = []
     for (lo, up), members in grouped.items():
         lower = gos.universe.region_from_bits(lo)
         upper = gos.universe.region_from_bits(up)
         crisp = lo == up and any(m.bits == lo for m in members)
-        stable = (gos.signature_bits(lo)[0] == lo and gos.signature_bits(up)[1] == up)
+        stable = sigs[lo][0] == lo and sigs[up][1] == up
         classes.append(RoughClass(tuple(members), lower, upper, crisp, stable))
     classes.sort(key=lambda c: c.members[0].bits)
     if notion == "definite-only":
@@ -308,14 +354,15 @@ class BasicRoughOrder:
 def basic_rough_order(q: RoughQuotient) -> BasicRoughOrder:
     """Quantify the space's parthood over class members to order the quotient.
 
-    Signature-based parthoods are decided on one representative per class;
-    other variants quantify over every member pair.
+    Parthoods that signatures decide (g-simple too, on a derived space) are
+    decided on one representative per class; custom evaluators, and
+    g-simple on explicit operators, quantify over every member pair.
     """
     gos = q.space
     v = gos.parthood
     classes = q.classes
 
-    if v.signature_based:   # one representative decides each class
+    if ph._subset_tests(v, gos) is not None:   # one representative decides each class
         reps = [c.representative().bits for c in classes]
         rows = ph.relation_rows(v, gos, reps, reps)
     else:                   # every member pair must hold

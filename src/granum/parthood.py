@@ -2,8 +2,11 @@
 
 Nine of the ten built-in predicate variants are read from one table of
 subset tests on approximation signatures, ``X(a) <= Y(b)`` with X and Y
-each the lower, upper or boundary mask (g-simple reads granule containment
-directly).  ``holds`` evaluates a variant on one pair of regions;
+each the lower, upper or boundary mask.  g-simple reads granule
+containment: every granule inside a lies inside b.  On a space whose
+operators the granules derive, that is very-cautious, ``lower(a) <=
+lower(b)``: every granule inside a lies inside lower(a), and lower(a)
+lies inside a.  ``holds`` evaluates a variant on one pair of regions;
 ``relation_rows`` evaluates it over lists of region masks as bit rows, by
 ANDing per-element columns rather than testing pair by pair.  The auditor
 measures reflexivity, transitivity, antisymmetry and strict confluence on a
@@ -108,29 +111,43 @@ def holds(v: ParthoodVariant, a: Region, b: Region, ctx: "GranularOperatorSpace"
     return all(x(sa) & ~y(sb) == 0 for x, y in _FORMULAS[v.name])
 
 
+def _subset_tests(v: ParthoodVariant, ctx: "GranularOperatorSpace"):
+    """The subset tests that decide ``v`` on ``ctx`` from signatures, or None
+    when only :func:`holds` can: custom evaluators, and g-simple on a space
+    with explicit operators (on a derived one it is very-cautious)."""
+    if v.evaluator is not None:
+        return None
+    if v.name == "g-simple" and not ctx.explicit:
+        return _FORMULAS["very-cautious"]
+    return _FORMULAS.get(v.name)
+
+
 def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
                   sources: list[int], targets: list[int]) -> list[int]:
     """Bit rows of ``v`` between region masks: one row per source.
 
     Bit j of row i is set iff ``v`` holds from ``sources[i]`` to
-    ``targets[j]``.  For a signature formula, the targets are grouped by
-    (lower, upper) signature, and each subset test ``X(a) <= Y(b)`` gets one
-    column per universe element e: the targets whose ``Y`` contains e.  A
-    source's row is then the AND of the columns of the elements of its
-    ``X`` (all targets when ``X`` is empty), built once per distinct source
-    signature: O(k * n) integer operations for k signatures on n elements,
-    not k * k formula calls.  g-simple and custom evaluators fall back to
-    :func:`holds` pair by pair.
+    ``targets[j]``.  The signatures of the sources and of the targets are
+    read in one :meth:`~granum.gos.GranularOperatorSpace.signatures` call
+    each, so an exhaustive basis reads the space's signature table.  For a
+    signature formula, the targets are grouped by (lower, upper) signature,
+    and each subset test ``X(a) <= Y(b)`` gets one column per universe
+    element e: the targets whose ``Y`` contains e.  A source's row is then
+    the AND of the columns of the elements of its ``X`` (all targets when
+    ``X`` is empty), built once per distinct source signature: O(k * n)
+    integer operations for k signatures on n elements, not k * k formula
+    calls.  g-simple is very-cautious on a derived space and is built the
+    same way; on explicit operators it falls back to :func:`holds` pair by
+    pair, as do custom evaluators.
     """
-    tests = _FORMULAS.get(v.name) if v.evaluator is None else None
+    tests = _subset_tests(v, ctx)
     if tests is None:
         region = ctx.universe.region_from_bits
         ends = [region(b) for b in targets]
         return [sum(1 << j for j, b in enumerate(ends) if holds(v, a, b, ctx))
                 for a in map(region, sources)]
     classes: dict[tuple[int, int], int] = {}   # signature -> its targets' bits, disjoint
-    for j, b in enumerate(targets):
-        sig = ctx.signature_bits(b)
+    for j, sig in enumerate(ctx.signatures(targets)):
         classes[sig] = classes.get(sig, 0) | 1 << j
     columns = []
     for x, y in tests:
@@ -146,8 +163,7 @@ def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
     everything = (1 << len(targets)) - 1
     by_sig: dict[tuple[int, int], int] = {}
     rows = []
-    for a in sources:
-        sig = ctx.signature_bits(a)
+    for sig in ctx.signatures(sources):
         row = by_sig.get(sig)
         if row is None:
             row = everything

@@ -15,7 +15,7 @@ from granum import (AxiomReport, Basis, Granulation, GranularOperatorSpace, Univ
                     knowledge_validity_check, lower_approx, rough_objects,
                     rough_origin, upper_approx)
 from granum import gos as gos_mod, parthood as ph
-from granum.core import _region_masks, lower_bits
+from granum.core import Region, _region_masks, lower_bits, upper_bits
 from granum.gos import _axiom_basis
 
 from conftest import granulation_suite, planted_pairs, seeded_space
@@ -294,6 +294,79 @@ class TestSpaceBasics:
         assert report.seed == 9
 
 
+def _granule_masks(rng, n):
+    """Random granule masks on n bits, empty and repeated ones included, that
+    need not cover the bits: more than a Granulation accepts."""
+    masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, n + 2))]
+    return masks + rng.sample(masks, rng.randint(0, len(masks))) + [0] * rng.randint(0, 1)
+
+
+class TestSignatureTable:
+    def test_table_matches_per_mask_signatures(self):
+        rng = random.Random("signature-table")
+        for n in range(11):
+            for _ in range(12 if n < 8 else 4):
+                granules = _granule_masks(rng, n)
+                assert gos_mod._signature_table(granules, n) == [
+                    (lower_bits(m, granules), upper_bits(m, granules))
+                    for m in range(1 << n)], (n, granules)
+
+    @given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=10))))
+    @settings(max_examples=300, deadline=None)
+    def test_table_matches_per_mask_signatures_property(self, case):
+        n, granules = case
+        assert gos_mod._signature_table(granules, n) == [
+            (lower_bits(m, granules), upper_bits(m, granules)) for m in range(1 << n)]
+
+    def test_space_builds_the_table_once_and_reads_masks_from_it(self, monkeypatch):
+        rng = random.Random("signatures")
+        for _ in range(30):
+            n = rng.randint(1, 10)
+            space = seeded_space(rng, n)
+            granules = space.granulation.masks()
+
+            def per_mask(masks):
+                return [(lower_bits(m, granules), upper_bits(m, granules)) for m in masks]
+            everything = list(range(1 << n))
+            some = [rng.randrange(1 << n) for _ in range(rng.randint(0, 40))]
+            # other mask lists, a full range out of order included, go mask by mask
+            assert space.signatures(some) == per_mask(some)
+            assert space.signatures(everything[::-1]) == per_mask(everything[::-1])
+            assert space._table is None
+            assert space.signatures(everything) == per_mask(everything)
+            table = space._table
+            assert table is not None
+            # later reads, arbitrary masks and the lowers of the scan, use the table
+            monkeypatch.setattr(space, "signature_bits", None)
+            assert space.signatures(some) == per_mask(some)
+            lowers = [lo for lo, _ in space.signatures(everything)]
+            assert space.signatures(lowers) == per_mask(lowers)
+            assert space._table is table
+
+    def test_explicit_space_never_builds_the_table(self):
+        rng = random.Random("signatures-explicit")
+        for _ in range(10):
+            n = rng.randint(1, 5)
+            space = seeded_space(rng, n, explicit=True)
+            everything = list(range(1 << n))
+            sigs = space.signatures(everything)
+            region = space.universe.region_from_bits
+            assert sigs == [(space._lower_op(region(m)).bits, space._upper_op(region(m)).bits)
+                            for m in everything]
+            assert space._table is None
+
+    def test_explicit_foreign_region_refused(self, u5, gran5):
+        other = Universe(("x",))
+        space = GranularOperatorSpace(u5, gran5, lower=lambda a: a,
+                                      upper=lambda a: Region(other, 1))
+        with pytest.raises(ValueError, match="foreign region"):
+            space.signatures(list(range(32)))
+        with pytest.raises(ValueError, match="foreign region"):
+            audit_weak_representability(space)
+        assert space._table is None
+
+
 class TestBasis:
     def test_reports_carry_the_seed_of_the_basis(self):
         # the seed a report states is the one its regions were drawn with
@@ -423,7 +496,7 @@ class TestAuditsMatchPairwiseReference:
             sampled = sorted(rng.sample(range(1 << n), rng.randint(1, 1 << n)))
             for basis in (Basis(list(range(1 << n)), "exhaustive", None),
                           Basis(sampled, "sampled", 5)):
-                for cap in (10, 1 << 20):
+                for cap in (-1, 0, 1, 10, 1 << 20):
                     want, failures = _reference_weak_representability(space, basis, cap)
                     tested.clear()
                     assert audit_weak_representability(space, basis, witness_cap=cap) == want
@@ -456,6 +529,28 @@ class TestAuditsMatchPairwiseReference:
                 (i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] and m[j][i]]
             assert order.bottoms() == [i for i in range(n) if all(m[i])]
             assert order.tops() == [j for j in range(n) if all(m[i][j] for i in range(n))]
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
+    def test_g_simple_order_equals_member_pair_rows(self, explicit, monkeypatch):
+        # On a derived space one representative per class decides g-simple (one
+        # relation_rows call); explicit operators keep the member-pair branch.
+        calls = []
+        rows_of = ph.relation_rows
+        monkeypatch.setattr(ph, "relation_rows", lambda *a: calls.append(a) or rows_of(*a))
+        rng = random.Random(f"g-simple-order-{explicit}")
+        for _ in range(12):
+            space = seeded_space(rng, rng.randint(1, 6 if not explicit else 4), explicit)
+            space.parthood = ph.G_SIMPLE
+            q = rough_objects(space)
+            members = [[a.bits for a in c.members] for c in q.classes]
+            region = space.universe.region_from_bits
+            want = [sum(1 << j for j, ys in enumerate(members)
+                        if all(ph.holds(ph.G_SIMPLE, region(x), region(y), space)
+                               for x in xs for y in ys))
+                    for xs in members]
+            calls.clear()
+            assert list(basic_rough_order(q).rows) == want
+            assert len(calls) == (len(members) ** 2 if explicit else 1)
 
 
 def _universe(n):

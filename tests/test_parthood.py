@@ -303,6 +303,24 @@ class TestRelationRows:
                     assert ph.holds(ph.variant(name), a, b, space) == \
                         definition(*sig(a), *sig(b)), (name, a, b)
 
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
+    def test_g_simple_rows_over_every_region_pair(self, explicit):
+        # On a derived space g-simple is read as very-cautious, and the rows of
+        # all 2^n x 2^n pairs equal pairwise holds.  Explicit operators that
+        # disagree with the granules part the two, and g-simple keeps holds.
+        rng = random.Random(f"g-simple-rows-{explicit}")
+        differ = 0
+        for _ in range(15):
+            n = rng.randint(1, 6 if not explicit else 4)
+            space = seeded_space(rng, n, explicit)
+            masks = list(range(1 << n))
+            regions = list(space.universe.all_regions())
+            rows = ph.relation_rows(ph.G_SIMPLE, space, masks, masks)
+            assert rows == [sum(1 << j for j, b in enumerate(regions)
+                                if ph.holds(ph.G_SIMPLE, a, b, space)) for a in regions]
+            differ += rows != ph.relation_rows(ph.VERY_CAUTIOUS, space, masks, masks)
+        assert differ if explicit else not differ
+
     def test_transpose(self):
         rows = [0b011, 0b000, 0b110, 0b001]
         assert _transpose(rows, 3) == [0b1001, 0b0101, 0b0100]
