@@ -311,14 +311,6 @@ class TestSignatureTable:
                     (lower_bits(m, granules), upper_bits(m, granules))
                     for m in range(1 << n)], (n, granules)
 
-    @given(st.integers(0, 7).flatmap(lambda n: st.tuples(
-        st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=10))))
-    @settings(max_examples=300, deadline=None)
-    def test_table_matches_per_mask_signatures_property(self, case):
-        n, granules = case
-        assert gos_mod._signature_table(granules, n) == [
-            (lower_bits(m, granules), upper_bits(m, granules)) for m in range(1 << n)]
-
     def test_space_builds_the_table_once_and_reads_masks_from_it(self, monkeypatch):
         rng = random.Random("signatures")
         for _ in range(30):
