@@ -142,9 +142,9 @@ def _signature_table(granules: Sequence[int], n: int) -> list[tuple[int, int]]:
     gains the granules that hold e; their lower gains each granule whose
     highest element is e, where the rest of it lies inside m (a granule
     with a higher element fits no such mask, one without e was counted in
-    m).  Empty and repeated granules add nothing.  About 2^n list steps
-    per element and per granule of that top element, instead of one pass
-    over the granules per region.
+    m).  Empty and repeated granules add nothing.  Element e costs 2^e
+    list steps for the upper and 2^e per granule whose top it is, instead
+    of one pass over the granules per region.
     """
     lowers, uppers = [0], [0]
     for e in range(n):
