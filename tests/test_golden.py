@@ -6,7 +6,8 @@ modes, every counting algorithm on both item collections, the coherence
 search at several budgets, sampled parthood audits (one on 62 elements,
 one of every variant on 16 overlapping elements, g-simple on 24), two
 error cases, every axiom audit under every parthood variant on a
-14-element table (all 16384 regions), and every counting algorithm under
+14-element table (all 16384 regions) and on 13 overlapping elements that
+the granules do not cover, and every counting algorithm under
 both conflicts and two parthood variants on a dense 120-element and a
 sparse 60-element context (gzipped recordings).
 A change that alters any of them shows up here as a diff.
@@ -92,6 +93,13 @@ CASES["table_cap14.csv"] = {
     f"gos-audit-{parthood}-{output}": [
         "gos-audit", "--axiom", "all", "--parthood", parthood,
         "--input", "{fixtures}/table_cap14.csv", "--output", output]
+    for parthood in sorted(pH.VARIANTS) for output in ("json", "text")}
+# The same on 13 elements with overlapping granules that leave e05 and e09
+# uncovered, where lower-stability and full-underlap fail under some variants.
+CASES["ctx_overlap13.json"] = {
+    f"gos-audit-{parthood}-{output}": [
+        "gos-audit", "--axiom", "all", "--parthood", parthood,
+        "--input", "{fixtures}/ctx_overlap13.json", "--output", output]
     for parthood in sorted(pH.VARIANTS) for output in ("json", "text")}
 # g-simple on 24 overlapping elements, as in the audit workload.
 CASES["ctx_overlap24.json"] = {
