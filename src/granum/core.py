@@ -10,6 +10,7 @@ classical operators.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import random
@@ -381,12 +382,25 @@ class Basis:
         return self.masks
 
 
+@functools.cache
+def _ascending(n: int) -> list[int]:
+    """All ``n``-bit masks in ascending order: one shared list per ``n``,
+    never to be changed.  Exhaustive bases are copies of it, so comparing
+    one with it meets the same int objects and takes one C-level pass."""
+    return list(range(1 << n))
+
+
+def _is_ascending(masks: list[int], n: int) -> bool:
+    """Whether ``masks`` are all 2^n regions of ``n`` elements, ascending."""
+    return len(masks) == 1 << n and masks == _ascending(n)
+
+
 def _region_masks(n: int, limit: int, sample: int, seed: int) -> Basis:
     """The basis of ``n``-bit masks: all 2^n if at most ``limit``, else
     ``sample`` distinct ones drawn with ``seed``."""
     total = 1 << n
     if total <= limit:
-        return Basis(list(range(total)), "exhaustive", None)
+        return Basis(list(_ascending(n)), "exhaustive", None)
     if sample < 1:
         raise ValueError("budget must be >= 1")
     rng = random.Random(seed)

@@ -6,12 +6,18 @@ from the granulation by union, or supplied explicitly) and a parthood
 variant.  The audits check the defining axioms empirically and report
 witnesses; nothing is assumed that was not scanned.
 
-The audits read the (lower, upper) signatures of their basis in one call,
-:meth:`GranularOperatorSpace.signatures`.  On a derived space, asked for
-all 2^n regions in ascending order, it builds their signature table by
-doubling on each element in turn and keeps it, so that later reads (the
-lowers of scanned regions, the targets of a parthood relation) are list
-lookups.  Explicit operators are asked region by region.
+On a derived space scanned over all 2^n regions in ascending order, the
+axiom audits read region-lattice columns (:class:`RegionColumns`): bit x
+of a 2^n-bit integer stands for the region with mask x, and each element e
+has one column of the regions that hold it, one of those whose lower holds
+it, one for the upper and one for the upper of the lower.  Every check is
+then a few integer ANDs and ORs of columns, with no per-region step; only
+the witnesses are read region by region.  Explicit operators, sampled or
+reordered bases and custom parthood evaluators scan their basis through
+:meth:`GranularOperatorSpace.signatures`, which on a derived space asked
+for all 2^n regions in ascending order builds and keeps the table of every
+region's signature; :func:`rough_objects` and
+:func:`granum.parthood.relation_rows` read that table.
 """
 
 from __future__ import annotations
@@ -19,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
-from operator import or_
+from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import parthood as ph
 from .core import (DEFAULT_SEED, Basis, Granulation, IndiscernibilityRelation, Region,
-                   Universe, _jsonify, _region_masks, _transpose, lower_approx,
-                   lower_bits, upper_approx, upper_bits)
+                   Universe, _ascending, _is_ascending, _jsonify, _region_masks,
+                   _transpose, lower_approx, lower_bits, upper_approx, upper_bits)
 
 EXHAUSTIVE_UNIVERSE_CAP = 14  # 16384 regions; beyond this audits sample
 AUDIT_SAMPLE = 2048
@@ -53,6 +59,7 @@ class GranularOperatorSpace:
         self._upper_op = self._wrap(upper)
         self._cache: dict[int, tuple[int, int]] = {}
         self._table: list[tuple[int, int]] | None = None   # every region's signature
+        self._columns: RegionColumns | None = None
 
     @classmethod
     def from_sets(cls, elements: Iterable[str], granules: Iterable[Iterable[str]],
@@ -106,11 +113,23 @@ class GranularOperatorSpace:
         table = self._table
         if table is None and self._lower_op is None:
             n = len(self.universe)
-            if len(masks) == 1 << n and masks == list(range(1 << n)):
+            if _is_ascending(masks, n):
                 table = self._table = _signature_table(self._masks, n)
         if table is None:
             return [self.signature_bits(bits) for bits in masks]
         return list(map(table.__getitem__, masks))
+
+    def columns(self, masks: Sequence[int]) -> RegionColumns | None:
+        """The region-lattice columns when ``masks`` are all 2^n regions in
+        ascending order on a derived space (built once and kept), else None."""
+        if self._lower_op is not None:
+            return None
+        n = len(self.universe)
+        if not _is_ascending(masks, n):
+            return None
+        if self._columns is None:
+            self._columns = _region_columns(self._masks, n)
+        return self._columns
 
     def lower(self, a: Region) -> Region:
         return Region(self.universe, self.signature_bits(a.bits)[0])
@@ -130,7 +149,12 @@ class GranularOperatorSpace:
         the first ``cap`` of them in ``basis`` (default: the axiom audits');
         none below a cap of 1."""
         scanned = (basis or _axiom_basis(len(self.universe))).scan(self.universe)
-        bad = (bits for bits, (lo, up) in zip(scanned, self.signatures(scanned)) if lo & ~up)
+        cols = self.columns(scanned)
+        if cols is not None:
+            bad = ph._bits(reduce(or_, map(_minus, cols.lower, cols.upper), 0))
+        else:
+            bad = (bits for bits, (lo, up) in zip(scanned, self.signatures(scanned))
+                   if lo & ~up)
         return [self.universe.region_from_bits(bits) for bits in islice(bad, max(cap, 0))]
 
 
@@ -157,6 +181,90 @@ def _signature_table(granules: Sequence[int], n: int) -> list[tuple[int, int]]:
             top = [lo | g if m & rest == rest else lo for m, lo in enumerate(top)]
         lowers = lowers + top
     return list(zip(lowers, uppers))
+
+
+def _minus(a: int, b: int) -> int:
+    return a & ~b
+
+
+@dataclass(frozen=True)
+class RegionColumns:
+    """One 2^n-bit column per element e of an n-element derived space: bit x
+    stands for the region with mask x."""
+
+    everything: int                 # every region
+    inside: tuple[int, ...]         # the regions that hold e
+    lower: tuple[int, ...]          # the regions whose lower holds e
+    upper: tuple[int, ...]          # the regions whose upper holds e
+    upper_lower: tuple[int, ...]    # the regions whose upper(lower) holds e
+
+    def signature(self, x: int) -> tuple[int, int]:
+        """The (lower, upper) masks of region ``x``, read off the columns."""
+        return tuple(sum(1 << e for e, col in enumerate(side) if col >> x & 1)
+                     for side in (self.lower, self.upper))
+
+    def sides(self, lowered: bool = False) -> dict:
+        """Each signature side of ``parthood._FORMULAS`` as its columns: the
+        regions x whose lower, upper or boundary holds e, or those whose
+        lower(x)'s does when ``lowered`` (lower is idempotent on a derived
+        space, so lower(x)'s lower is lower(x) and its upper is upper(lower))."""
+        up = self.upper_lower if lowered else self.upper
+        return {ph._lower: self.lower, ph._upper: up,
+                ph._boundary: tuple(map(_minus, up, self.lower))}
+
+    def holding(self, tests, sig: tuple[int, int], sides: dict) -> int:
+        """The regions x that a region of signature ``sig`` is part of, by
+        the subset ``tests``: x is in the column of ``Y`` at every element
+        of ``X(sig)``."""
+        return reduce(and_, (sides[y][e] for x, y in tests for e in ph._bits(x(sig))),
+                      self.everything)
+
+    def held(self, tests, sig: tuple[int, int], sides: dict) -> int:
+        """The regions x that are part of a region of signature ``sig``: x is
+        outside the column of ``X`` at every element outside ``Y(sig)``."""
+        elements = (1 << len(self.inside)) - 1
+        return self.everything & ~reduce(or_, (sides[x][e] for x, y in tests
+                                               for e in ph._bits(elements & ~y(sig))), 0)
+
+
+def _region_columns(granules: Sequence[int], n: int) -> RegionColumns:
+    """The columns of every ``n``-bit region under ``granules``.
+
+    The column of the regions that hold e doubles with each element, as the
+    mask range does.  The regions that contain a granule are the AND of its
+    elements' columns.  e is in lower(x) iff some granule holding e lies in
+    x, and in upper(x) iff x meets N(e), the union of the granules holding
+    e; so e is in upper(lower(x)) iff some granule meeting N(e) lies in x.
+    Empty and repeated granules add nothing.  O(n^2 + n * granules) integer
+    operations on 2^n bits.
+    """
+    inside: list[int] = []
+    for e in range(n):
+        size = 1 << e
+        inside = [col | col << size for col in inside] + [((1 << size) - 1) << size]
+    everything = (1 << (1 << n)) - 1
+    above = {g: reduce(and_, map(inside.__getitem__, ph._bits(g)), everything)
+             for g in set(granules) - {0}}   # granule -> the regions that contain it
+    lower, upper, upper_lower = [], [], []
+    for e in range(n):
+        near = reduce(or_, (g for g in above if g >> e & 1), 0)   # N(e)
+        lower.append(reduce(or_, (col for g, col in above.items() if g >> e & 1), 0))
+        upper.append(reduce(or_, (inside[f] for f in ph._bits(near)), 0))
+        upper_lower.append(reduce(or_, (col for g, col in above.items() if g & near), 0))
+    return RegionColumns(everything, tuple(inside), tuple(lower), tuple(upper),
+                         tuple(upper_lower))
+
+
+def _unrepresentable(side: Sequence[int], granules: Sequence[int], everything: int) -> int:
+    """The regions whose value on one side (bit x of ``side[e]``: the value
+    of region x holds e) is no union of granules: some e of the value lies in
+    no granule inside it."""
+    covered = [0] * len(side)   # per e: the regions whose value holds a granule with e
+    for g in set(granules) - {0}:
+        held = reduce(and_, map(side.__getitem__, ph._bits(g)), everything)
+        for e in ph._bits(g):
+            covered[e] |= held
+    return reduce(or_, map(_minus, side, covered), 0)
 
 
 @dataclass(frozen=True)
@@ -195,20 +303,35 @@ def _axiom_basis(n: int, seed: int = DEFAULT_SEED) -> Basis:
 
 def audit_weak_representability(gos: GranularOperatorSpace, basis: Basis | None = None,
                                 witness_cap: int = 10) -> AxiomReport:
-    """Check that every region's lower and upper map to unions of granules,
-    testing each distinct value once; lists the first ``witness_cap`` failures."""
+    """Check that every region's lower and upper map to unions of granules;
+    lists the first ``witness_cap`` failures.
+
+    On the region-lattice columns the failing regions come out of column
+    ANDs, and only they are read region by region; otherwise each distinct
+    value of the scanned signatures is tested once.
+    """
     basis = basis or _axiom_basis(len(gos.universe))
     scanned = basis.scan(gos.universe)
     masks = gos.granulation.masks()
     region = gos.universe.region_from_bits
-    sigs = gos.signatures(scanned)
-    bad = {value for value in set(chain.from_iterable(sigs))
-           if lower_bits(value, masks) != value}
+
+    def bad(value: int) -> bool:
+        return lower_bits(value, masks) != value
+
+    cols = gos.columns(scanned)
+    if cols is not None:   # the failing regions, each read only to list it
+        failing = (_unrepresentable(cols.lower, masks, cols.everything)
+                   | _unrepresentable(cols.upper, masks, cols.everything))
+        rows = ((bits, gos.signature_bits(bits)) for bits in ph._bits(failing))
+    else:                  # the failing values, each tested once
+        sigs = gos.signatures(scanned)
+        failing = set(filter(bad, set(chain.from_iterable(sigs))))
+        rows, bad = zip(scanned, sigs), failing.__contains__
     found = ({"region": region(bits), "side": side, "value": region(value)}
-             for bits, sig in zip(scanned, sigs)
-             for side, value in zip(("lower", "upper"), sig) if value in bad)
-    witnesses = tuple(islice(found, max(witness_cap, 0))) if bad else ()
-    return AxiomReport("weak-representability", not bad, basis.mode,
+             for bits, sig in rows
+             for side, value in zip(("lower", "upper"), sig) if bad(value))
+    witnesses = tuple(islice(found, max(witness_cap, 0))) if failing else ()
+    return AxiomReport("weak-representability", not failing, basis.mode,
                        len(scanned), witnesses, seed=basis.seed)
 
 
@@ -220,9 +343,17 @@ def audit_lower_stability(gos: GranularOperatorSpace, basis: Basis | None = None
     scanned = basis.scan(gos.universe)
     granules = gos.granulation.granules
     masks = gos.granulation.masks()
-    to_x = ph.relation_rows(gos.parthood, gos, masks, scanned)
-    to_xl = ph.relation_rows(gos.parthood, gos, masks,
-                             [lo for lo, _ in gos.signatures(scanned)])
+    tests = ph._subset_tests(gos.parthood, gos)
+    cols = gos.columns(scanned) if tests is not None else None
+    if cols is not None:   # bit x of each row is the region x itself
+        sides, lowered = cols.sides(), cols.sides(lowered=True)
+        sigs = [cols.signature(g) for g in masks]
+        to_x = [cols.holding(tests, sig, sides) for sig in sigs]
+        to_xl = [cols.holding(tests, sig, lowered) for sig in sigs]
+    else:
+        to_x = ph.relation_rows(gos.parthood, gos, masks, scanned)
+        to_xl = ph.relation_rows(gos.parthood, gos, masks,
+                                 [lo for lo, _ in gos.signatures(scanned)])
     bad = [x & ~xl for x, xl in zip(to_x, to_xl)]   # per granule: regions that fail
     witnesses: list[dict] = []
     for r in ph._bits(reduce(or_, bad, 0)):   # region by region, then granule
@@ -242,10 +373,22 @@ def audit_full_underlap(gos: GranularOperatorSpace, basis: Basis | None = None) 
     scanned = basis.scan(gos.universe)
     granules = gos.granulation.granules
     masks = gos.granulation.masks()
-    definite = [bits for bits, sig in zip(scanned, gos.signatures(scanned))
-                if sig == (bits, bits)]
-    up = ph.relation_rows(gos.parthood, gos, masks, definite)
-    down = _transpose(ph.relation_rows(gos.parthood, gos, definite, masks), len(masks))
+    tests = ph._subset_tests(gos.parthood, gos)
+    cols = gos.columns(scanned) if tests is not None else None
+    if cols is not None:   # bit x of each row is the region x itself
+        definite = scanned
+        exact = cols.everything   # lower(x) is x and upper(x) lies in x
+        for col, lo, up in zip(cols.inside, cols.lower, cols.upper):
+            exact &= ~(col ^ lo) & ~(up & ~col)
+        sides = cols.sides()
+        sigs = [cols.signature(g) for g in masks]
+        up = [exact & cols.holding(tests, sig, sides) for sig in sigs]
+        down = [cols.held(tests, sig, sides) for sig in sigs]
+    else:                  # bit k of each row is definite[k]
+        definite = [bits for bits, sig in zip(scanned, gos.signatures(scanned))
+                    if sig == (bits, bits)]
+        up = ph.relation_rows(gos.parthood, gos, masks, definite)
+        down = _transpose(ph.relation_rows(gos.parthood, gos, definite, masks), len(masks))
     proper = [u & ~d for u, d in zip(up, down)]   # per granule: definite regions properly above
 
     def witness(i: int, j: int) -> Region | None:   # the first definite region above both
@@ -301,7 +444,7 @@ def rough_objects(gos: GranularOperatorSpace, notion: str = "maximal-consistent"
     n = len(gos.universe)
     if n > QUOTIENT_UNIVERSE_CAP:
         raise ValueError(f"universe too large for quotient enumeration (n={n} > {QUOTIENT_UNIVERSE_CAP})")
-    sigs = gos.signatures(list(range(1 << n)))   # indexed by mask
+    sigs = gos.signatures(_ascending(n))   # indexed by mask
     grouped: dict[tuple[int, int], list[Region]] = {}
     for a, sig in zip(gos.universe.all_regions(), sigs):
         grouped.setdefault(sig, []).append(a)

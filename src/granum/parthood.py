@@ -55,20 +55,17 @@ _FORMULAS: dict[str, tuple[tuple[Callable[[tuple[int, int]], int],
 
 @dataclass(frozen=True)
 class ParthoodVariant:
-    """One 'part of' predicate: a named formula over approximation signatures.
-
-    ``signature_based`` variants depend only on the (lower, upper) pair of
-    each argument; ``g-simple`` and custom predicates may inspect more.
-    """
+    """One 'part of' predicate: a named formula over approximation signatures,
+    or a custom ``evaluator``.  :func:`_subset_tests` says whether a variant
+    depends only on the (lower, upper) pair of each argument in a space."""
 
     name: str
-    signature_based: bool = True
     evaluator: Callable[..., bool] | None = field(default=None, compare=False)
 
     @staticmethod
     def custom(name: str, fn: Callable[..., bool]) -> ParthoodVariant:
         """Wrap ``fn(ctx, a, b) -> bool`` as a parthood variant."""
-        return ParthoodVariant(name, signature_based=False, evaluator=fn)
+        return ParthoodVariant(name, evaluator=fn)
 
 
 VERY_CAUTIOUS = ParthoodVariant("very-cautious")
@@ -79,7 +76,7 @@ ULTRA_CAUTIOUS = ParthoodVariant("ultra-cautious")
 LATERAL_PLUS = ParthoodVariant("lateral-plus")
 BILATERAL = ParthoodVariant("bilateral")
 LATERAL_PLUS_PLUS = ParthoodVariant("lateral-plus-plus")
-G_SIMPLE = ParthoodVariant("g-simple", signature_based=False)
+G_SIMPLE = ParthoodVariant("g-simple")
 ROUGH_INCLUSION = ParthoodVariant("rough-inclusion")
 
 VARIANTS: dict[str, ParthoodVariant] = {

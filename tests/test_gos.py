@@ -359,6 +359,55 @@ class TestSignatureTable:
         assert space._table is None
 
 
+class TestRegionColumns:
+    def test_columns_match_the_signature_table_bit_by_bit(self):
+        rng = random.Random("region-columns")
+        for n in range(1, 11):
+            for _ in range(12 if n < 8 else 4):
+                granules = _granule_masks(rng, n)
+                table = gos_mod._signature_table(granules, n)
+                cols = gos_mod._region_columns(granules, n)
+
+                def column(member):   # the regions x with member(x)
+                    return sum(1 << x for x in range(1 << n) if member(x))
+                assert cols.everything == column(lambda x: True)
+                for e in range(n):
+                    assert cols.inside[e] == column(lambda x: x >> e & 1), (n, granules, e)
+                    assert cols.lower[e] == column(lambda x: table[x][0] >> e & 1)
+                    assert cols.upper[e] == column(lambda x: table[x][1] >> e & 1)
+                    assert cols.upper_lower[e] == column(
+                        lambda x: table[table[x][0]][1] >> e & 1)
+                assert [cols.signature(x) for x in range(1 << n)] == table
+
+    def test_unrepresentable_regions_of_any_columns(self):
+        # Columns of arbitrary values, not only a derived space's (where every
+        # value is a union of granules and no region fails).
+        rng = random.Random("unrepresentable")
+        for n in range(1, 8):
+            for _ in range(10):
+                granules = _granule_masks(rng, n)
+                values = [rng.randrange(1 << n) for _ in range(1 << n)]
+                side = [sum(1 << x for x, v in enumerate(values) if v >> e & 1)
+                        for e in range(n)]
+                want = sum(1 << x for x, v in enumerate(values)
+                           if lower_bits(v, granules) != v)
+                everything = (1 << (1 << n)) - 1
+                assert gos_mod._unrepresentable(side, granules, everything) == want
+
+    def test_only_derived_spaces_scanned_in_ascending_order_use_columns(self):
+        rng = random.Random("columns-gate")
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            everything = list(range(1 << n))
+            space = seeded_space(rng, n)
+            assert space.columns(everything[::-1]) is None
+            assert space.columns(everything[:-1]) is None
+            assert space.columns(tuple(everything)) is None
+            cols = space.columns(everything)
+            assert cols is not None and space.columns(list(everything)) is cols
+            assert seeded_space(rng, n, explicit=True).columns(everything) is None
+
+
 class TestBasis:
     def test_reports_carry_the_seed_of_the_basis(self):
         # the seed a report states is the one its regions were drawn with
@@ -458,22 +507,73 @@ def _seeded_spaces(seed, count, max_n):
         yield rng, seeded_space(rng, rng.randint(1, max_n))
 
 
+def _reference_containment(gos, basis, cap):
+    return [gos.universe.region_from_bits(bits) for bits in basis.masks
+            if gos.signature_bits(bits)[0] & ~gos.signature_bits(bits)[1]][:max(cap, 0)]
+
+
+CAPS = (-1, 0, 1, 10, 1 << 20)   # the unlimited cap lists every failure
+
+
+def _bases(rng, n):
+    """The exhaustive basis, the same regions out of order, and a sample."""
+    everything = list(range(1 << n))
+    permuted = rng.sample(everything, 1 << n)
+    if permuted == everything:
+        permuted.reverse()
+    return (Basis(everything, "exhaustive", None), Basis(permuted, "exhaustive", None),
+            Basis(sorted(rng.sample(everything, rng.randint(1, 1 << n))), "sampled", 5))
+
+
 class TestAuditsMatchPairwiseReference:
     @pytest.mark.parametrize("v", AUDIT_VARIANTS, ids=lambda v: v.name)
     def test_lower_stability_and_full_underlap(self, v):
         for rng, space in _seeded_spaces(f"audits-{v.name}", 10, 7):
             space.parthood = v
             n = len(space.universe)
-            sampled = sorted(rng.sample(range(1 << n), rng.randint(1, 1 << n)))
-            for basis in (Basis(list(range(1 << n)), "exhaustive", None),
-                          Basis(sampled, "sampled", 5)):
-                for cap in (10, 1 << 20):   # the unlimited cap lists every failure
+            for basis in _bases(rng, n):
+                for cap in CAPS:
                     want, failures = _reference_lower_stability(space, basis, cap)
                     got = audit_lower_stability(space, basis, witness_cap=cap)
                     assert got == want
-                    assert len(got.witnesses) == min(cap, failures)
+                    assert len(got.witnesses) == max(min(cap, failures), 0)
                 assert audit_full_underlap(space, basis) == \
                     _reference_full_underlap(space, basis)
+            # the ascending basis of a derived space is read off its columns,
+            # unless only holds can evaluate the variant
+            assert (space._columns is not None) == (ph._subset_tests(v, space) is not None)
+
+    @pytest.mark.parametrize("v", list(ph.VARIANTS.values()), ids=lambda v: v.name)
+    def test_permuted_exhaustive_basis_scans_the_regions(self, v):
+        rng = random.Random(f"permuted-{v.name}")
+        for _ in range(8):
+            n = rng.randint(2, 6)
+            space = seeded_space(rng, n)
+            space.parthood = v
+            _, permuted, _ = _bases(rng, n)
+            assert audit_weak_representability(space, permuted) == \
+                _reference_weak_representability(space, permuted)[0]
+            assert audit_lower_stability(space, permuted) == \
+                _reference_lower_stability(space, permuted)[0]
+            assert audit_full_underlap(space, permuted) == \
+                _reference_full_underlap(space, permuted)
+            assert space.containment_violations(basis=permuted) == \
+                _reference_containment(space, permuted, 10)
+            assert space._columns is None
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
+    def test_containment(self, explicit):
+        rng = random.Random(f"containment-{explicit}")
+        failing = 0
+        for _ in range(20):
+            space = seeded_space(rng, rng.randint(1, 6), explicit)
+            for basis in _bases(rng, len(space.universe)):
+                for cap in CAPS:
+                    want = _reference_containment(space, basis, cap)
+                    assert space.containment_violations(cap, basis) == want
+                    failing += bool(want)
+            assert (space._columns is None) == explicit
+        assert failing if explicit else not failing
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
     def test_weak_representability(self, explicit, monkeypatch):
@@ -485,16 +585,20 @@ class TestAuditsMatchPairwiseReference:
         for _ in range(20):
             n = rng.randint(1, 6)
             space = seeded_space(rng, n, explicit)
-            sampled = sorted(rng.sample(range(1 << n), rng.randint(1, 1 << n)))
-            for basis in (Basis(list(range(1 << n)), "exhaustive", None),
-                          Basis(sampled, "sampled", 5)):
-                for cap in (-1, 0, 1, 10, 1 << 20):
+            for basis in _bases(rng, n):
+                columns = not explicit and basis.masks == list(range(1 << n))
+                for cap in CAPS:
                     want, failures = _reference_weak_representability(space, basis, cap)
                     tested.clear()
                     assert audit_weak_representability(space, basis, witness_cap=cap) == want
-                    # each distinct lower or upper value is tested once
-                    assert sorted(tested) == sorted({v for bits in basis.masks
-                                                     for v in space.signature_bits(bits)})
+                    if columns:
+                        # failing regions come from the columns, and lower_bits
+                        # runs only to list them: on a derived space every value
+                        # is a union of granules, so it never runs
+                        assert not tested and not failures
+                    else:   # each distinct lower or upper value is tested once
+                        assert sorted(tested) == sorted({v for bits in basis.masks
+                                                         for v in space.signature_bits(bits)})
                     failing += failures > 0
         assert failing if explicit else not failing
 
@@ -505,7 +609,7 @@ class TestAuditsMatchPairwiseReference:
             q = rough_objects(space)
 
             def related(a, b):
-                if v.signature_based:
+                if ph._subset_tests(v, space) is not None:
                     return ph.holds(v, a.representative(), b.representative(), space)
                 return all(ph.holds(v, x, y, space) for x in a.members for y in b.members)
             m = [[related(a, b) for b in q.classes] for a in q.classes]
