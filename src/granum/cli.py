@@ -4,8 +4,9 @@ Subcommands cover every analysis: ``approx``, ``gos-audit``,
 ``parthood-audit``, ``count``, ``coherence``, ``inverse`` and ``oracle``.
 JSON output is schema-stable (sorted keys), so identical configurations
 produce byte-identical reports.  Exit status: 0 on success, 1 when a
-``--strict`` run ends analysis-negative, 2 on usage or parse errors, 3 on
-an internal error (a defect: any other exception).
+``--strict`` run ends analysis-negative, 2 on usage or parse errors and
+when the output cannot be written (a closed pipe, a full disk), 3 on an
+internal error (a defect: any other exception).
 """
 
 from __future__ import annotations
@@ -465,9 +466,28 @@ def run(argv: list[str] | None = None, out=None) -> int:
               f"(at {Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno})",
               file=sys.stderr)
         return 3
-    print(text, file=out)
+    try:
+        print(text, file=out)
+        out.flush()
+    except OSError as exc:   # the reader went away or the disk is full
+        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+        _discard(out)
+        return 2
     # Only subcommands that declare --strict can report a negative result.
     return 1 if (negative and args.strict) else 0
+
+
+def _discard(out) -> None:
+    """Point ``out``'s file descriptor, if it has one, at the null device, so
+    that the text still buffered does not fail again when Python flushes the
+    stream at exit."""
+    try:
+        fd = out.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def main() -> None:

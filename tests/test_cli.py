@@ -532,6 +532,40 @@ class TestErrorsAndDeterminism:
         assert proc.returncode == 1
         assert "no partition" in proc.stdout
 
+    # The signature table of 9 elements is about 130 KB, more than a pipe holds.
+    SIGNATURES = ["-m", "granum.cli", "oracle", "--op", "signatures",
+                  "--input", str(FIXTURES / "ctx_chain9.json"), "--output", "json"]
+
+    @staticmethod
+    def _one_error_line(err: str) -> None:
+        assert err.startswith("error: cannot write the output: ") and err.count("\n") == 1
+
+    def test_closed_pipe_ends_with_one_error_line(self):
+        proc = subprocess.Popen([sys.executable, *self.SIGNATURES],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.read(10) == '{\n  "signa'
+        proc.stdout.close()   # as `| head -c 10` does
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+        self._one_error_line(err)
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full here")
+    def test_full_disk_ends_with_one_error_line(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, *self.SIGNATURES], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 2
+        self._one_error_line(proc.stderr)
+
+    @pytest.mark.parametrize("error", [BrokenPipeError, OSError])
+    def test_failed_write_is_an_error_not_a_verdict(self, capsys, error):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise error(32, "Broken pipe")
+        assert cli.run(["approx", "--region", "p", "--input", VEE, "--strict"],
+                       out=Closed()) == 2
+        assert capsys.readouterr().err == "error: cannot write the output: Broken pipe\n"
+
 
 def _json_values():
     text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f')))
