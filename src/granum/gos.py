@@ -203,28 +203,15 @@ class RegionColumns:
         return tuple(sum(1 << e for e, col in enumerate(side) if col >> x & 1)
                      for side in (self.lower, self.upper))
 
-    def sides(self, lowered: bool = False) -> dict:
-        """Each signature side of ``parthood._FORMULAS`` as its columns: the
-        regions x whose lower, upper or boundary holds e, or those whose
-        lower(x)'s does when ``lowered`` (lower is idempotent on a derived
-        space, so lower(x)'s lower is lower(x) and its upper is upper(lower))."""
+    def side(self, of: Callable[[tuple[int, int]], int], lowered: bool = False) -> list[int]:
+        """Per element e, the regions x whose side ``of`` (a side function of
+        ``parthood._FORMULAS``) holds e, or whose lower(x)'s side does when
+        ``lowered``.  The side functions are bitwise in (lower, upper), so
+        they apply to a pair of columns as to a signature.  lower is
+        idempotent on a derived space: lower(x)'s lower is lower(x), and its
+        upper is upper(lower(x))."""
         up = self.upper_lower if lowered else self.upper
-        return {ph._lower: self.lower, ph._upper: up,
-                ph._boundary: tuple(map(_minus, up, self.lower))}
-
-    def holding(self, tests, sig: tuple[int, int], sides: dict) -> int:
-        """The regions x that a region of signature ``sig`` is part of, by
-        the subset ``tests``: x is in the column of ``Y`` at every element
-        of ``X(sig)``."""
-        return reduce(and_, (sides[y][e] for x, y in tests for e in ph._bits(x(sig))),
-                      self.everything)
-
-    def held(self, tests, sig: tuple[int, int], sides: dict) -> int:
-        """The regions x that are part of a region of signature ``sig``: x is
-        outside the column of ``X`` at every element outside ``Y(sig)``."""
-        elements = (1 << len(self.inside)) - 1
-        return self.everything & ~reduce(or_, (sides[x][e] for x, y in tests
-                                               for e in ph._bits(elements & ~y(sig))), 0)
+        return list(map(of, zip(self.lower, up)))
 
 
 def _region_columns(granules: Sequence[int], n: int) -> RegionColumns:
@@ -346,10 +333,11 @@ def audit_lower_stability(gos: GranularOperatorSpace, basis: Basis | None = None
     tests = ph._subset_tests(gos.parthood, gos)
     cols = gos.columns(scanned) if tests is not None else None
     if cols is not None:   # bit x of each row is the region x itself
-        sides, lowered = cols.sides(), cols.sides(lowered=True)
         sigs = [cols.signature(g) for g in masks]
-        to_x = [cols.holding(tests, sig, sides) for sig in sigs]
-        to_xl = [cols.holding(tests, sig, lowered) for sig in sigs]
+        of_x = [(x, cols.side(y)) for x, y in tests]
+        of_xl = [(x, cols.side(y, lowered=True)) for x, y in tests]
+        to_x = [ph._part_of(of_x, sig, cols.everything) for sig in sigs]
+        to_xl = [ph._part_of(of_xl, sig, cols.everything) for sig in sigs]
     else:
         to_x = ph.relation_rows(gos.parthood, gos, masks, scanned)
         to_xl = ph.relation_rows(gos.parthood, gos, masks,
@@ -380,10 +368,15 @@ def audit_full_underlap(gos: GranularOperatorSpace, basis: Basis | None = None) 
         exact = cols.everything   # lower(x) is x and upper(x) lies in x
         for col, lo, up in zip(cols.inside, cols.lower, cols.upper):
             exact &= ~(col ^ lo) & ~(up & ~col)
-        sides = cols.sides()
         sigs = [cols.signature(g) for g in masks]
-        up = [exact & cols.holding(tests, sig, sides) for sig in sigs]
-        down = [cols.held(tests, sig, sides) for sig in sigs]
+        above = [(x, cols.side(y)) for x, y in tests]
+        up = [exact & ph._part_of(above, sig, cols.everything) for sig in sigs]
+        # x is part of g when X(x) misses every element outside Y(g)
+        below = [(y, cols.side(x)) for x, y in tests]
+        elements = (1 << len(gos.universe)) - 1
+        down = [cols.everything & ~reduce(or_, (col[e] for y, col in below
+                                                for e in ph._bits(elements & ~y(sig))), 0)
+                for sig in sigs]
     else:                  # bit k of each row is definite[k]
         definite = [bits for bits, sig in zip(scanned, gos.signatures(scanned))
                     if sig == (bits, bits)]
