@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import islice
-from operator import and_, itemgetter, or_
+from operator import itemgetter, or_
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .core import DEFAULT_SEED, Basis, Region, _jsonify, _region_masks, _transpose
@@ -173,7 +173,11 @@ def _part_of(columns, sig: tuple[int, int], everything: int) -> int:
     subset test comes as ``X`` and the columns of its ``Y``: per element e,
     the targets whose ``Y`` holds e.  The row ANDs the columns at the
     elements of ``X(sig)``, and is ``everything`` when there are none."""
-    return reduce(and_, (cols[e] for x, cols in columns for e in _bits(x(sig))), everything)
+    row = everything
+    for x, cols in columns:
+        for e in _bits(x(sig)):
+            row &= cols[e]
+    return row
 
 
 def proper_part(v: ParthoodVariant, a: Region, b: Region, ctx: "GranularOperatorSpace") -> bool:
