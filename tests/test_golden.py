@@ -5,9 +5,10 @@ command line byte for byte: each subcommand on each fixture in both output
 modes, every counting algorithm on both item collections, the coherence
 search at several budgets, sampled parthood audits (one on 62 elements,
 one of every variant on 16 overlapping elements, g-simple on 24), two
-error cases, every axiom audit under every parthood variant on a
-14-element table (all 16384 regions) and on 13 overlapping elements that
-the granules do not cover, and every counting algorithm under
+error cases, every axiom audit under every parthood variant and the
+rough-object count on a 14-element table (all 16384 regions) and on 13
+overlapping elements that the granules do not cover, and every counting
+algorithm under
 both conflicts and two parthood variants on a dense 120-element and a
 sparse 60-element context (gzipped recordings).
 A change that alters any of them shows up here as a diff.
@@ -88,19 +89,21 @@ CASES["ctx_overlap16.json"] = {
         "--input", "{fixtures}/ctx_overlap16.json", "--output", output]
     for output in ("json", "text")}
 # Axiom audits at the exhaustive cap (14 elements, 16384 regions) under every
-# parthood variant, on an 8-block table shaped as the audit workload's tables.
-CASES["table_cap14.csv"] = {
-    f"gos-audit-{parthood}-{output}": [
-        "gos-audit", "--axiom", "all", "--parthood", parthood,
-        "--input", "{fixtures}/table_cap14.csv", "--output", output]
-    for parthood in sorted(pH.VARIANTS) for output in ("json", "text")}
-# The same on 13 elements with overlapping granules that leave e05 and e09
+# parthood variant, on an 8-block table shaped as the audit workload's tables,
+# and the same on 13 elements with overlapping granules that leave e05 and e09
 # uncovered, where lower-stability and full-underlap fail under some variants.
-CASES["ctx_overlap13.json"] = {
-    f"gos-audit-{parthood}-{output}": [
-        "gos-audit", "--axiom", "all", "--parthood", parthood,
-        "--input", "{fixtures}/ctx_overlap13.json", "--output", output]
-    for parthood in sorted(pH.VARIANTS) for output in ("json", "text")}
+# Each also counts its rough objects (1944 and 176 classes) at that size.
+for _name in ("table_cap14.csv", "ctx_overlap13.json"):
+    CASES[_name] = {
+        f"gos-audit-{parthood}-{output}": [
+            "gos-audit", "--axiom", "all", "--parthood", parthood,
+            "--input", f"{{fixtures}}/{_name}", "--output", output]
+        for parthood in sorted(pH.VARIANTS) for output in ("json", "text")}
+    CASES[_name].update({
+        f"count-pca-rough-objects-{output}": [
+            "count", "--algo", "pca", "--items", "rough-objects",
+            "--input", f"{{fixtures}}/{_name}", "--output", output]
+        for output in ("json", "text")})
 # g-simple on 24 overlapping elements, as in the audit workload.
 CASES["ctx_overlap24.json"] = {
     f"parthood-audit-g-simple-budget128-seed7-{output}": [
@@ -121,9 +124,12 @@ for _name in COUNT_SCALE:
         for output in ("json", "text")}
 
 
+GZIPPED = COUNT_SCALE + ("table_cap14.csv",)   # megabytes of output
+
+
 def _record_path(name: str):
     path = GOLDEN / (name.replace(".", "_") + ".json")
-    return path.with_suffix(".json.gz") if name in COUNT_SCALE else path   # megabytes
+    return path.with_suffix(".json.gz") if name in GZIPPED else path
 
 
 def replay(argv: list[str]) -> dict:
@@ -141,7 +147,7 @@ def replay(argv: list[str]) -> dict:
 @functools.cache
 def _recorded(name: str) -> dict:
     data = _record_path(name).read_bytes()
-    if name in COUNT_SCALE:
+    if name in GZIPPED:
         data = gzip.decompress(data)
     return json.loads(data.decode("utf-8"))
 
@@ -172,7 +178,7 @@ def write_recordings(names: list[str]) -> None:
     for name in names:
         records = {case: replay(argv) for case, argv in CASES[name].items()}
         data = (json.dumps(records, indent=1, sort_keys=True) + "\n").encode("utf-8")
-        if name in COUNT_SCALE:
+        if name in GZIPPED:
             data = gzip.compress(data, mtime=0)
         _record_path(name).write_bytes(data)
 
