@@ -14,10 +14,9 @@ it, one for the upper and one for the upper of the lower.  Every check is
 then a few integer ANDs and ORs of columns, with no per-region step; only
 the witnesses are read region by region.  Explicit operators, sampled or
 reordered bases and custom parthood evaluators scan their basis through
-:meth:`GranularOperatorSpace.signatures`, which on a derived space asked
-for all 2^n regions in ascending order builds and keeps the table of every
-region's signature; :func:`rough_objects` and
-:func:`granum.parthood.relation_rows` read that table.
+:meth:`GranularOperatorSpace.signatures`, the memoized per-mask read.
+:func:`rough_objects` on a derived space builds the table of every
+region's signature (:func:`_signature_table`) for its one call.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ class GranularOperatorSpace:
         self._lower_op = self._wrap(lower)
         self._upper_op = self._wrap(upper)
         self._cache: dict[int, tuple[int, int]] = {}
-        self._table: list[tuple[int, int]] | None = None   # every region's signature
         self._columns: RegionColumns | None = None
 
     @classmethod
@@ -102,22 +100,9 @@ class GranularOperatorSpace:
         return sig
 
     def signatures(self, masks: Sequence[int]) -> list[tuple[int, int]]:
-        """(lower, upper) masks of each region mask, in order.
-
-        On a derived space, the first request for all 2^n masks in ascending
-        order builds the table of every region's signature (see
-        :func:`_signature_table`); the space keeps it and reads any later
-        masks from it.  Explicit operators and other mask lists go through
-        :meth:`signature_bits`, mask by mask.
-        """
-        table = self._table
-        if table is None and self._lower_op is None:
-            n = len(self.universe)
-            if _is_ascending(masks, n):
-                table = self._table = _signature_table(self._masks, n)
-        if table is None:
-            return [self.signature_bits(bits) for bits in masks]
-        return list(map(table.__getitem__, masks))
+        """(lower, upper) masks of each region mask, in order, read mask by
+        mask through :meth:`signature_bits`."""
+        return [self.signature_bits(bits) for bits in masks]
 
     def columns(self, masks: Sequence[int]) -> RegionColumns | None:
         """The region-lattice columns when ``masks`` are all 2^n regions in
@@ -197,11 +182,6 @@ class RegionColumns:
     lower: tuple[int, ...]          # the regions whose lower holds e
     upper: tuple[int, ...]          # the regions whose upper holds e
     upper_lower: tuple[int, ...]    # the regions whose upper(lower) holds e
-
-    def signature(self, x: int) -> tuple[int, int]:
-        """The (lower, upper) masks of region ``x``, read off the columns."""
-        return tuple(sum(1 << e for e, col in enumerate(side) if col >> x & 1)
-                     for side in (self.lower, self.upper))
 
     def side(self, of: Callable[[tuple[int, int]], int], lowered: bool = False) -> list[int]:
         """Per element e, the regions x whose side ``of`` (a side function of
@@ -333,7 +313,7 @@ def audit_lower_stability(gos: GranularOperatorSpace, basis: Basis | None = None
     tests = ph._subset_tests(gos.parthood, gos)
     cols = gos.columns(scanned) if tests is not None else None
     if cols is not None:   # bit x of each row is the region x itself
-        sigs = [cols.signature(g) for g in masks]
+        sigs = gos.signatures(masks)
         of_x = [(x, cols.side(y)) for x, y in tests]
         of_xl = [(x, cols.side(y, lowered=True)) for x, y in tests]
         to_x = [ph._part_of(of_x, sig, cols.everything) for sig in sigs]
@@ -368,7 +348,7 @@ def audit_full_underlap(gos: GranularOperatorSpace, basis: Basis | None = None) 
         exact = cols.everything   # lower(x) is x and upper(x) lies in x
         for col, lo, up in zip(cols.inside, cols.lower, cols.upper):
             exact &= ~(col ^ lo) & ~(up & ~col)
-        sigs = [cols.signature(g) for g in masks]
+        sigs = gos.signatures(masks)
         above = [(x, cols.side(y)) for x, y in tests]
         up = [exact & ph._part_of(above, sig, cols.everything) for sig in sigs]
         # x is part of g when X(x) misses every element outside Y(g)
@@ -437,7 +417,10 @@ def rough_objects(gos: GranularOperatorSpace, notion: str = "maximal-consistent"
     n = len(gos.universe)
     if n > QUOTIENT_UNIVERSE_CAP:
         raise ValueError(f"universe too large for quotient enumeration (n={n} > {QUOTIENT_UNIVERSE_CAP})")
-    sigs = gos.signatures(_ascending(n))   # indexed by mask
+    if gos.explicit:   # indexed by mask
+        sigs = gos.signatures(_ascending(n))
+    else:
+        sigs = _signature_table(gos.granulation.masks(), n)
     grouped: dict[tuple[int, int], list[Region]] = {}
     for a, sig in zip(gos.universe.all_regions(), sigs):
         grouped.setdefault(sig, []).append(a)

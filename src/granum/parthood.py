@@ -126,8 +126,7 @@ def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
     Bit j of row i is set iff ``v`` holds from ``sources[i]`` to
     ``targets[j]``.  The signatures of the sources and of the targets are
     read in one :meth:`~granum.gos.GranularOperatorSpace.signatures` call
-    each, so an exhaustive basis reads the space's signature table.  For a
-    signature formula, the targets are grouped by (lower, upper) signature,
+    each.  For a signature formula, the targets are grouped by (lower, upper) signature,
     and each subset test ``X(a) <= Y(b)`` gets one column per universe
     element e: the targets whose ``Y`` contains e.  A source's row is then
     the AND of the columns of the elements of its ``X`` (all targets when

@@ -30,6 +30,12 @@ def logged_space(n):
     """A singleton-granule space on n elements and the log of its signature lookups."""
     u = Universe(tuple(f"e{i}" for i in range(n)))
     space = GranularOperatorSpace(u, Granulation.from_sets(u, [[e] for e in u.elements]))
+    return space, _log_lookups(space)
+
+
+def _log_lookups(space):
+    """Log ``space``'s signature lookups from now on, replacing any earlier log."""
+    space.__dict__.pop("signature_bits", None)
     scanned = []
     lookup = space.signature_bits
 
@@ -37,7 +43,7 @@ def logged_space(n):
         scanned.append(bits)
         return lookup(bits)
     space.signature_bits = logged
-    return space, scanned
+    return scanned
 
 
 class TestWeakRepresentability:
@@ -311,7 +317,7 @@ class TestSignatureTable:
                     (lower_bits(m, granules), upper_bits(m, granules))
                     for m in range(1 << n)], (n, granules)
 
-    def test_space_builds_the_table_once_and_reads_masks_from_it(self, monkeypatch):
+    def test_derived_space_reads_any_mask_list_mask_by_mask(self):
         rng = random.Random("signatures")
         for _ in range(30):
             n = rng.randint(1, 10)
@@ -322,31 +328,26 @@ class TestSignatureTable:
                 return [(lower_bits(m, granules), upper_bits(m, granules)) for m in masks]
             everything = list(range(1 << n))
             some = [rng.randrange(1 << n) for _ in range(rng.randint(0, 40))]
-            # other mask lists, a full range out of order included, go mask by mask
-            assert space.signatures(some) == per_mask(some)
-            assert space.signatures(everything[::-1]) == per_mask(everything[::-1])
-            assert space._table is None
-            assert space.signatures(everything) == per_mask(everything)
-            table = space._table
-            assert table is not None
-            # later reads, arbitrary masks and the lowers of the scan, use the table
-            monkeypatch.setattr(space, "signature_bits", None)
-            assert space.signatures(some) == per_mask(some)
-            lowers = [lo for lo, _ in space.signatures(everything)]
-            assert space.signatures(lowers) == per_mask(lowers)
-            assert space._table is table
+            lowers = [lo for lo, _ in per_mask(everything)]
+            for masks in (some, everything[::-1], everything, some, lowers):
+                scanned = _log_lookups(space)
+                assert space.signatures(masks) == per_mask(masks)
+                assert scanned == masks   # one signature_bits read per mask, in order
 
-    def test_explicit_space_never_builds_the_table(self):
+    def test_explicit_space_reads_its_operators_mask_by_mask(self):
         rng = random.Random("signatures-explicit")
         for _ in range(10):
             n = rng.randint(1, 5)
             space = seeded_space(rng, n, explicit=True)
-            everything = list(range(1 << n))
-            sigs = space.signatures(everything)
             region = space.universe.region_from_bits
-            assert sigs == [(space._lower_op(region(m)).bits, space._upper_op(region(m)).bits)
-                            for m in everything]
-            assert space._table is None
+            everything = list(range(1 << n))
+            some = [rng.randrange(1 << n) for _ in range(rng.randint(0, 40))]
+            for masks in (everything, everything[::-1], some):
+                scanned = _log_lookups(space)
+                assert space.signatures(masks) == [
+                    (space._lower_op(region(m)).bits, space._upper_op(region(m)).bits)
+                    for m in masks]
+                assert scanned == masks
 
     def test_explicit_foreign_region_refused(self, u5, gran5):
         other = Universe(("x",))
@@ -356,7 +357,22 @@ class TestSignatureTable:
             space.signatures(list(range(32)))
         with pytest.raises(ValueError, match="foreign region"):
             audit_weak_representability(space)
-        assert space._table is None
+        assert space._cache == {}   # a refused signature is not memoized
+
+    def test_rough_objects_reads_the_table_only_on_a_derived_space(self):
+        rng = random.Random("rough-objects-reads")
+        for _ in range(10):
+            n = rng.randint(1, 8)
+            space = seeded_space(rng, n)
+            lower, upper = classical_ops(space.granulation)
+            explicit = GranularOperatorSpace(space.universe, space.granulation,
+                                             lower=lower, upper=upper)
+            scanned = _log_lookups(space)
+            derived = rough_objects(space)
+            assert scanned == []   # the table, built for this call, answers every region
+            scanned = _log_lookups(explicit)
+            assert rough_objects(explicit).classes == derived.classes
+            assert scanned == list(range(1 << n))   # one read per region
 
 
 class TestRegionColumns:
@@ -377,7 +393,6 @@ class TestRegionColumns:
                     assert cols.upper[e] == column(lambda x: table[x][1] >> e & 1)
                     assert cols.upper_lower[e] == column(
                         lambda x: table[table[x][0]][1] >> e & 1)
-                assert [cols.signature(x) for x in range(1 << n)] == table
 
     def test_unrepresentable_regions_of_any_columns(self):
         # Columns of arbitrary values, not only a derived space's (where every
