@@ -102,12 +102,10 @@ def _items(space: gos_mod.GranularOperatorSpace, args: argparse.Namespace):
     if args.items == "elements":
         items = list(space.universe.elements)
         masks = [1 << i for i in range(len(items))]
-    elif args.items == "rough-objects":
+    else:
         reps = [c.representative() for c in gos_mod.rough_objects(space).classes]
         items = ["{%s}" % ",".join(r) for r in reps]
         masks = [r.bits for r in reps]
-    else:
-        raise ParseError(f"unknown item collection {args.items!r}")
     rows = pH.relation_rows(space.parthood, space, masks, masks)
     either = [row | col for row, col in zip(rows, _transpose(rows, len(rows)))]
     if args.conflict == "comparability":   # distinct regions related either way
@@ -170,8 +168,6 @@ def _cmd_gos_audit(args):
               "full-underlap": gos_mod.audit_full_underlap}
     reports = [audit(space, basis) for axiom, audit in audits.items()
                if wanted in (axiom, "all")]
-    if not reports:
-        raise ParseError(f"unknown axiom {args.axiom!r} (use wra, ls, fu or all)")
     violations = space.containment_violations(basis=basis)
     containment = {"holds": not violations, "witnesses": [sorted(v) for v in violations]}
     if basis.seed is not None:
@@ -220,11 +216,9 @@ def _cmd_count(args):
         decomposition = counting.verify_decomposition(trace, None, rows=rows)
     elif args.algo == "hpca":
         trace, decomposition = counting.hpca_count(seq, None, rows=rows)
-    elif args.algo == "fhca":
+    else:
         trace, antichains = counting.fhca_count(seq, None, budget=args.budget, rows=rows)
         decomposition = counting.verify_decomposition(trace, None, rows=rows)
-    else:
-        raise ParseError(f"unknown algorithm {args.algo!r}")
     payload = {"config": {"algorithm": args.algo, "items": args.items,
                           "parthood": args.parthood, "conflict": args.conflict},
                "trace": trace.to_dict()}
@@ -307,16 +301,14 @@ def _cmd_oracle(args):
                          for i, l in enumerate(cover.levels))
         text += f"\nlongest chain: {cover.longest_chain}"
         return payload, text, False
-    if args.op == "signatures":
-        table = oracles.brute_force_signatures(space.granulation)
-        payload = {"signatures": [{"region": sorted(r), "lower": sorted(lo),
-                                   "upper": sorted(up)}
-                                  for r, (lo, up) in table.items()]}
-        text = "\n".join(f"{{{','.join(row['region'])}}} -> "
-                         f"({{{','.join(row['lower'])}}}, {{{','.join(row['upper'])}}})"
-                         for row in payload["signatures"])
-        return payload, text, False
-    raise ParseError(f"unknown oracle op {args.op!r}")
+    table = oracles.brute_force_signatures(space.granulation)   # --op signatures
+    payload = {"signatures": [{"region": sorted(r), "lower": sorted(lo),
+                               "upper": sorted(up)}
+                              for r, (lo, up) in table.items()]}
+    text = "\n".join(f"{{{','.join(row['region'])}}} -> "
+                     f"({{{','.join(row['lower'])}}}, {{{','.join(row['upper'])}}})"
+                     for row in payload["signatures"])
+    return payload, text, False
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,6 +22,9 @@ TABLE = str(FIXTURES / "table_blocks.csv")
 PAIRS_YES = str(FIXTURES / "pairs_yes.json")
 PAIRS_NO = str(FIXTURES / "pairs_no.json")
 PAIRS_WIDE12 = str(FIXTURES / "pairs_wide12.json")
+# 15 singleton granules: one element past the rough-object cap.
+WIDE15 = {"universe": [f"e{i}" for i in range(15)],
+          "granules": [[f"e{i}"] for i in range(15)]}
 
 
 def run_cli(argv):
@@ -461,6 +464,28 @@ class TestErrorsAndDeterminism:
         code, out = run_cli(argv + (["--region", "a"] if command == "approx" else []))
         assert code == 2 and out == ""
         assert "must be a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,text,says", [
+        (["approx", "--region", "p"], None, "an --input file is required"),
+        (["inverse"], None, "an --input file is required"),
+        (["approx", "--region", "zz", "--input", VEE], None, "unknown element 'zz'"),
+        (["inverse"], {"universe": ["a", "b"], "pairs": [{"lower": ["a"]}]}, "pair 0: 'upper'"),
+        (["inverse"], {"universe": ["a", "b"], "pairs": [{"lower": [], "upper": ["zz"]}]},
+         "pair 0: unknown element 'zz'"),
+        (["approx", "--region", "a"], "{not json", "invalid JSON"),
+        (["count", "--algo", "pca", "--items", "rough-objects"], WIDE15, "n=15 > 14"),
+        (["coherence", "--items", "rough-objects"], WIDE15, "n=15 > 14"),
+    ])
+    def test_refusals_print_one_error_line(self, tmp_path, capsys, argv, text, says):
+        if text is not None:
+            path = tmp_path / "input.json"
+            path.write_text(text if isinstance(text, str) else json.dumps(text),
+                            encoding="utf-8")
+            argv = argv + ["--input", str(path)]
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and says in err, err
 
     def test_unexpected_exception_exits_three(self, monkeypatch, capsys):
         def broken(args):
