@@ -417,7 +417,7 @@ def rough_objects(gos: GranularOperatorSpace, notion: str = "maximal-consistent"
     n = len(gos.universe)
     if n > QUOTIENT_UNIVERSE_CAP:
         raise ValueError(f"universe too large for quotient enumeration (n={n} > {QUOTIENT_UNIVERSE_CAP})")
-    if gos.explicit:   # indexed by mask
+    if gos.explicit:   # sigs is indexed by mask
         sigs = gos.signatures(_ascending(n))
     else:
         sigs = _signature_table(gos.granulation.masks(), n)

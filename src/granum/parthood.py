@@ -126,15 +126,15 @@ def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
     Bit j of row i is set iff ``v`` holds from ``sources[i]`` to
     ``targets[j]``.  The signatures of the sources and of the targets are
     read in one :meth:`~granum.gos.GranularOperatorSpace.signatures` call
-    each.  For a signature formula, the targets are grouped by (lower, upper) signature,
-    and each subset test ``X(a) <= Y(b)`` gets one column per universe
-    element e: the targets whose ``Y`` contains e.  A source's row is then
-    the AND of the columns of the elements of its ``X`` (all targets when
-    ``X`` is empty), built once per distinct source signature: O(k * n)
-    integer operations for k signatures on n elements, not k * k formula
-    calls.  g-simple is very-cautious on a derived space and is built the
-    same way; on explicit operators it falls back to :func:`holds` pair by
-    pair, as do custom evaluators.
+    each.  For a signature formula, the targets are grouped by (lower,
+    upper) signature, and each subset test ``X(a) <= Y(b)`` gets one column
+    per universe element e: the targets whose ``Y`` contains e.  A source's
+    row is then the AND of the columns of the elements of its ``X`` (all
+    targets when ``X`` is empty), built once per distinct source signature:
+    O(k * n) integer operations for k signatures on n elements, not k * k
+    formula calls.  g-simple is very-cautious on a derived space and is
+    built the same way; on explicit operators it falls back to
+    :func:`holds` pair by pair, as do custom evaluators.
     """
     tests = _subset_tests(v, ctx)
     if tests is None:
