@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import parthood as ph
 from .core import (DEFAULT_SEED, Basis, Granulation, IndiscernibilityRelation, Region,
                    Universe, _ascending, _is_ascending, _jsonify, _region_masks,
-                   _transpose, lower_approx, lower_bits, upper_approx, upper_bits)
+                   _transpose, lower_approx, lower_bits, upper_approx)
 
 EXHAUSTIVE_UNIVERSE_CAP = 14  # 16384 regions; beyond this audits sample
 AUDIT_SAMPLE = 2048
@@ -84,12 +84,25 @@ class GranularOperatorSpace:
         return self._lower_op is not None
 
     def signature_bits(self, bits: int) -> tuple[int, int]:
-        """(lower, upper) masks for a region given by its mask; memoized."""
+        """(lower, upper) masks for a region given by its mask; memoized.
+
+        On a derived space this is :func:`~granum.core.lower_bits` and
+        :func:`~granum.core.upper_bits` in one pass over the granules: only
+        a granule that meets the region can lie inside it (an empty one adds
+        nothing to either union).
+        """
         got = self._cache.get(bits)
         if got is not None:
             return got
         if self._lower_op is None:
-            sig = (lower_bits(bits, self._masks), upper_bits(bits, self._masks))
+            outside = ~bits
+            lo = up = 0
+            for g in self._masks:
+                if g & bits:
+                    up |= g
+                    if not g & outside:
+                        lo |= g
+            sig = (lo, up)
         else:
             a = Region(self.universe, bits)
             lo, up = self._lower_op(a), self._upper_op(a)

@@ -17,6 +17,7 @@ from granum import (AxiomReport, Basis, Granulation, GranularOperatorSpace, Univ
 from granum import gos as gos_mod, parthood as ph
 from granum.core import Region, _region_masks, lower_bits, upper_bits
 from granum.gos import _axiom_basis
+from granum.oracles import brute_force_signatures
 
 from conftest import granulation_suite, planted_pairs, seeded_space
 
@@ -358,6 +359,29 @@ class TestSignatureTable:
         with pytest.raises(ValueError, match="foreign region"):
             audit_weak_representability(space)
         assert space._cache == {}   # a refused signature is not memoized
+
+    def test_fused_read_equals_lower_and_upper_bits(self):
+        rng = random.Random("fused-signature-read")
+        for _ in range(120):
+            n = rng.randint(1, 30)
+            space = seeded_space(rng, n)
+            full = (1 << n) - 1
+            granules = space.granulation.masks()
+            masks = [0, full, *granules, *(rng.getrandbits(n) for _ in range(20))]
+            masks += [g | rng.getrandbits(n) for g in granules[:3]]
+            if rng.random() < 0.5:   # a granule list no Granulation accepts
+                space._masks = tuple(_granule_masks(rng, n))
+                granules = space._masks
+            for bits in masks:
+                want = (lower_bits(bits, granules), upper_bits(bits, granules))
+                assert space.signature_bits(bits) == want, (n, granules, bits)
+
+    def test_fused_read_equals_the_brute_force_signatures(self):
+        rng = random.Random("fused-signature-oracle")
+        for _ in range(60):
+            space = seeded_space(rng, rng.randint(1, 8))
+            for region, (lo, up) in brute_force_signatures(space.granulation).items():
+                assert space.signature_bits(region.bits) == (lo.bits, up.bits)
 
     def test_rough_objects_reads_the_table_only_on_a_derived_space(self):
         rng = random.Random("rough-objects-reads")
