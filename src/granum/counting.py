@@ -31,6 +31,14 @@ irreflexive (hpc never reads the diagonal) and symmetric.
 ``verify_decomposition`` re-checks a run on masks too, and reads the relation as it is; its pair-by-pair form,
 asking the callback lazily, is :func:`granum.oracles.verify_decomposition_by_calls`,
 the tests' reference.
+
+Every greedy pass (of hpca, fhca and ``fhca_rounds``) is one kernel that
+takes its order as the position masks of the order's ascending runs: the
+sequence itself is one run, a rotation two, and a seeded permutation its
+maximal ascending runs.  It visits only the pass's members, the lowest
+unblocked position of each run in turn, and slices the rejected items out
+of the order between them; its item-by-item form is
+:func:`granum.oracles.greedy_pass_by_scan`, the tests' reference.
 """
 
 from __future__ import annotations
@@ -370,20 +378,61 @@ def pca_count(seq: OrderArrangement, conflict: ConflictFn, *,
     return CountingTrace("pca", [seq], labels, categories, [rec])
 
 
-def _greedy_pass(order: OrderArrangement, index: dict[Item, int], rows: list[int],
-                 cat_index: int) -> tuple[int, tuple[tuple[Item, CountLabel], ...], tuple]:
-    """One scan of the whole order: a conflict-free category's position mask,
-    its labelled members and the rejected items, both in scan order."""
-    taken = 0
+def _rotation_runs(start: int, n: int) -> tuple[int, int]:
+    """The ascending runs of the rotation that starts at 0-based ``start``:
+    positions ``start..n-1``, then ``0..start-1`` (empty when ``start`` is 0)."""
+    head = (1 << start) - 1
+    return ((1 << n) - 1) & ~head, head
+
+
+def _permutation_runs(perm: Sequence[int]) -> list[int]:
+    """The position masks of the maximal ascending runs of ``perm``, in order."""
+    runs = []
+    run = last = 0
+    for p in perm:
+        if p < last:
+            runs.append(run)
+            run = 0
+        run |= 1 << p
+        last = p
+    runs.append(run)
+    return runs
+
+
+def _greedy_pass(order: OrderArrangement, runs: Sequence[int], items: Sequence[Item],
+                 rows: list[int], cat_index: int
+                 ) -> tuple[int, tuple[tuple[Item, CountLabel], ...], tuple]:
+    """One greedy scan of ``order``: a conflict-free category's position mask,
+    its labelled members and the rejected items, both in scan order.
+
+    ``order`` is given as the position masks of its ascending runs: scanning
+    it is scanning each run in ascending position (of ``items``, the rows'
+    order), run after run.  An item is taken unless it conflicts with an
+    earlier member; the rows are symmetric, so that is unless it lies in
+    ``blocked``, the union of the members' rows.  So the next member of a
+    run is the lowest position of ``run & ~blocked`` above the last member,
+    and the pass costs O(members) mask steps, not one per item.  The items
+    between two members' ranks in ``order`` are the rejected ones.
+    """
+    seq = order.sequence
+    taken = blocked = 0
     assigned: list[tuple[Item, CountLabel]] = []
     rejected: list[Item] = []
-    for x in order.sequence:
-        p = index[x]
-        if rows[p] & taken:
-            rejected.append(x)
-        else:
-            taken |= 1 << p
-            assigned.append((x, count_label(len(assigned) + 1, cat_index)))
+    offset = done = 0   # rank of the run's first item; of the first item not yet placed
+    for run in runs:
+        free = run & ~blocked
+        while free:
+            low = free & -free
+            p = low.bit_length() - 1
+            rank = offset + (run & (low - 1)).bit_count()
+            rejected += seq[done:rank]
+            done = rank + 1
+            taken |= low
+            blocked |= rows[p]
+            assigned.append((items[p], count_label(len(assigned) + 1, cat_index)))
+            free &= ~(blocked | low)
+        offset += run.bit_count()
+    rejected += seq[done:]
     return taken, tuple(assigned), tuple(rejected)
 
 
@@ -431,10 +480,11 @@ def hpca_count(seq: OrderArrangement, conflict: ConflictFn, *, rows: Sequence[in
 def _hpca_trace(seq: OrderArrangement, rows: list[int], algorithm: str) -> CountingTrace:
     """The hpca run of :func:`hpca_count` on checked rows, unverified, labelled ``algorithm``."""
     items = seq.sequence
+    n = len(items)
     index = {x: i for i, x in enumerate(items)}
-    full = (1 << len(items)) - 1
+    full = (1 << n) - 1
 
-    covered, assigned, markers = _greedy_pass(seq, index, rows, 1)
+    covered, assigned, markers = _greedy_pass(seq, (full,), items, rows, 1)
     labels: dict[Item, list[tuple[int, CountLabel]]] = {x: [] for x in items}
     for x, lab in assigned:
         labels[x].append((1, lab))
@@ -451,7 +501,8 @@ def _hpca_trace(seq: OrderArrangement, rows: list[int], algorithm: str) -> Count
             break
         order = seq.rotate(index[start] + 1)
         cat_index = len(retained) + 1
-        taken, assigned, rejected = _greedy_pass(order, index, rows, cat_index)
+        taken, assigned, rejected = _greedy_pass(order, _rotation_runs(index[start], n),
+                                                 items, rows, cat_index)
         if taken in seen:
             passes.append(PassRecord(pass_no, order, start, assigned, rejected,
                                      None, retained=False))
@@ -618,7 +669,6 @@ def fhca_rounds(seq: OrderArrangement, conflict: ConflictFn,
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
-    index = {x: i for i, x in enumerate(items)}
     full = (1 << n) - 1
     labels: dict[Item, list[tuple[int, CountLabel]]] = {x: [] for x in items}
     passes: list[PassRecord] = []
@@ -627,11 +677,11 @@ def fhca_rounds(seq: OrderArrangement, conflict: ConflictFn,
     covered = 0
     rng = random.Random(seed)
 
-    order = seq
+    order, runs = seq, (full,)
     used = 0
     while True:
         idx = len(collected) + 1
-        taken, assigned, rejected = _greedy_pass(order, index, rows, idx)
+        taken, assigned, rejected = _greedy_pass(order, runs, items, rows, idx)
         collected.append(Category(idx, tuple(x for x, _ in assigned)))
         covered |= taken
         for x, lab in assigned:
@@ -642,11 +692,13 @@ def fhca_rounds(seq: OrderArrangement, conflict: ConflictFn,
             break
         used += 1
         if strategy == "rotation":   # the least uncovered position goes first
-            order = seq.rotate(((covered + 1) & ~covered).bit_length())
+            start = ((covered + 1) & ~covered).bit_length() - 1
+            order, runs = seq.rotate(start + 1), _rotation_runs(start, n)
         else:
             perm = list(range(n))
             rng.shuffle(perm)
             order = seq.permuted(perm, f"permutation(seed={seed},round={used})")
+            runs = _permutation_runs(perm)
 
     trace = CountingTrace("fhca", orders, labels, collected, passes,
                           incomplete=covered != full)

@@ -4,9 +4,11 @@ These deliberately avoid the code paths they grade: antichain enumeration is
 a maximal-independent-set search over the conflict graph, signatures are
 recomputed element by element from the definitions, the inverse check
 searches every partition of the universe (it grades the closed form
-:func:`granum.gos.rough_origin`), and a run's decomposition is re-verified
+:func:`granum.gos.rough_origin`), a run's decomposition is re-verified
 by asking the conflict callback pair by pair (it grades the mask verifier
-:func:`granum.counting.verify_decomposition`).
+:func:`granum.counting.verify_decomposition`), and a greedy counting pass
+scans its order item by item (it grades the run-mask pass of
+:mod:`granum.counting`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .core import Granulation, IndiscernibilityRelation, Region, Universe
-from .counting import AntichainDecomposition, CategoryVerdict, CountingTrace
+from .counting import (AntichainDecomposition, CategoryVerdict, CountingTrace, CountLabel,
+                       OrderArrangement, count_label)
 from .gos import PartitionWitness
 
 Item = Hashable
@@ -110,6 +113,28 @@ def verify_decomposition_by_calls(trace: CountingTrace,
     return AntichainDecomposition(tuple(c.members for c in trace.categories),
                                   tuple(verdicts), coverage, missing, total,
                                   len(items), counts_match, coherent)
+
+
+def greedy_pass_by_scan(order: OrderArrangement, items: Sequence[Item], rows: Sequence[int],
+                        cat_index: int) -> tuple[int, tuple[tuple[Item, CountLabel], ...], tuple]:
+    """:func:`granum.counting._greedy_pass` as an item-by-item scan of ``order``.
+
+    Each item, in order, is taken when its row (over ``items``) meets no
+    earlier member, else rejected.  Returns the members' position mask, the
+    members with their count labels and the rejected items, in scan order.
+    """
+    index = {x: i for i, x in enumerate(items)}
+    taken = 0
+    assigned: list[tuple[Item, CountLabel]] = []
+    rejected: list[Item] = []
+    for x in order.sequence:
+        p = index[x]
+        if rows[p] & taken:
+            rejected.append(x)
+        else:
+            taken |= 1 << p
+            assigned.append((x, count_label(len(assigned) + 1, cat_index)))
+    return taken, tuple(assigned), tuple(rejected)
 
 
 def _bit_indices(mask: int) -> Iterator[int]:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from granum import counting as C
 from granum.counting import arrangement, fhca_rounds
-from granum.oracles import (enumerate_maximal_antichains, minimum_antichain_cover,
-                            verify_decomposition_by_calls)
+from granum.oracles import (enumerate_maximal_antichains, greedy_pass_by_scan,
+                            minimum_antichain_cover, verify_decomposition_by_calls)
 
 from conftest import random_poset
 
@@ -314,6 +314,73 @@ class TestHpca:
             trace, dec = C.hpca_count(arrangement(items), conflict)
             union = set().union(*(set(c.members) for c in trace.categories))
             assert union <= set(items), name
+
+
+def random_rows(rng, n, density):
+    """Symmetric, irreflexive conflict rows on n positions at ``density``."""
+    rows = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
+
+
+def run_positions(runs):
+    """The positions of ``runs`` in scan order: each run ascending, run after run."""
+    return [p for run in runs for p in range(run.bit_length()) if run >> p & 1]
+
+
+class TestGreedyPass:
+    """The run-mask pass equals :func:`greedy_pass_by_scan`, the item-by-item
+    scan, in taken mask, labelled members and rejected items."""
+
+    @staticmethod
+    def orders(rng, seq, permutations):
+        """The identity order, every rotation and seeded permutations of
+        ``seq``, each with its runs."""
+        n = len(seq.sequence)
+        yield seq, ((1 << n) - 1,)
+        for start in range(n):
+            yield seq.rotate(start + 1), C._rotation_runs(start, n)
+        for k in range(permutations):
+            perm = rng.sample(range(n), n)
+            yield seq.permuted(perm, f"permutation({k})"), C._permutation_runs(perm)
+
+    def test_matches_the_scan_on_random_rows(self):
+        rng = random.Random("greedy-pass")
+        cases = 0
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            density = rng.choice((0.0, 0.05, 0.5, 0.98, 1.0, rng.random()))
+            items = tuple(rng.sample(range(1000), n))
+            rows = random_rows(rng, n, density)
+            seq = arrangement(items)
+            for order, runs in self.orders(rng, seq, 5):
+                cat_index = rng.randint(1, 9)
+                assert C._greedy_pass(order, runs, items, rows, cat_index) == \
+                    greedy_pass_by_scan(order, items, rows, cat_index), (items, rows, order)
+                cases += 1
+        assert cases > 6000
+
+    @given(arranged_conflict_graphs(max_items=9), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_scan_on_drawn_graphs(self, drawn, rng):
+        items, conflict = drawn
+        rows = rows_of(items, conflict)
+        for order, runs in self.orders(rng, arrangement(items), 3):
+            assert C._greedy_pass(order, runs, items, rows, 1) == \
+                greedy_pass_by_scan(order, items, rows, 1)
+
+    def test_runs_scan_their_order(self):
+        rng = random.Random("greedy-runs")
+        for n in range(1, 30):
+            index = {x: i for i, x in enumerate(range(n))}
+            for order, runs in self.orders(rng, arrangement(range(n)), 5):
+                assert run_positions(runs) == [index[x] for x in order.sequence]
+        assert C._permutation_runs([2, 5, 1, 3, 0, 4]) == [0b100100, 0b1010, 0b10001]
+        assert C._rotation_runs(0, 4) == (0b1111, 0)
+        assert C._rotation_runs(3, 4) == (0b1000, 0b0111)
 
 
 class TestCoherence:
