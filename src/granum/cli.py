@@ -226,9 +226,11 @@ def _cmd_count(args):
         payload["decomposition"] = decomposition.to_dict()
     if antichains is not None:
         payload["antichains"] = [list(a) for a in antichains]
-    text = trace.render_text()
-    if decomposition is not None:
-        text += "\ncoverage: %s" % ("yes" if decomposition.coverage else "NO")
+    text = None   # JSON output writes the payload alone
+    if args.output == "text":
+        text = trace.render_text()
+        if decomposition is not None:
+            text += "\ncoverage: %s" % ("yes" if decomposition.coverage else "NO")
     negative = bool(decomposition is not None
                     and not (decomposition.coverage and decomposition.all_conflict_free))
     return payload, text, negative
