@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from granum import (GranularOperatorSpace, IndiscernibilityRelation, PartitionWitness,
-                    Universe, cli, gos, oracles, parse_context)
+                    Universe, cli, counting, gos, oracles, parse_context)
 from granum import parthood as ph
 
 from conftest import FIXTURES, planted_pairs
@@ -53,6 +53,17 @@ class TestCount:
         code, text = run_cli(["count", "--algo", "pca", "--input", VEE])
         assert code == 0
         assert "1_1" in text and "C_1" in text
+
+    @pytest.mark.parametrize("algo", ["hpc", "pca", "hpca", "fhca"])
+    def test_json_output_renders_no_text(self, monkeypatch, algo):
+        rendered = []
+        render = counting.CountingTrace.render_text
+        monkeypatch.setattr(counting.CountingTrace, "render_text",
+                            lambda trace: rendered.append(trace) or render(trace))
+        code, _ = run_json(["count", "--algo", algo, "--input", VEE])
+        assert code == 0 and rendered == []
+        code, text = run_cli(["count", "--algo", algo, "--input", VEE])
+        assert code == 0 and len(rendered) == 1 and text.startswith("algorithm: ")
 
     def test_hpc_runs(self):
         code, doc = run_json(["count", "--algo", "hpc", "--input", VEE])
