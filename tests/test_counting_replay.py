@@ -2,10 +2,9 @@
 
 ``fixtures/counting_traces.json.gz`` holds, for each case, the JSON export (or
 the error message) of ``hpc_count``, ``pca_count``, ``hpca_count``,
-``fhca_count``, ``fhca_rounds`` under both strategies and
-``find_coherent_order``.  The cases are the poset corpus and 50 seeded
-random relations, some of them reflexive or asymmetric, so the refusal
-messages and their witnesses are pinned too.
+``fhca_count`` and ``fhca_rounds`` under both strategies.  The cases are the
+poset corpus and 50 seeded random relations, some of them reflexive or
+asymmetric, so the refusal messages and their witnesses are pinned too.
 
 Regenerate the recording, only when a trace change is intended, with::
 
@@ -86,7 +85,6 @@ PROCEDURES = {
     "fhca_rounds-rotation": lambda seq, cf: _with_antichains(C.fhca_rounds(seq, cf)),
     "fhca_rounds-random": lambda seq, cf: _with_antichains(
         C.fhca_rounds(seq, cf, strategy="random", seed=4)),
-    "find_coherent_order": lambda seq, cf: C.find_coherent_order(seq.sequence, cf).to_dict(),
 }
 
 
