@@ -12,9 +12,9 @@ from .core import (Basis, Granulation, IndiscernibilityRelation, InformationTabl
                    lower_approx, parse_context, parse_information_table,
                    rough_equality, rough_inclusion, upper_approx)
 from .counting import (AntichainDecomposition, CountLabel, CountingTrace,
-                       OrderArrangement, arrangement, fhca_count,
-                       find_coherent_order, hpc_count, hpca_count,
-                       is_hpca_coherent, pca_count, verify_decomposition)
+                       OrderArrangement, arrangement, fhca_count, hpc_count,
+                       hpca_count, is_hpca_coherent, pca_count,
+                       verify_decomposition)
 from .gos import (AxiomReport, BasicRoughOrder, GranularOperatorSpace,
                   PartitionWitness, RoughQuotient, RoughRepresentation,
                   audit_full_underlap, audit_lower_stability,
@@ -40,7 +40,7 @@ __all__ = [
     "audit_generalized_transitivity", "audit_lower_stability",
     "audit_properties", "audit_weak_representability", "basic_rough_order",
     "brute_force_signatures", "conflict", "enumerate_maximal_antichains",
-    "fhca_count", "find_coherent_order", "holds", "hpc_count", "hpca_count",
+    "fhca_count", "holds", "hpc_count", "hpca_count",
     "indiscernibility_partition", "interval_representation",
     "inverse_rough_check", "is_hpca_coherent", "knowledge_validity_check",
     "lower_approx", "minimum_antichain_cover", "parse_context",

@@ -202,8 +202,6 @@ def _cmd_parthood_audit(args):
 
 
 def _cmd_count(args):
-    if args.budget is not None and args.algo != "fhca":
-        raise ParseError("--budget applies only to --algo fhca")
     space = _load_space(args, pH.variant(args.parthood))
     items, rows, _ = _items(space, args)
     seq = counting.arrangement(items)
@@ -217,7 +215,7 @@ def _cmd_count(args):
     elif args.algo == "hpca":
         trace, decomposition = counting.hpca_count(seq, None, rows=rows)
     else:
-        trace, antichains = counting.fhca_count(seq, None, budget=args.budget, rows=rows)
+        trace, antichains = counting.fhca_count(seq, None, rows=rows)
         decomposition = counting.verify_decomposition(trace, None, rows=rows)
     payload = {"config": {"algorithm": args.algo, "items": args.items,
                           "parthood": args.parthood, "conflict": args.conflict},
@@ -237,26 +235,13 @@ def _cmd_count(args):
 
 
 def _cmd_coherence(args):
-    if args.budget is not None and not args.search:
-        raise ParseError("--budget applies only with --search")
     space = _load_space(args, pH.variant(args.parthood))
     items, rows, _ = _items(space, args)
     seq = counting.arrangement(items)
     coherent = counting.is_hpca_coherent(seq, None, rows=rows)
-    payload: dict = {"order": list(items), "coherent": coherent}
-    lines = [f"order {items}: {'coherent' if coherent else 'NOT coherent'}"]
-    if args.search:
-        result = counting.find_coherent_order(items, None, budget=args.budget,
-                                              seed=args.seed, rows=rows)
-        payload["search"] = result.to_dict()
-        if result.found is not None:
-            lines.append(f"coherent order found after {result.tried} tries: "
-                         f"{list(result.found.sequence)}")
-        else:
-            lines.append(f"none found within budget ({result.tried} tried, "
-                         f"{'exhaustive' if result.exhaustive else 'sampled'})")
-    negative = not coherent
-    return payload, "\n".join(lines), negative
+    payload = {"order": list(items), "coherent": coherent}
+    text = f"order {items}: {'coherent' if coherent else 'NOT coherent'}"
+    return payload, text, not coherent
 
 
 def _cmd_inverse(args):
@@ -361,16 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("count", "run a counting procedure", *table, "--parthood", "--conflict",
                 "--strict", "--items")
-    p.add_argument("--budget", type=int,
-                   help="fhca only, refused with the other algorithms; at least 1 when given")
     p.add_argument("--algo", required=True, choices=["hpc", "pca", "hpca", "fhca"])
 
-    p = command("coherence", "check or search for coherent orders", *table, "--parthood",
-                "--conflict", "--seed", "--strict", "--items")
-    p.add_argument("--budget", type=int, help="arrangements --search may try, refused "
-                                                "without --search; below 1 tries none")
-    p.add_argument("--search", action="store_true",
-                   help="also search arrangements for a coherent one")
+    command("coherence", "check that the hpca run in input order is coherent", *table,
+            "--parthood", "--conflict", "--strict", "--items")
 
     command("inverse", "decide whether pairs have a rough origin", "--strict")
 

@@ -17,9 +17,8 @@ symmetric conflict relation:
                     relabelled.  Its permuted-order collection rounds are
                     ``fhca_rounds``.
 
-Every run is deterministic in (sequence, conflict), ``fhca_rounds`` and the
-arrangement search also in their seed, and the trace records enough to
-replay each pass rule by rule.
+Every run is deterministic in (sequence, conflict), ``fhca_rounds`` also in
+its seed, and the trace records enough to replay each pass rule by rule.
 
 Each procedure works on the conflict's bit rows over the sequence: bit j of
 row i is set when item i conflicts with item j.  A caller that already holds
@@ -43,7 +42,6 @@ of the order between them; its item-by-item form is
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
@@ -584,69 +582,19 @@ def is_hpca_coherent(seq: OrderArrangement, conflict: ConflictFn, *,
     return bool(decomposition.coherent)
 
 
-@dataclass(frozen=True)
-class CoherentOrderSearch:
-    """Result of scanning arrangements for a coherent one."""
-
-    found: OrderArrangement | None
-    tried: int
-    exhaustive: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "found": list(self.found.sequence) if self.found else None,
-            "tried": self.tried,
-            "exhaustive": self.exhaustive,
-        }
-
-
-EXHAUSTIVE_ARRANGEMENT_CAP = 8  # 8! = 40320 arrangements
-
-
-def find_coherent_order(collection: Iterable[Item], conflict: ConflictFn,
-                        budget: int | None = None, seed: int = DEFAULT_SEED, *,
-                        rows: Sequence[int] | None = None) -> CoherentOrderSearch:
-    """Return the first arrangement of the collection that a search would try.
-
-    By the coherence theorem in :func:`hpca_count`'s docstring every
-    arrangement is coherent, so the first one tried is the answer: the
-    canonical order when n <= 8 (``exhaustive`` when the budget admits all
-    n! arrangements), otherwise the first seeded shuffle.  A budget below 1
-    tries nothing and finds nothing.  With ``rows=`` given, ``conflict`` is
-    not read and may be ``None``.
-    """
-    items = tuple(collection)
-    if not items:
-        raise ValueError("cannot search arrangements of an empty collection")
-    _conflict_masks(items, conflict, rows=rows)
-    if budget is not None and budget < 1:
-        return CoherentOrderSearch(None, 0, exhaustive=False)
-    n = len(items)
-    if n <= EXHAUSTIVE_ARRANGEMENT_CAP:
-        exhaustive = budget is None or budget >= math.factorial(n)
-        return CoherentOrderSearch(OrderArrangement(items), 1, exhaustive)
-    order = list(items)
-    random.Random(seed).shuffle(order)
-    return CoherentOrderSearch(
-        OrderArrangement(tuple(order), f"permutation(seed={seed},try=1)"), 1, exhaustive=False)
-
-
-def fhca_count(seq: OrderArrangement, conflict: ConflictFn, budget: int | None = None, *,
+def fhca_count(seq: OrderArrangement, conflict: ConflictFn, *,
                rows: Sequence[int] | None = None) -> tuple[CountingTrace, list[tuple]]:
     """Full-history counting: the hpca run, relabelled ``fhca``.
 
     fhca permutes and re-collects only past a run that is not coherent, and
     by the coherence theorem in :func:`hpca_count`'s docstring every run is,
-    so fhca equals hpca relabelled (same labels and categories).  Unlike
-    :func:`hpca_count` it does not verify its run; callers that want the
-    verdict call :func:`verify_decomposition`.  The permuted-order
-    collection rounds are :func:`fhca_rounds`.  ``budget``, when given,
-    must be >= 1.  With ``rows=`` given, ``conflict`` is not read and may be
-    ``None``.
+    so fhca equals hpca relabelled (same labels and categories) and takes no
+    budget.  Unlike :func:`hpca_count` it does not verify its run; callers
+    that want the verdict call :func:`verify_decomposition`.  The
+    permuted-order collection rounds are :func:`fhca_rounds`.  With
+    ``rows=`` given, ``conflict`` is not read and may be ``None``.
     """
     items = _require_items(seq)
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be >= 1")
     trace = _hpca_trace(seq, _conflict_masks(items, conflict, rows=rows), "fhca")
     return trace, [c.members for c in trace.categories]
 

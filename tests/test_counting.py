@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import math
 import random
 
 import pytest
@@ -248,8 +247,7 @@ class TestCheckRows:
                 return (a, b) in rel
             rows = rows_of(items, conflict)
             for run in (C.hpc_count, C.pca_count, C.hpca_count, C.fhca_count,
-                        C.is_hpca_coherent,
-                        lambda s, cf, **kw: C.find_coherent_order(s.sequence, cf, **kw)):
+                        C.is_hpca_coherent):
                 assert outcome(lambda: run(seq, None, rows=rows)) == \
                     outcome(lambda: run(seq, conflict))
 
@@ -395,65 +393,6 @@ class TestCoherence:
             rng.shuffle(items)
             assert C.is_hpca_coherent(arrangement(items), lambda a, b: False)
 
-    def test_find_coherent_order_returns_canonical(self, vee_poset):
-        items, _, conflict = vee_poset
-        result = C.find_coherent_order(items, conflict)
-        assert result.found is not None
-        assert result.found.sequence == items
-        assert result.tried == 1
-
-    def test_search_takes_the_first_arrangement_on_the_corpus(self, poset_corpus):
-        for name, (items, _, conflict) in poset_corpus:
-            result = C.find_coherent_order(items, conflict)
-            assert result.tried == 1, name
-            if len(items) <= C.EXHAUSTIVE_ARRANGEMENT_CAP:
-                assert result.found == C.OrderArrangement(items, "canonical"), name
-                assert result.exhaustive, name
-            else:
-                assert result.found.origin == "permutation(seed=1729,try=1)", name
-                assert not result.exhaustive, name
-
-    def test_exhaustive_exactly_when_budget_admits_every_arrangement(self, poset_corpus):
-        for name, (items, _, conflict) in poset_corpus:
-            if len(items) > C.EXHAUSTIVE_ARRANGEMENT_CAP:
-                continue
-            total = math.factorial(len(items))
-            every = C.find_coherent_order(items, conflict, budget=total)
-            short = C.find_coherent_order(items, conflict, budget=total - 1)
-            assert every.exhaustive and not short.exhaustive, name
-            assert every.found == short.found == C.OrderArrangement(items), name
-            assert every.tried == short.tried == 1, name
-
-    def test_negative_budget_misses_like_zero(self, vee_poset):
-        items, _, conflict = vee_poset
-        result = C.find_coherent_order(items, conflict, budget=-1)
-        assert result == C.CoherentOrderSearch(None, 0, exhaustive=False)
-
-    @pytest.mark.parametrize("n", [9, 10])
-    def test_first_seeded_shuffle_above_cap(self, n):
-        items = tuple(range(n))
-        conflict = lambda a, b: a != b and (a + b) % 3 == 0
-        order = list(items)
-        random.Random(7).shuffle(order)
-        result = C.find_coherent_order(items, conflict, seed=7)
-        assert result.found == C.OrderArrangement(tuple(order), "permutation(seed=7,try=1)")
-        assert result.tried == 1 and not result.exhaustive
-        assert C.is_hpca_coherent(result.found, conflict)
-
-    def test_chain_any_order_works(self):
-        result = C.find_coherent_order(list("abc"), lambda a, b: a != b)
-        assert result.found is not None
-
-    def test_budget_zero_finds_nothing(self, vee_poset):
-        items, _, conflict = vee_poset
-        result = C.find_coherent_order(items, conflict, budget=0)
-        assert result.found is None and result.tried == 0 and not result.exhaustive
-
-    def test_sampled_search_above_cap(self):
-        items = [f"x{i}" for i in range(9)]
-        result = C.find_coherent_order(items, lambda a, b: False, budget=3, seed=1)
-        assert result.found is not None and not result.exhaustive
-
 
 class TestCoherenceCensus:
     def test_every_four_element_poset_arrangement_is_coherent(self):
@@ -550,11 +489,6 @@ class TestFhca:
                                strategy="random", seed=4)
         assert not trace.incomplete
 
-    def test_budget_below_one_rejected(self, vee_poset):
-        items, _, conflict = vee_poset
-        with pytest.raises(ValueError, match="budget"):
-            C.fhca_count(arrangement(items), conflict, budget=0)
-
 
 def counted(conflict):
     """The conflict wrapped to log every call, and the log."""
@@ -578,8 +512,6 @@ class TestConflictCalls:
         "hpca": C.hpca_count,
         "is_hpca_coherent": C.is_hpca_coherent,
         "fhca": C.fhca_count,
-        "find_coherent_order": lambda seq, cf, **kw: C.find_coherent_order(seq.sequence, cf,
-                                                                          **kw),
     }
 
     @staticmethod
