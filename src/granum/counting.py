@@ -66,11 +66,18 @@ class OrderArrangement:
             raise ValueError("arrangement contains duplicate items")
 
     def rotate(self, position: int) -> OrderArrangement:
-        """Rotation starting at 1-based ``position`` of this arrangement."""
+        """Rotation starting at 1-based ``position`` of this arrangement.
+
+        A rotation of a duplicate-free sequence has no duplicates, so it is
+        built without the constructor's check, a set of all n items.
+        """
         if not 1 <= position <= len(self.sequence):
             raise ValueError(f"rotation position {position} out of range")
-        seq = self.sequence[position - 1:] + self.sequence[:position - 1]
-        return OrderArrangement(seq, f"rotation({position})")
+        rotated = object.__new__(OrderArrangement)
+        object.__setattr__(rotated, "sequence",
+                           self.sequence[position - 1:] + self.sequence[:position - 1])
+        object.__setattr__(rotated, "origin", f"rotation({position})")
+        return rotated
 
     def permuted(self, indices: Sequence[int], origin: str) -> OrderArrangement:
         seq = tuple(self.sequence[i] for i in indices)

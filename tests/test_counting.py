@@ -572,3 +572,17 @@ class TestDeterminismAndExport:
     def test_duplicate_items_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             C.OrderArrangement(("a", "a"))
+
+    def test_rotation_equals_the_checked_arrangement(self):
+        # rotate skips the duplicate check, which a rotation cannot fail
+        for n in range(1, 7):
+            seq = arrangement(range(n))
+            for p in range(1, n + 1):
+                want = C.OrderArrangement(tuple(range(p - 1, n)) + tuple(range(p - 1)),
+                                          f"rotation({p})")
+                got = seq.rotate(p)
+                assert got == want and hash(got) == hash(want)
+                assert type(got.sequence) is tuple
+            for p in (0, n + 1):
+                with pytest.raises(ValueError, match=f"rotation position {p} out of range"):
+                    seq.rotate(p)
