@@ -81,6 +81,14 @@ class TestCount:
         assert code == 0
         assert doc["config"]["items"] == "rough-objects"
 
+    @pytest.mark.parametrize("algo", ["hpc", "pca", "hpca", "fhca"])
+    @pytest.mark.parametrize("budget", ["-5", "0", "3"])
+    def test_budget_refused_by_every_algorithm(self, capsys, algo, budget):
+        # no counting procedure takes a budget, fhca included
+        code, out = run_cli(["count", "--algo", algo, "--budget", budget, "--input", VEE])
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: --budget {budget}" in capsys.readouterr().err
+
 
 class TestInverse:
     def test_yes_case(self):
@@ -641,7 +649,7 @@ class TestJsonWriter:
                     text = record["stdout"]
                     assert cli._json_text(json.loads(text)) + "\n" == text, (path.name, case)
                     checked += 1
-        assert checked >= 103
+        assert checked >= 115
 
     def test_count_payload_on_120_elements(self, tmp_path, monkeypatch):
         rng = random.Random(120)

@@ -393,6 +393,26 @@ class TestCoherence:
             rng.shuffle(items)
             assert C.is_hpca_coherent(arrangement(items), lambda a, b: False)
 
+    def test_chain_any_order_coherent(self):
+        for perm in itertools.permutations("abc"):
+            assert C.is_hpca_coherent(arrangement(perm), lambda a, b: a != b), perm
+
+    def test_corpus_canonical_coherent(self, poset_corpus):
+        for name, (items, _, conflict) in poset_corpus:
+            incomp = lambda a, b: a != b and not conflict(a, b)
+            for cf in (conflict, incomp):
+                assert C.is_hpca_coherent(arrangement(items), cf), name
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_seeded_shuffles_coherent(self, n):
+        # past 8! arrangements no census exists: seeded shuffles instead
+        conflict = lambda a, b: a != b and (a + b) % 3 == 0
+        rng = random.Random(7)
+        order = list(range(n))
+        for _ in range(20):
+            rng.shuffle(order)
+            assert C.is_hpca_coherent(arrangement(order), conflict), order
+
 
 class TestCoherenceCensus:
     def test_every_four_element_poset_arrangement_is_coherent(self):
