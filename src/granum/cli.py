@@ -19,8 +19,9 @@ import sys
 from pathlib import Path
 
 from . import counting, gos as gos_mod, oracles, parthood as pH
-from .core import (DEFAULT_SEED, ParseError, Region, Universe, _list_field, _transpose,
-                   indiscernibility_partition, parse_context, parse_information_table)
+from .core import (DEFAULT_SEED, ParseError, Region, Universe, _JSON_SCALARS as _SCALARS,
+                   _json_quote as _quote, _list_field, _transpose, indiscernibility_partition,
+                   parse_context, parse_information_table)
 
 ENV_SEED = "GRANUM_SEED"
 
@@ -219,7 +220,7 @@ def _cmd_count(args):
         decomposition = counting.verify_decomposition(trace, None, rows=rows)
     payload = {"config": {"algorithm": args.algo, "items": args.items,
                           "parthood": args.parthood, "conflict": args.conflict},
-               "trace": trace.to_dict()}
+               "trace": trace}   # _json_text writes it by trace.json_text
     if decomposition is not None:
         payload["decomposition"] = decomposition.to_dict()
     if antichains is not None:
@@ -371,18 +372,15 @@ _HANDLERS = {
 }
 
 
-_quote = json.encoder.encode_basestring_ascii
-_SCALARS = {str: _quote, int: int.__repr__,
-            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
-
-
 def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
 
     The stdlib encoder runs in pure Python once ``indent`` is given.  This
     writer dispatches on the exact type of each node (dict, list, tuple,
     str, int, bool, None) and joins a list of strings in one C-level pass.
-    Any other type, or a dict key that is not a string, raises ``TypeError``.
+    A ``CountingTrace`` node is written by its own ``json_text``, as the
+    writer would write its ``to_dict()``.  Any other type, or a dict key
+    that is not a string, raises ``TypeError``.
     """
     kind = type(value)
     scalar = _SCALARS.get(kind)
@@ -407,6 +405,8 @@ def _json_text(value, indent: str = "\n") -> str:
         except TypeError:   # not a list of strings
             body = ("," + inner).join([_json_text(item, inner) for item in value])
         return "[" + inner + body + indent + "]"
+    if kind is counting.CountingTrace:
+        return value.json_text(indent)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 

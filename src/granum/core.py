@@ -349,6 +349,15 @@ def _list_field(doc: dict, key: str, nested: bool = False) -> list:
     return value
 
 
+_json_quote = json.encoder.encode_basestring_ascii
+# The JSON text of each scalar, dispatched on its exact type: the JSON
+# writers (``cli._json_text``, ``CountingTrace.json_text``) write nothing else
+# as a leaf.
+_JSON_SCALARS = {str: _json_quote, int: int.__repr__,
+                 bool: {True: "true", False: "false"}.__getitem__,
+                 type(None): lambda _: "null"}
+
+
 def _jsonify(x):
     """Report values as JSON: regions become sorted member lists."""
     if isinstance(x, Region):

@@ -38,6 +38,11 @@ maximal ascending runs.  It visits only the pass's members, the lowest
 unblocked position of each run in turn, and slices the rejected items out
 of the order between them; its item-by-item form is
 :func:`granum.oracles.greedy_pass_by_scan`, the tests' reference.
+
+``CountingTrace.json_text`` writes a trace's JSON straight from the run,
+without building the dict tree of ``CountingTrace.to_dict``; the command
+line's writer calls it, and ``to_dict`` through that writer is its
+reference, byte for byte.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .core import DEFAULT_SEED, _transpose
+from .core import DEFAULT_SEED, _JSON_SCALARS, _json_quote, _transpose
 
 Item = Hashable
 ConflictFn = Callable[[Item, Item], bool]
@@ -204,6 +209,64 @@ class CountingTrace:
             "incomplete": self.incomplete,
         }
 
+    def json_text(self, indent: str = "\n") -> str:
+        """``cli._json_text(self.to_dict(), indent)``, written without the dict tree.
+
+        ``indent`` is the newline and indentation the trace's closing brace
+        sits at.  Each distinct item is quoted once; the text of each order
+        is built once and reused for the pass that holds the same
+        ``OrderArrangement`` (``orders[i].sequence`` and ``passes[i].order``
+        sit at the same depth); each label is one %-template per form.
+        Items are written as the writer writes scalars (str, int, bool,
+        None); any other item type raises ``TypeError``.
+        """
+        i1 = indent + "  "
+        i2 = i1 + "  "
+        i3 = i2 + "  "
+        i4 = i3 + "  "
+        i5 = i4 + "  "
+        text = _ItemTexts()
+        orders: dict[int, str] = {}   # id of an order -> its sequence, at depth 4
+
+        def sequence(order: OrderArrangement) -> str:
+            seq = orders.get(id(order))
+            if seq is None:
+                seq = orders[id(order)] = _json_list(map(text.__getitem__, order.sequence), i4)
+            return seq
+
+        order_form = "{" + i3 + '"origin": %s,' + i3 + '"sequence": %s' + i2 + "}"
+        category_form = "{" + i3 + '"index": %d,' + i3 + '"members": %s' + i2 + "}"
+        pass_form = "{" + ",".join(i3 + '"%s": %%s' % key for key in (
+            "assigned", "category", "order", "origin", "pass", "rejected", "retained",
+            "start")) + i2 + "}"
+        pair_form = "[" + i5 + "%s," + i5 + "%s" + i4 + "]"
+        with_pass = _label_forms(i4, '"pass": %d,')
+        without_pass = _label_forms(i5 + "  ", "")
+
+        keyed = {str(x): x for x in self.collection}   # as in to_dict, the last item wins
+        labels = [(text[x] if type(x) is str else _json_quote(key)) + ": " + _json_list(
+            [_label_text(with_pass, lab, p) for p, lab in self.labels.get(x, ())], i3)
+            for key, x in sorted(keyed.items())]
+        passes = [pass_form % (
+            _json_list([pair_form % (text[x], _label_text(without_pass, lab))
+                        for x, lab in rec.assigned], i4),
+            _scalar_text(rec.category_index), sequence(rec.order),
+            _json_quote(rec.order.origin), rec.number,
+            _json_list(map(text.__getitem__, rec.rejected), i4),
+            _scalar_text(rec.retained), text[rec.start]) for rec in self.passes]
+        return "".join((
+            "{", i1, '"algorithm": ', _json_quote(self.algorithm),
+            ",", i1, '"categories": ', _json_list(
+                [category_form % (c.index, _json_list(map(text.__getitem__, c.members), i4))
+                 for c in self.categories], i2),
+            ",", i1, '"incomplete": ', _scalar_text(self.incomplete),
+            ",", i1, '"labels": ',
+            ("{" + i2 + ("," + i2).join(labels) + i1 + "}") if labels else "{}",
+            ",", i1, '"orders": ', _json_list(
+                [order_form % (_json_quote(o.origin), sequence(o)) for o in self.orders], i2),
+            ",", i1, '"passes": ', _json_list(passes, i2),
+            indent, "}"))
+
     def render_text(self) -> str:
         lines = [f"algorithm: {self.algorithm}"]
         for x in self.collection:
@@ -214,6 +277,54 @@ class CountingTrace:
         if self.incomplete:
             lines.append("  (incomplete: budget exhausted before coverage)")
         return "\n".join(lines)
+
+
+def _scalar_text(value) -> str:
+    """The JSON text of a scalar; any other type raises ``TypeError``."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return scalar(value)
+
+
+class _ItemTexts(dict):
+    """Item -> its JSON text, each written on first use."""
+
+    def __missing__(self, item) -> str:
+        out = self[item] = _scalar_text(item)
+        return out
+
+
+def _json_list(texts: Iterable[str], inner: str) -> str:
+    """The JSON list of element ``texts``, one per line at indent ``inner``."""
+    body = ("," + inner).join(texts)
+    return "[" + inner + body + inner[:-2] + "]" if body else "[]"
+
+
+def _label_forms(inner: str, pass_field: str) -> dict[str, str]:
+    """The %-template of a label dict per form, its keys at indent ``inner``;
+    ``pass_field`` is the ``"pass"`` entry, or empty."""
+    pass_field = inner + pass_field if pass_field else ""
+    close = inner[:-2] + "}"
+    return {
+        "count": "{" + inner + '"count": %d,' + inner + '"form": "count",' + pass_field
+                 + inner + '"text": "%d_%d",' + inner + '"type": %d' + close,
+        "deferred": "{" + inner + '"form": "deferred",' + pass_field
+                    + inner + '"text": "T_%d",' + inner + '"type": %d' + close,
+        "successor": "{" + inner + '"form": "successor",' + pass_field + inner + '"power": %d,'
+                     + inner + '"text": "%s",' + inner + '"type": %d' + close,
+    }
+
+
+def _label_text(forms: dict[str, str], lab: CountLabel, *pass_no: int) -> str:
+    """``lab`` written by its form's template in ``forms``, with ``pass_no``
+    when the forms hold a ``"pass"`` entry."""
+    j = lab.type_index
+    if lab.form == "count":
+        return forms["count"] % (lab.count, *pass_no, lab.count, j, j)
+    if lab.form == "deferred":
+        return forms["deferred"] % (*pass_no, j, j)
+    return forms["successor"] % (*pass_no, lab.power, lab.render(), j)
 
 
 @dataclass(frozen=True)

@@ -661,5 +661,7 @@ class TestJsonWriter:
         payload, text = _handler_payload(monkeypatch, ["count", "--algo", "fhca",
                                                        "--parthood", "cautious",
                                                        "--input", str(path)])
-        assert len(payload["trace"]["passes"]) > 1
-        assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        trace = payload["trace"]   # written by trace.json_text; to_dict() is its reference
+        assert len(trace.passes) > 1
+        assert text == json.dumps(payload | {"trace": trace.to_dict()},
+                                  sort_keys=True, indent=2) + "\n"

@@ -2,13 +2,14 @@
 
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from granum import counting as C
+from granum import cli, counting as C
 from granum.counting import arrangement, fhca_rounds
 from granum.oracles import (enumerate_maximal_antichains, greedy_pass_by_scan,
                             minimum_antichain_cover, verify_decomposition_by_calls)
@@ -606,3 +607,93 @@ class TestDeterminismAndExport:
             for p in (0, n + 1):
                 with pytest.raises(ValueError, match=f"rotation position {p} out of range"):
                     seq.rotate(p)
+
+
+# Items the JSON writer must escape: quote, backslash, control characters,
+# non-ASCII and astral characters; and one that looks like a rough object.
+ESCAPED_ITEMS = ['say "hi"', "back\\slash", "nul\x00", "tab\t\x1f", "\x7f", "é", "中",
+                 "\U0001f600", "{a,b}", "", " "]
+
+
+@st.composite
+def json_runs(draw):
+    """A counting run on 1..7 items (strings that need escapes, ints, or
+    both, ``1`` beside ``"1"`` included) with random symmetric rows: one of
+    the four procedures or ``fhca_rounds`` by rotation or seeded permutation,
+    under a budget that may leave it incomplete."""
+    items = draw(st.lists(st.sampled_from(ESCAPED_ITEMS) | st.text(max_size=3)
+                          | st.integers(-3, 12), min_size=1, max_size=7, unique=True))
+    n = len(items)
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    rows = [0] * n
+    for (i, j), edge in zip(pairs, edges):
+        if edge:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    seq = arrangement(items)
+    procedure = draw(st.sampled_from(["hpc", "pca", "hpca", "fhca", "rotation", "permutation"]))
+    if procedure in ("rotation", "permutation"):
+        index = {x: i for i, x in enumerate(items)}
+        return fhca_rounds(seq, lambda a, b: bool(rows[index[a]] >> index[b] & 1),
+                           strategy=procedure, budget=draw(st.integers(1, n)),
+                           seed=draw(st.integers(0, 9)))[0]
+    run = {"hpc": C.hpc_count, "pca": C.pca_count, "hpca": C.hpca_count,
+           "fhca": C.fhca_count}[procedure](seq, None, rows=rows)
+    return run[0] if isinstance(run, tuple) else run
+
+
+def stdlib_text(trace):
+    """The reference: ``to_dict()`` through ``json.dumps``."""
+    return json.dumps({"trace": trace.to_dict()}, sort_keys=True, indent=2)
+
+
+class TestJsonText:
+    """``CountingTrace.json_text``, which the CLI writer calls for a trace,
+    writes the bytes of ``json.dumps`` on ``to_dict()``."""
+
+    @given(json_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_stdlib_on_to_dict(self, trace):
+        assert cli._json_text({"trace": trace}) == stdlib_text(trace)
+        assert trace.json_text() == json.dumps(trace.to_dict(), sort_keys=True, indent=2)
+
+    def test_discarded_pass(self):
+        # pass 3 repeats category 1 and is discarded; pass 4 is kept after it
+        conflict = pair_conflict([("a", "b"), ("a", "c"), ("a", "d"), ("c", "d")])
+        trace, _ = C.hpca_count(arrangement(list("abcd")), conflict)
+        assert [(p.retained, p.category_index) for p in trace.passes] == [
+            (True, 1), (True, 2), (False, None), (True, 3)]
+        text = cli._json_text({"trace": trace})
+        assert text == stdlib_text(trace)
+        assert '"category": null' in text and '"retained": false' in text
+
+    def test_incomplete_run(self):
+        # a 3-chain needs three rounds; a budget of 1 stops after two
+        for strategy in ("rotation", "permutation"):
+            trace, _ = fhca_rounds(arrangement(["x", "y", 3]), lambda a, b: a != b,
+                                   strategy=strategy, budget=1, seed=2)
+            assert trace.incomplete and len(trace.passes) == 2
+            text = cli._json_text({"trace": trace})
+            assert text == stdlib_text(trace)
+            assert '"incomplete": true' in text
+
+    def test_orders_of_every_pass(self):
+        # each pass writes its own rotation, not another pass's order
+        items = ESCAPED_ITEMS[:6]
+        trace, _ = C.hpca_count(arrangement(items), lambda a, b: a != b)
+        assert len({p.order.sequence for p in trace.passes}) == len(items)
+        assert cli._json_text({"trace": trace}) == stdlib_text(trace)
+
+    def test_single_item(self):
+        for proc in (C.hpc_count, C.pca_count, C.hpca_count, C.fhca_count):
+            run = proc(arrangement(["\U0001f600"]), lambda a, b: False)
+            trace = run[0] if isinstance(run, tuple) else run
+            assert cli._json_text({"trace": trace}) == stdlib_text(trace)
+
+    def test_tuple_item_raises_type_error(self):
+        trace = C.pca_count(arrangement([("a", 1), "b"]), lambda a, b: False)
+        with pytest.raises(TypeError, match="tuple"):
+            trace.json_text()
+        with pytest.raises(TypeError, match="tuple"):
+            cli._json_text({"trace": trace})
