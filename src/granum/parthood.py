@@ -126,9 +126,10 @@ def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
     Bit j of row i is set iff ``v`` holds from ``sources[i]`` to
     ``targets[j]``.  The signatures of the sources and of the targets are
     read in one :meth:`~granum.gos.GranularOperatorSpace.signatures` call
-    each.  For a signature formula, the targets are grouped by (lower,
-    upper) signature, and each subset test ``X(a) <= Y(b)`` gets one column
-    per universe element e: the targets whose ``Y`` contains e.  A source's
+    each, or in one call in all when ``sources is targets``.  For a
+    signature formula, the targets are grouped by (lower, upper)
+    signature, and each subset test ``X(a) <= Y(b)`` gets one column per
+    universe element e: the targets whose ``Y`` contains e.  A source's
     row is then the AND of the columns of the elements of its ``X`` (all
     targets when ``X`` is empty), built once per distinct source signature:
     O(k * n) integer operations for k signatures on n elements, not k * k
@@ -142,8 +143,9 @@ def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
         ends = [region(b) for b in targets]
         return [sum(1 << j for j, b in enumerate(ends) if holds(v, a, b, ctx))
                 for a in map(region, sources)]
+    target_sigs = ctx.signatures(targets)
     classes: dict[tuple[int, int], int] = {}   # signature -> its targets' bits, disjoint
-    for j, sig in enumerate(ctx.signatures(targets)):
+    for j, sig in enumerate(target_sigs):
         classes[sig] = classes.get(sig, 0) | 1 << j
     columns = []
     for x, y in tests:
@@ -159,7 +161,7 @@ def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
     everything = (1 << len(targets)) - 1
     by_sig: dict[tuple[int, int], int] = {}
     rows = []
-    for sig in ctx.signatures(sources):
+    for sig in target_sigs if sources is targets else ctx.signatures(sources):
         row = by_sig.get(sig)
         if row is None:
             row = by_sig[sig] = _part_of(columns, sig, everything)

@@ -250,6 +250,24 @@ class TestRelationRows:
             assert {sig for (slot, sig) in calls if slot == ("y", t)} == target_sigs
         assert set(calls.values()) == {1}
 
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
+    def test_one_signature_read_when_sources_are_targets(self, explicit, monkeypatch):
+        # One list passed as both sides is read once; an equal copy is read again.
+        calls = []
+        read = GranularOperatorSpace.signature_bits
+        monkeypatch.setattr(GranularOperatorSpace, "signature_bits",
+                            lambda self, bits: calls.append(bits) or read(self, bits))
+        rng = random.Random(f"one-read-{explicit}")
+        masks = [rng.randrange(64) for _ in range(40)]
+        want = ph.relation_rows(ph.CAUTIOUS, seeded_space(random.Random(3), 6, explicit),
+                                masks, list(masks))
+        assert len(calls) == 2 * len(masks)
+        calls.clear()
+        rows = ph.relation_rows(ph.CAUTIOUS, seeded_space(random.Random(3), 6, explicit),
+                                masks, masks)
+        assert len(calls) == len(masks)
+        assert rows == want
+
     @given(st.sampled_from(KERNEL_VARIANTS), st.booleans(), st.randoms(use_true_random=False),
            st.integers(1, 5), st.data())
     @settings(max_examples=300, deadline=None)
@@ -328,15 +346,37 @@ class TestRelationRows:
 
     @pytest.mark.parametrize("density", [0, 0.05, 0.5, 0.98, 1])
     def test_transpose_matches_per_bit_reference(self, density):
+        # Every width up to 200, and the padding edges 255-257 and 511-513.
         rng = random.Random(str(density))
-        for width in range(201):
-            square = {width} if width <= 64 or width in (120, 200) else set()
+        edges = {255, 256, 257, 511, 512, 513}
+        for width in [*range(201), *sorted(edges)]:
+            square = {width} if width <= 64 or width in {120, 200} | edges else set()
             for m in {0, 1, rng.randint(2, 40)} | square:
-                rows = [sum(1 << j for j in range(width) if rng.random() < density)
-                        for _ in range(m)]
-                want = [sum((row >> j & 1) << i for i, row in enumerate(rows))
-                        for j in range(width)]
-                assert _transpose(rows, width) == want, (width, m)
+                rows = _random_rows(rng, m, width, density)
+                assert _transpose(rows, width) == _reference_transpose(rows, width), (width, m)
+        for m in sorted(edges):   # rows past the padding edges, on a narrow matrix
+            rows = _random_rows(rng, m, 17, density)
+            assert _transpose(rows, 17) == _reference_transpose(rows, 17), m
+
+    @pytest.mark.parametrize("m, width", [(300, 17), (17, 300), (1944, 1944)])
+    def test_transpose_of_non_square_and_large_matrices(self, m, width):
+        rng = random.Random(f"{m}x{width}")
+        rows = [rng.getrandbits(width) for _ in range(m)]   # density 0.5
+        assert _transpose(rows, width) == _reference_transpose(rows, width)
+
+    def test_transpose_of_a_tuple(self):
+        rows = (0b011, 0b000, 0b110, 0b001)   # as BasicRoughOrder holds them
+        assert _transpose(rows, 3) == _transpose(list(rows), 3) == [0b1001, 0b0101, 0b0100]
+
+
+def _random_rows(rng, m, width, density):
+    """``m`` rows of ``width`` bits, each set with probability ``density``."""
+    return [sum(1 << j for j in range(width) if rng.random() < density) for _ in range(m)]
+
+
+def _reference_transpose(rows, width):
+    """The columns of ``rows``, bit by bit."""
+    return [sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(width)]
 
 
 def _reference_audit(v, ctx, basis, witness_cap=5, include_proper_confluence=False):
@@ -443,6 +483,27 @@ class TestAuditMatchesLoopReference:
                     assert got.to_dict() == want.to_dict(), (basis.seed, cap, proper)
                     modes.add(got.scope["mode"])
         assert modes == {"exhaustive", "sampled"}
+
+    @pytest.mark.parametrize("v, explicit", [(ph.CAUTIOUS, False), (ph.LATERAL, True)],
+                             ids=["derived", "explicit"])
+    def test_report_equals_reference_at_scale(self, v, explicit):
+        # Sampled bases of 63 to 129 of the 256 regions on 8 elements: rows past
+        # the 64-bit and 128-bit edges, which _audit_cases (m <= 32) never reaches.
+        rng = random.Random(f"audit-scale-{explicit}")
+        space = seeded_space(rng, 8, explicit)
+        space.parthood = v
+        verdicts = set()
+        for m in (63, 64, 65, 129):
+            basis = ph._property_basis(8, m, rng.randrange(1 << 30))
+            for cap in (5, UNLIMITED):
+                got = ph.audit_properties(v, space, basis, witness_cap=cap,
+                                          include_proper_confluence=True)
+                want = _reference_audit(v, space, basis, witness_cap=cap,
+                                        include_proper_confluence=True)
+                assert got.scope["basis_size"] == m
+                assert got.to_dict() == want.to_dict(), (m, cap)
+                verdicts |= {c.verdict for c in got.checks}
+        assert verdicts == {"fails", "holds-sampled"}
 
     def test_reference_finds_failures_of_every_check(self):
         # the comparison above is not vacuous: each check fails somewhere
