@@ -6,7 +6,7 @@ modes, every counting algorithm on both item collections, the coherence
 verdict with ``--strict``, on rough objects, under the incomparability
 conflict and under cautious parthood, sampled parthood audits (one on 62
 elements, one of every variant on 16 overlapping elements, g-simple on 24),
-an error case, every axiom audit under every parthood variant and the
+sampled axiom audits (every axiom on 62 and on 16 elements), an error case, every axiom audit under every parthood variant and the
 rough-object count on a 14-element table (all 16384 regions) and on 13
 overlapping elements that the granules do not cover, and every counting
 algorithm under both conflicts and two parthood variants on a dense
@@ -88,6 +88,13 @@ CASES["ctx_overlap16.json"] = {
         "parthood-audit", "--variant", "all", "--budget", "256", "--seed", "7",
         "--input", "{fixtures}/ctx_overlap16.json", "--output", output]
     for output in ("json", "text")}
+# Past the 14-element cap gos-audit samples its 2048 regions with --seed.
+for _name in ("ctx_wide62.json", "ctx_overlap16.json"):
+    CASES[_name].update({
+        f"gos-audit-seed7-{output}": [
+            "gos-audit", "--axiom", "all", "--seed", "7",
+            "--input", f"{{fixtures}}/{_name}", "--output", output]
+        for output in ("json", "text")})
 # Axiom audits at the exhaustive cap (14 elements, 16384 regions) under every
 # parthood variant, on an 8-block table shaped as the audit workload's tables,
 # and the same on 13 elements with overlapping granules that leave e05 and e09
