@@ -3,20 +3,25 @@ and the rough-origin decision for families of approximation pairs.
 
 A space bundles a universe, a granulation, lower/upper operators (derived
 from the granulation by union, or supplied explicitly) and a parthood
-variant.  The audits check the defining axioms empirically and report
-witnesses; nothing is assumed that was not scanned.
+variant.  The audits check the defining axioms on a basis of regions and
+report witnesses.
+
+A derived space meets two axioms by its construction.  Every lower and
+upper is a union of granules, so the space is weakly representable; and a
+granule inside a region meets it, so the lower lies inside the upper.
+Those two audits therefore scan only explicit operators; on a derived
+space they check the basis and report it, passed.
 
 On a derived space scanned over all 2^n regions in ascending order, the
-axiom audits read region-lattice columns (:class:`RegionColumns`): bit x
-of a 2^n-bit integer stands for the region with mask x, and each element e
-has one column of the regions that hold it, one of those whose lower holds
-it, one for the upper and one for the upper of the lower.  Every check is
-then a few integer ANDs and ORs of columns, with no per-region step; only
-the witnesses are read region by region.  Explicit operators, sampled or
-reordered bases and custom parthood evaluators scan their basis through
-:meth:`GranularOperatorSpace.signatures`, the memoized per-mask read.
-:func:`rough_objects` on a derived space builds the table of every
-region's signature (:func:`_signature_table`) for its one call.
+lower-stability and full-underlap audits read region-lattice columns
+(:class:`RegionColumns`): bit x of a 2^n-bit integer stands for the region
+with mask x, and each element e has one column of the regions that hold
+it, one of those whose lower holds it, one for the upper and one for the
+upper of the lower.  Every check is then a few integer ANDs and ORs of
+columns, with no per-region step; only the witnesses are read region by
+region.  Every other scan, :func:`rough_objects` included, reads its
+regions through :meth:`GranularOperatorSpace.signatures`, the memoized
+per-mask read.
 """
 
 from __future__ import annotations
@@ -143,46 +148,18 @@ class GranularOperatorSpace:
         return self.signature_bits(a.bits) == (a.bits, a.bits)
 
     def containment_violations(self, cap: int = 10, basis: Basis | None = None) -> list[Region]:
-        """Regions where upper does not contain lower (checked, not assumed),
-        the first ``cap`` of them in ``basis`` (default: the axiom audits');
-        none below a cap of 1."""
+        """Regions where upper does not contain lower, the first ``cap`` of
+        them in ``basis`` (default: the axiom audits'); none below a cap of 1.
+
+        Only explicit operators can fail: on a derived space a granule inside
+        a region meets it, so the lower lies inside the upper, and the basis
+        is checked but not read.
+        """
         scanned = (basis or _axiom_basis(len(self.universe))).scan(self.universe)
-        cols = self.columns(scanned)
-        if cols is not None:
-            bad = ph._bits(reduce(or_, map(_minus, cols.lower, cols.upper), 0))
-        else:
-            bad = (bits for bits, (lo, up) in zip(scanned, self.signatures(scanned))
-                   if lo & ~up)
+        if not self.explicit:
+            return []
+        bad = (bits for bits, (lo, up) in zip(scanned, self.signatures(scanned)) if lo & ~up)
         return [self.universe.region_from_bits(bits) for bits in islice(bad, max(cap, 0))]
-
-
-def _signature_table(granules: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """The (lower, upper) masks of every ``n``-bit region, indexed by mask.
-
-    Doubles the table once per element e: the masks with bit e and no
-    higher bit are the earlier masks m with ``1 << e`` added.  Their upper
-    gains the granules that hold e; their lower gains each granule whose
-    highest element is e, where the rest of it lies inside m (a granule
-    with a higher element fits no such mask, one without e was counted in
-    m).  Empty and repeated granules add nothing.  Element e costs 2^e
-    list steps for the upper and 2^e per granule whose top it is, instead
-    of one pass over the granules per region.
-    """
-    lowers, uppers = [0], [0]
-    for e in range(n):
-        bit = 1 << e
-        hold = reduce(or_, (g for g in granules if g & bit), 0)
-        uppers += [up | hold for up in uppers]
-        top = lowers
-        for g in {g for g in granules if g.bit_length() == e + 1}:
-            rest = g ^ bit
-            top = [lo | g if m & rest == rest else lo for m, lo in enumerate(top)]
-        lowers = lowers + top
-    return list(zip(lowers, uppers))
-
-
-def _minus(a: int, b: int) -> int:
-    return a & ~b
 
 
 @dataclass(frozen=True)
@@ -235,18 +212,6 @@ def _region_columns(granules: Sequence[int], n: int) -> RegionColumns:
                          tuple(upper_lower))
 
 
-def _unrepresentable(side: Sequence[int], granules: Sequence[int], everything: int) -> int:
-    """The regions whose value on one side (bit x of ``side[e]``: the value
-    of region x holds e) is no union of granules: some e of the value lies in
-    no granule inside it."""
-    covered = [0] * len(side)   # per e: the regions whose value holds a granule with e
-    for g in set(granules) - {0}:
-        held = reduce(and_, map(side.__getitem__, ph._bits(g)), everything)
-        for e in ph._bits(g):
-            covered[e] |= held
-    return reduce(or_, map(_minus, side, covered), 0)
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     """Outcome of one axiom audit, with witnesses for every failure found."""
@@ -286,30 +251,22 @@ def audit_weak_representability(gos: GranularOperatorSpace, basis: Basis | None 
     """Check that every region's lower and upper map to unions of granules;
     lists the first ``witness_cap`` failures.
 
-    On the region-lattice columns the failing regions come out of column
-    ANDs, and only they are read region by region; otherwise each distinct
-    value of the scanned signatures is tested once.
+    Only explicit operators can fail: a derived space's lower and upper are
+    unions of granules, and the basis is checked but not read.  Each
+    distinct value of the scanned signatures is tested once.
     """
     basis = basis or _axiom_basis(len(gos.universe))
     scanned = basis.scan(gos.universe)
+    if not gos.explicit:
+        return AxiomReport("weak-representability", True, basis.mode, len(scanned),
+                           seed=basis.seed)
     masks = gos.granulation.masks()
     region = gos.universe.region_from_bits
-
-    def bad(value: int) -> bool:
-        return lower_bits(value, masks) != value
-
-    cols = gos.columns(scanned)
-    if cols is not None:   # the failing regions, each read only to list it
-        failing = (_unrepresentable(cols.lower, masks, cols.everything)
-                   | _unrepresentable(cols.upper, masks, cols.everything))
-        rows = ((bits, gos.signature_bits(bits)) for bits in ph._bits(failing))
-    else:                  # the failing values, each tested once
-        sigs = gos.signatures(scanned)
-        failing = set(filter(bad, set(chain.from_iterable(sigs))))
-        rows, bad = zip(scanned, sigs), failing.__contains__
+    sigs = gos.signatures(scanned)
+    failing = {v for v in set(chain.from_iterable(sigs)) if lower_bits(v, masks) != v}
     found = ({"region": region(bits), "side": side, "value": region(value)}
-             for bits, sig in rows
-             for side, value in zip(("lower", "upper"), sig) if bad(value))
+             for bits, sig in zip(scanned, sigs)
+             for side, value in zip(("lower", "upper"), sig) if value in failing)
     witnesses = tuple(islice(found, max(witness_cap, 0))) if failing else ()
     return AxiomReport("weak-representability", not failing, basis.mode,
                        len(scanned), witnesses, seed=basis.seed)
@@ -430,10 +387,7 @@ def rough_objects(gos: GranularOperatorSpace, notion: str = "maximal-consistent"
     n = len(gos.universe)
     if n > QUOTIENT_UNIVERSE_CAP:
         raise ValueError(f"universe too large for quotient enumeration (n={n} > {QUOTIENT_UNIVERSE_CAP})")
-    if gos.explicit:   # sigs is indexed by mask
-        sigs = gos.signatures(_ascending(n))
-    else:
-        sigs = _signature_table(gos.granulation.masks(), n)
+    sigs = gos.signatures(_ascending(n))   # indexed by mask
     grouped: dict[tuple[int, int], list[Region]] = {}
     for a, sig in zip(gos.universe.all_regions(), sigs):
         grouped.setdefault(sig, []).append(a)
@@ -476,8 +430,7 @@ class BasicRoughOrder:
         return [i for i, row in enumerate(self.rows) if row == full]
 
     def tops(self) -> list[int]:
-        n = len(self.rows)
-        return [j for j, col in enumerate(_transpose(self.rows, n)) if col == (1 << n) - 1]
+        return list(ph._bits(reduce(and_, self.rows, (1 << len(self.rows)) - 1)))
 
     def is_bounded(self) -> bool:
         return bool(self.bottoms()) and bool(self.tops())

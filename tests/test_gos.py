@@ -27,10 +27,14 @@ def classical_ops(granulation):
             lambda a: upper_approx(a, granulation))
 
 
-def logged_space(n):
-    """A singleton-granule space on n elements and the log of its signature lookups."""
+def logged_space(n, explicit=False):
+    """A singleton-granule space on n elements and the log of its signature
+    lookups; with ``explicit``, its operators are the classical ones, given
+    explicitly."""
     u = Universe(tuple(f"e{i}" for i in range(n)))
-    space = GranularOperatorSpace(u, Granulation.from_sets(u, [[e] for e in u.elements]))
+    g = Granulation.from_sets(u, [[e] for e in u.elements])
+    ops = classical_ops(g) if explicit else (None, None)
+    space = GranularOperatorSpace(u, g, *ops)
     return space, _log_lookups(space)
 
 
@@ -174,6 +178,21 @@ class TestBasicRoughOrder:
         order = basic_rough_order(rough_objects(space))
         assert not order.reflexive_failures()
 
+    def test_bottoms_and_tops_of_random_relations(self):
+        rng = random.Random("bottoms-tops")
+        for n in [0, 1, 2, 3, 63, 64, 65, 130] + [rng.randint(1, 20) for _ in range(40)]:
+            full = (1 << n) - 1
+            rows = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(n)]
+            for i in rng.sample(range(n), rng.randint(0, min(n, 3))):
+                rows[i] = full   # a bottom
+            for j in rng.sample(range(n), rng.randint(0, min(n, 3))):
+                rows = [row | 1 << j for row in rows]   # a top
+            order = gos_mod.BasicRoughOrder(None, tuple(rows))
+            m = [[row >> j & 1 for j in range(n)] for row in rows]
+            assert order.bottoms() == [i for i in range(n) if all(m[i])]
+            assert order.tops() == [j for j in range(n) if all(m[i][j] for i in range(n))]
+            assert order.is_bounded() == bool(order.bottoms() and order.tops())
+
 
 class TestIntervalRepresentation:
     def test_counts_and_pairs(self, space5):
@@ -273,13 +292,18 @@ class TestSpaceBasics:
             GranularOperatorSpace(u5, gran5, lower=lambda a: a)
 
     def test_sampled_audit_scans_distinct_masks(self):
-        space, scanned = logged_space(16)
-        report = audit_weak_representability(space, _axiom_basis(16, 9))
-        assert report.mode == "sampled" and report.checked == 2048
-        assert len(scanned) == len(set(scanned)) == 2048
+        basis = _axiom_basis(16, 9)
+        space, scanned = logged_space(16, explicit=True)
+        report = audit_weak_representability(space, basis)
+        assert (report.passed, report.mode, report.checked) == (True, "sampled", 2048)
+        assert scanned == basis.masks and len(set(scanned)) == 2048
+        space, scanned = logged_space(16)   # derived: the same report, nothing read
+        assert audit_weak_representability(space, basis) == report
+        assert space.containment_violations(basis=basis) == []
+        assert scanned == [] and space._columns is None
 
     def test_containment_scans_the_audit_basis(self):
-        space, scanned = logged_space(16)
+        space, scanned = logged_space(16, explicit=True)
         audit_weak_representability(space, _axiom_basis(16, 9))
         basis = list(scanned)
         scanned.clear()
@@ -291,6 +315,24 @@ class TestSpaceBasics:
         scanned.clear()
         assert space.containment_violations() == []
         assert scanned == basis != _axiom_basis(16, 9).masks
+
+    def test_derived_signatures_are_nested_unions_of_granules(self):
+        # Why derived spaces skip the weak-representability and containment
+        # scans, checked on the set-logic signatures of the oracle.
+        rng = random.Random("derived-theorems")
+        kinds = set()
+        for _ in range(60):
+            g = seeded_space(rng, rng.randint(1, 8)).granulation
+            granules = [frozenset(x) for x in g.granules]
+            covered = frozenset().union(*granules)
+            kinds.add((covered == frozenset(g.universe.elements),
+                       sum(map(len, granules)) > len(covered)))
+            for sig in brute_force_signatures(g).values():
+                lo, up = map(frozenset, sig)
+                for value in (lo, up):
+                    assert frozenset().union(*(x for x in granules if x <= value)) == value
+                assert lo <= up
+        assert kinds == {(c, o) for c in (False, True) for o in (False, True)}
 
     def test_sampled_mode_for_large_universe(self):
         u = Universe(tuple(f"e{i}" for i in range(16)))
@@ -308,16 +350,7 @@ def _granule_masks(rng, n):
     return masks + rng.sample(masks, rng.randint(0, len(masks))) + [0] * rng.randint(0, 1)
 
 
-class TestSignatureTable:
-    def test_table_matches_per_mask_signatures(self):
-        rng = random.Random("signature-table")
-        for n in range(11):
-            for _ in range(12 if n < 8 else 4):
-                granules = _granule_masks(rng, n)
-                assert gos_mod._signature_table(granules, n) == [
-                    (lower_bits(m, granules), upper_bits(m, granules))
-                    for m in range(1 << n)], (n, granules)
-
+class TestSignatures:
     def test_derived_space_reads_any_mask_list_mask_by_mask(self):
         rng = random.Random("signatures")
         for _ in range(30):
@@ -383,7 +416,7 @@ class TestSignatureTable:
             for region, (lo, up) in brute_force_signatures(space.granulation).items():
                 assert space.signature_bits(region.bits) == (lo.bits, up.bits)
 
-    def test_rough_objects_reads_the_table_only_on_a_derived_space(self):
+    def test_rough_objects_reads_every_region_once(self):
         rng = random.Random("rough-objects-reads")
         for _ in range(10):
             n = rng.randint(1, 8)
@@ -391,21 +424,22 @@ class TestSignatureTable:
             lower, upper = classical_ops(space.granulation)
             explicit = GranularOperatorSpace(space.universe, space.granulation,
                                              lower=lower, upper=upper)
-            scanned = _log_lookups(space)
-            derived = rough_objects(space)
-            assert scanned == []   # the table, built for this call, answers every region
-            scanned = _log_lookups(explicit)
-            assert rough_objects(explicit).classes == derived.classes
-            assert scanned == list(range(1 << n))   # one read per region
+            classes = []
+            for s in (space, explicit):
+                scanned = _log_lookups(s)
+                classes.append(rough_objects(s).classes)
+                assert scanned == list(range(1 << n))   # one read per region, in order
+            assert classes[0] == classes[1]
 
 
 class TestRegionColumns:
-    def test_columns_match_the_signature_table_bit_by_bit(self):
+    def test_columns_match_per_mask_signatures_bit_by_bit(self):
         rng = random.Random("region-columns")
         for n in range(1, 11):
             for _ in range(12 if n < 8 else 4):
                 granules = _granule_masks(rng, n)
-                table = gos_mod._signature_table(granules, n)
+                table = [(lower_bits(m, granules), upper_bits(m, granules))
+                         for m in range(1 << n)]
                 cols = gos_mod._region_columns(granules, n)
 
                 def column(member):   # the regions x with member(x)
@@ -417,21 +451,6 @@ class TestRegionColumns:
                     assert cols.upper[e] == column(lambda x: table[x][1] >> e & 1)
                     assert cols.upper_lower[e] == column(
                         lambda x: table[table[x][0]][1] >> e & 1)
-
-    def test_unrepresentable_regions_of_any_columns(self):
-        # Columns of arbitrary values, not only a derived space's (where every
-        # value is a union of granules and no region fails).
-        rng = random.Random("unrepresentable")
-        for n in range(1, 8):
-            for _ in range(10):
-                granules = _granule_masks(rng, n)
-                values = [rng.randrange(1 << n) for _ in range(1 << n)]
-                side = [sum(1 << x for x, v in enumerate(values) if v >> e & 1)
-                        for e in range(n)]
-                want = sum(1 << x for x, v in enumerate(values)
-                           if lower_bits(v, granules) != v)
-                everything = (1 << (1 << n)) - 1
-                assert gos_mod._unrepresentable(side, granules, everything) == want
 
     def test_only_derived_spaces_scanned_in_ascending_order_use_columns(self):
         rng = random.Random("columns-gate")
@@ -609,9 +628,12 @@ class TestAuditsMatchPairwiseReference:
             for basis in _bases(rng, len(space.universe)):
                 for cap in CAPS:
                     want = _reference_containment(space, basis, cap)
+                    scanned = _log_lookups(space)
                     assert space.containment_violations(cap, basis) == want
+                    # a derived space's lower lies inside its upper: nothing is read
+                    assert scanned == (basis.masks if explicit else [])
                     failing += bool(want)
-            assert (space._columns is None) == explicit
+            assert space._columns is None
         assert failing if explicit else not failing
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
@@ -625,20 +647,19 @@ class TestAuditsMatchPairwiseReference:
             n = rng.randint(1, 6)
             space = seeded_space(rng, n, explicit)
             for basis in _bases(rng, n):
-                columns = not explicit and basis.masks == list(range(1 << n))
                 for cap in CAPS:
                     want, failures = _reference_weak_representability(space, basis, cap)
                     tested.clear()
+                    scanned = _log_lookups(space)
                     assert audit_weak_representability(space, basis, witness_cap=cap) == want
-                    if columns:
-                        # failing regions come from the columns, and lower_bits
-                        # runs only to list them: on a derived space every value
-                        # is a union of granules, so it never runs
-                        assert not tested and not failures
-                    else:   # each distinct lower or upper value is tested once
+                    if explicit:   # each region read, each distinct value tested once
+                        assert scanned == basis.masks
                         assert sorted(tested) == sorted({v for bits in basis.masks
                                                          for v in space.signature_bits(bits)})
+                    else:   # every value is a union of granules: nothing is read
+                        assert not scanned and not tested and not failures
                     failing += failures > 0
+            assert space._columns is None
         assert failing if explicit else not failing
 
     @pytest.mark.parametrize("v", AUDIT_VARIANTS, ids=lambda v: v.name)
