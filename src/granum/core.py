@@ -422,6 +422,9 @@ def _region_masks(n: int, limit: int, sample: int, seed: int) -> Basis:
     return Basis(sorted(seen), "sampled", seed)
 
 
+TILE_BITS = 1 << 10   # past this many rows or columns _transpose works in tiles
+
+
 def _transpose(rows: Sequence[int], width: int) -> list[int]:
     """The ``width`` columns of a bit matrix of ``width``-bit rows: bit i of
     column j is bit j of row i.
@@ -433,11 +436,25 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     pair of off-diagonal s-by-s blocks of every 2s-by-2s block at once.
     This takes O(k) big-int operations on size^2 bits, whatever the bits
     set, and column j comes out as bytes ``j * size/8`` to
-    ``(j + 1) * size/8`` of the packed int.  The swap masks of each k are
-    built once and kept: k masks of 2^(2k-3) bytes, so 64 KiB at k = 8,
-    5.5 MiB at k = 11 and 24 MiB at k = 12.
+    ``(j + 1) * size/8`` of the packed int.
+
+    A larger matrix is cut into tiles of ``TILE_BITS`` rows by as many
+    columns, each transposed so, and column j is the OR of its tile columns
+    shifted to their row offsets.  Only the swap masks of k <= 10 are thus
+    ever built; they are kept, k masks of 2^(2k-3) bytes each, 1.6 MiB for
+    all of them, where one packed transpose at k = 13 would need 104 MiB.
     """
     k = (max(len(rows), width, 8) - 1).bit_length()
+    if 1 << k > TILE_BITS:
+        bands = [rows[i:i + TILE_BITS] for i in range(0, max(len(rows), 1), TILE_BITS)]
+        cols = []
+        for j in range(0, width, TILE_BITS):
+            w = min(TILE_BITS, width - j)
+            low = (1 << w) - 1
+            tiles = [_transpose([row >> j & low for row in band], w) for band in bands]
+            cols += [sum(c << (i * TILE_BITS) for i, c in enumerate(parts))
+                     for parts in zip(*tiles)]
+        return cols
     step = 1 << k - 3   # bytes per packed row
     x = int.from_bytes(b"".join([row.to_bytes(step, "little") for row in rows]), "little")
     for d, mask in _swap_masks(k):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from granum import GranularOperatorSpace, Universe, Granulation
-from granum import parthood as ph
-from granum.core import DEFAULT_SEED, Basis, _transpose
+from granum import core, parthood as ph
+from granum.core import DEFAULT_SEED, Basis, _swap_masks, _transpose
 
 from conftest import granulation_suite, seeded_space
 
@@ -363,6 +363,16 @@ class TestRelationRows:
         rng = random.Random(f"{m}x{width}")
         rows = [rng.getrandbits(width) for _ in range(m)]   # density 0.5
         assert _transpose(rows, width) == _reference_transpose(rows, width)
+
+    @pytest.mark.parametrize("m, width", [(1025, 1025), (1024, 3000), (3000, 1024),
+                                          (1100, 2049), (0, 1500), (1500, 0)])
+    def test_transpose_in_tiles_builds_only_small_swap_masks(self, m, width, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(core, "_swap_masks", lambda k: sizes.append(k) or _swap_masks(k))
+        rng = random.Random(f"tiles-{m}x{width}")
+        rows = [rng.getrandbits(width) for _ in range(m)]
+        assert _transpose(rows, width) == _reference_transpose(rows, width)
+        assert sizes and max(sizes) == 10 if width else not sizes
 
     def test_transpose_of_a_tuple(self):
         rows = (0b011, 0b000, 0b110, 0b001)   # as BasicRoughOrder holds them
