@@ -191,7 +191,6 @@ class TestBasicRoughOrder:
             m = [[row >> j & 1 for j in range(n)] for row in rows]
             assert order.bottoms() == [i for i in range(n) if all(m[i])]
             assert order.tops() == [j for j in range(n) if all(m[i][j] for i in range(n))]
-            assert order.is_bounded() == bool(order.bottoms() and order.tops())
 
 
 class TestIntervalRepresentation:
