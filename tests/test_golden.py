@@ -10,7 +10,8 @@ sampled axiom audits (every axiom on 62 and on 16 elements), an error case, ever
 rough-object count on a 14-element table (all 16384 regions) and on 13
 overlapping elements that the granules do not cover, and every counting
 algorithm under both conflicts and two parthood variants on a dense
-120-element and a sparse 60-element context (gzipped recordings).
+120-element and a sparse 60-element context (gzipped recordings) and on 10
+elements whose names need JSON escapes.
 A change that alters any of them shows up here as a diff.
 
 Regenerate the recordings, only when an output change is intended, with::
@@ -129,6 +130,19 @@ for _name in COUNT_SCALE:
         for conflict in ("comparability", "incomparability")
         for parthood in ("cautious", "rough-inclusion")
         for output in ("json", "text")}
+
+
+# Element names that the JSON writer must escape (quote, backslash, control
+# characters, non-ASCII, astral, U+2028), of different text lengths, under
+# overlapping granules: multi-pass hpca runs whose rotations split the order.
+CASES["ctx_escaped10.json"] = {
+    f"count-{algo}-{conflict}-{parthood}-{output}": [
+        "count", "--algo", algo, "--conflict", conflict, "--parthood", parthood,
+        "--input", "{fixtures}/ctx_escaped10.json", "--output", output]
+    for algo in ("hpc", "pca", "hpca", "fhca")
+    for conflict in ("comparability", "incomparability")
+    for parthood in ("cautious", "rough-inclusion")
+    for output in ("json", "text")}
 
 
 GZIPPED = COUNT_SCALE + ("table_cap14.csv",)   # megabytes of output
