@@ -218,13 +218,14 @@ def _cmd_count(args):
     else:
         trace, antichains = counting.fhca_count(seq, None, rows=rows)
         decomposition = counting.verify_decomposition(trace, None, rows=rows)
+    # _json_text writes the trace, decomposition and antichains by their json_text
     payload = {"config": {"algorithm": args.algo, "items": args.items,
                           "parthood": args.parthood, "conflict": args.conflict},
-               "trace": trace}   # _json_text writes it by trace.json_text
+               "trace": trace}
     if decomposition is not None:
-        payload["decomposition"] = decomposition.to_dict()
+        payload["decomposition"] = decomposition
     if antichains is not None:
-        payload["antichains"] = [list(a) for a in antichains]
+        payload["antichains"] = counting._MemberLists(antichains)
     text = None   # JSON output writes the payload alone
     if args.output == "text":
         text = trace.render_text()
@@ -372,15 +373,17 @@ _HANDLERS = {
 }
 
 
-def _json_text(value, indent: str = "\n") -> str:
+def _json_text(value, indent: str = "\n", texts=None) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
 
     The stdlib encoder runs in pure Python once ``indent`` is given.  This
     writer dispatches on the exact type of each node (dict, list, tuple,
     str, int, bool, None) and joins a list of strings in one C-level pass.
-    A ``CountingTrace`` node is written by its own ``json_text``, as the
-    writer would write its ``to_dict()``.  Any other type, or a dict key
-    that is not a string, raises ``TypeError``.
+    A ``CountingTrace``, ``AntichainDecomposition`` or antichain list node
+    is written by its own ``json_text``, as the writer would write its
+    ``to_dict()`` (the list as it is), all from the one item-text table
+    ``texts`` that the outermost dict sets up.  Any other type, or a dict
+    key that is not a string, raises ``TypeError``.
     """
     kind = type(value)
     scalar = _SCALARS.get(kind)
@@ -390,12 +393,14 @@ def _json_text(value, indent: str = "\n") -> str:
     if kind is dict:
         if not value:
             return "{}"
+        if texts is None:
+            texts = counting._ItemTexts()
         parts = []
         for key in sorted(value):
             item = value[key]
             scalar = _SCALARS.get(type(item))
             parts.append(_quote(key) + ": " + (scalar(item) if scalar is not None
-                                               else _json_text(item, inner)))
+                                               else _json_text(item, inner, texts)))
         return "{" + inner + ("," + inner).join(parts) + indent + "}"
     if kind is list or kind is tuple:
         if not value:
@@ -403,10 +408,10 @@ def _json_text(value, indent: str = "\n") -> str:
         try:
             body = ("," + inner).join(map(_quote, value))
         except TypeError:   # not a list of strings
-            body = ("," + inner).join([_json_text(item, inner) for item in value])
+            body = ("," + inner).join([_json_text(item, inner, texts) for item in value])
         return "[" + inner + body + indent + "]"
-    if kind is counting.CountingTrace:
-        return value.json_text(indent)
+    if kind in (counting.CountingTrace, counting.AntichainDecomposition, counting._MemberLists):
+        return value.json_text(indent, texts)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 

@@ -39,9 +39,10 @@ unblocked position of each run in turn, and slices the rejected items out
 of the order between them; its item-by-item form is
 :func:`granum.oracles.greedy_pass_by_scan`, the tests' reference.
 
-``CountingTrace.json_text`` writes a trace's JSON straight from the run,
-without building the dict tree of ``CountingTrace.to_dict``; the command
-line's writer calls it, and ``to_dict`` through that writer is its
+``CountingTrace.json_text`` and ``AntichainDecomposition.json_text`` write
+their JSON straight from the run, without building the dict tree of
+``to_dict``, from one table of item texts per report; the command line's
+writer calls them, and ``to_dict`` through that writer is their
 reference, byte for byte.
 """
 
@@ -209,30 +210,95 @@ class CountingTrace:
             "incomplete": self.incomplete,
         }
 
-    def json_text(self, indent: str = "\n") -> str:
+    def json_text(self, indent: str = "\n", texts: _ItemTexts | None = None) -> str:
         """``cli._json_text(self.to_dict(), indent)``, written without the dict tree.
 
         ``indent`` is the newline and indentation the trace's closing brace
-        sits at.  Each distinct item is quoted once; the text of each order
-        is built once and reused for the pass that holds the same
-        ``OrderArrangement`` (``orders[i].sequence`` and ``passes[i].order``
-        sit at the same depth); each label is one %-template per form.
-        Items are written as the writer writes scalars (str, int, bool,
-        None); any other item type raises ``TypeError``.
+        sits at; ``texts`` is the item-text table of the report the trace is
+        part of, or ``None`` for a table of its own.  Items are written as
+        the writer writes scalars (str, int, bool, None); any other item
+        type raises ``TypeError``.
+
+        Every order sits at the same depth, so the canonical order's item
+        texts are joined once, and each item's offset into that text is
+        kept.  An order that is a rotation of the canonical one is two
+        slices of it.  A pass over a rotation rejects exactly the items
+        between its members: its ``rejected`` list is the rotated order
+        minus its members, in scan order, and its text is the slices of
+        the order's text between the members' texts.  Any other order, or
+        a pass whose lists do not add up to the collection, is joined item
+        by item.  Each category's member list is written once per table and
+        depth; each label is one %-template per form.
         """
         i1 = indent + "  "
         i2 = i1 + "  "
         i3 = i2 + "  "
         i4 = i3 + "  "
         i5 = i4 + "  "
-        text = _ItemTexts()
-        orders: dict[int, str] = {}   # id of an order -> its sequence, at depth 4
+        text = _ItemTexts() if texts is None else texts
+        collection = self.collection
+        n = len(collection)
+        sep = "," + i4
+        lsep = len(sep)
+        item_texts = list(map(text.__getitem__, collection))
+        body = sep.join(item_texts)
+        lead = 1 + len(i4)   # where body's first item starts in the text of a list
+        orders: dict[int, tuple] = {}   # id of an order -> its list text, its head or None
+        index: dict = {}   # item -> position, and
+        at: list[int] = []   # position -> offset of its text in body, then len(body) + lsep
 
-        def sequence(order: OrderArrangement) -> str:
-            seq = orders.get(id(order))
-            if seq is None:
-                seq = orders[id(order)] = _json_list(map(text.__getitem__, order.sequence), i4)
-            return seq
+        def offsets() -> list[int]:
+            """``at``, built on first need: single-pass runs never need it."""
+            if not at:
+                index.update(zip(collection, range(n)))
+                end = 0
+                at.append(end)
+                for item_text in item_texts:
+                    end += len(item_text) + lsep
+                    at.append(end)
+            return at
+
+        def arranged(order: OrderArrangement) -> tuple[str, int | None]:
+            """The list text of ``order`` at depth 4 and, for a rotation, the
+            offset in ``body`` of the item that starts it."""
+            got = orders.get(id(order))
+            if got is None:
+                seq = order.sequence
+                if seq is collection:
+                    got = "".join(("[", i4, body, i3, "]")) if seq else "[]", 0
+                else:
+                    offsets()
+                    s = index.get(seq[0]) if seq else None
+                    if s is not None and seq == collection[s:] + collection[:s]:
+                        head = at[s]
+                        got = "".join(("[", i4, body[head:], sep, body[:head - lsep], i3, "]")
+                                      if head else ("[", i4, body, i3, "]")), head
+                    else:
+                        got = _json_list(map(text.__getitem__, seq), i4), None
+                orders[id(order)] = got
+            return got
+
+        def rejected(rec: PassRecord, sequence: str, head: int | None) -> str:
+            """The text of ``rec.rejected``: slices of ``sequence``, the text of
+            the pass's rotated order, when that is the cheaper way (a step per
+            member costs about what a join pays for eight items), else joined."""
+            members = rec.assigned
+            if (head is None or len(rec.rejected) < 8 * len(members)
+                    or len(members) + len(rec.rejected) != n):
+                return _json_list(map(text.__getitem__, rec.rejected), i4)
+            at = offsets()
+            cycle = at[n]
+            gaps = []
+            done = lead   # where the first item not yet placed starts in sequence
+            for x, _ in members:
+                p = index[x]
+                start = lead + (at[p] - head) % cycle
+                if start > done:
+                    gaps.append(sequence[done:start - lsep])
+                done = start + at[p + 1] - at[p]
+            if done < lead + cycle:
+                gaps.append(sequence[done:lead + cycle - lsep])
+            return "".join(("[", i4, sep.join(gaps), i3, "]"))
 
         order_form = "{" + i3 + '"origin": %s,' + i3 + '"sequence": %s' + i2 + "}"
         category_form = "{" + i3 + '"index": %d,' + i3 + '"members": %s' + i2 + "}"
@@ -243,27 +309,30 @@ class CountingTrace:
         with_pass = _label_forms(i4, '"pass": %d,')
         without_pass = _label_forms(i5 + "  ", "")
 
-        keyed = {str(x): x for x in self.collection}   # as in to_dict, the last item wins
+        keyed = {str(x): x for x in collection}   # as in to_dict, the last item wins
         labels = [(text[x] if type(x) is str else _json_quote(key)) + ": " + _json_list(
             [_label_text(with_pass, lab, p) for p, lab in self.labels.get(x, ())], i3)
             for key, x in sorted(keyed.items())]
-        passes = [pass_form % (
-            _json_list([pair_form % (text[x], _label_text(without_pass, lab))
-                        for x, lab in rec.assigned], i4),
-            _scalar_text(rec.category_index), sequence(rec.order),
-            _json_quote(rec.order.origin), rec.number,
-            _json_list(map(text.__getitem__, rec.rejected), i4),
-            _scalar_text(rec.retained), text[rec.start]) for rec in self.passes]
+        passes = []
+        for rec in self.passes:
+            sequence, head = arranged(rec.order)
+            passes.append(pass_form % (
+                _json_list([pair_form % (text[x], _label_text(without_pass, lab))
+                            for x, lab in rec.assigned], i4),
+                _scalar_text(rec.category_index), sequence, _json_quote(rec.order.origin),
+                rec.number, rejected(rec, sequence, head), _scalar_text(rec.retained),
+                text[rec.start]))
         return "".join((
             "{", i1, '"algorithm": ', _json_quote(self.algorithm),
             ",", i1, '"categories": ', _json_list(
-                [category_form % (c.index, _json_list(map(text.__getitem__, c.members), i4))
-                 for c in self.categories], i2),
+                [category_form % (c.index, members) for c, members in zip(
+                    self.categories, text.member_lists([c.members for c in self.categories], i4))],
+                i2),
             ",", i1, '"incomplete": ', _scalar_text(self.incomplete),
             ",", i1, '"labels": ',
             ("{" + i2 + ("," + i2).join(labels) + i1 + "}") if labels else "{}",
             ",", i1, '"orders": ', _json_list(
-                [order_form % (_json_quote(o.origin), sequence(o)) for o in self.orders], i2),
+                [order_form % (_json_quote(o.origin), arranged(o)[0]) for o in self.orders], i2),
             ",", i1, '"passes": ', _json_list(passes, i2),
             indent, "}"))
 
@@ -288,10 +357,33 @@ def _scalar_text(value) -> str:
 
 
 class _ItemTexts(dict):
-    """Item -> its JSON text, each written on first use."""
+    """Item -> its JSON text, each written on first use; one table serves
+    every part of a count report.  ``lists`` holds, per indent, the member
+    lists written so far, by the id of the member tuple."""
+
+    def __init__(self):
+        super().__init__()
+        self.lists: dict[str, dict[int, str]] = {}
 
     def __missing__(self, item) -> str:
         out = self[item] = _scalar_text(item)
+        return out
+
+    def member_lists(self, lists: Iterable[tuple], inner: str) -> list[str]:
+        """The JSON list text of each member tuple in ``lists``, its items at
+        indent ``inner``: written once per tuple and indent, so the tuples
+        must outlive the table."""
+        done = self.lists.setdefault(inner, {})
+        sep = "," + inner
+        close = inner[:-2] + "]"
+        get = self.__getitem__
+        out = []
+        for members in lists:
+            text = done.get(id(members))
+            if text is None:
+                text = done[id(members)] = (
+                    "[" + inner + sep.join(map(get, members)) + close if members else "[]")
+            out.append(text)
         return out
 
 
@@ -379,6 +471,48 @@ class AntichainDecomposition:
             "counts_match": self.counts_match,
             "coherent": self.coherent,
         }
+
+    def json_text(self, indent: str = "\n", texts: _ItemTexts | None = None) -> str:
+        """``cli._json_text(self.to_dict(), indent)``, written without the dict tree.
+
+        ``indent`` and ``texts`` are as in :meth:`CountingTrace.json_text`;
+        a verdict's member list sits at the depth of a trace category's, so
+        with one table for both each category's list is written once.
+        """
+        i1 = indent + "  "
+        i2 = i1 + "  "
+        i3 = i2 + "  "
+        i4 = i3 + "  "
+        text = _ItemTexts() if texts is None else texts
+        verdict_form = "{" + ",".join(i3 + '"%s": %%s' % key for key in (
+            "conflict_free", "conflict_witness", "index", "maximal", "maximal_witness",
+            "members")) + i2 + "}"
+        verdicts = [verdict_form % (
+            _scalar_text(v.conflict_free),
+            _json_list(map(text.__getitem__, v.conflict_witness), i4)
+            if v.conflict_witness else "null",
+            _scalar_text(v.index), _scalar_text(v.maximal), text[v.maximal_witness],
+            members) for v, members in zip(
+                self.verdicts, text.member_lists([v.members for v in self.verdicts], i4))]
+        return "".join((
+            "{", i1, '"categories": ', _json_list(text.member_lists(self.categories, i3), i2),
+            ",", i1, '"coherent": ', _scalar_text(self.coherent),
+            ",", i1, '"counts_match": ', _scalar_text(self.counts_match),
+            ",", i1, '"coverage": ', _scalar_text(self.coverage),
+            ",", i1, '"missing": ', _json_list(map(text.__getitem__, self.missing), i2),
+            ",", i1, '"n_items": ', _scalar_text(self.n_items),
+            ",", i1, '"sum_counts": ', _scalar_text(self.sum_counts),
+            ",", i1, '"verdicts": ', _json_list(verdicts, i2),
+            indent, "}"))
+
+
+class _MemberLists(list):
+    """fhca's antichains in a report: a list of member tuples, written from
+    the report's item-text table."""
+
+    def json_text(self, indent: str = "\n", texts: _ItemTexts | None = None) -> str:
+        text = _ItemTexts() if texts is None else texts
+        return _json_list(text.member_lists(self, indent + "    "), indent + "  ")
 
 
 def _raw_rows(items: Sequence[Item], conflict: ConflictFn) -> list[int]:

@@ -17,6 +17,7 @@ from granum import (GranularOperatorSpace, IndiscernibilityRelation, PartitionWi
 from granum import parthood as ph
 
 from conftest import FIXTURES, planted_pairs
+from test_golden import CASES as GOLDEN_CASES, _recorded, replay
 
 VEE = str(FIXTURES / "ctx_vee.json")
 TABLE = str(FIXTURES / "table_blocks.csv")
@@ -651,6 +652,21 @@ class TestJsonWriter:
                     checked += 1
         assert checked >= 115
 
+    @pytest.mark.parametrize("algo", ["hpc", "pca", "hpca", "fhca"])
+    def test_count_builds_no_dict_tree(self, algo, monkeypatch):
+        # the count report is written from the run, never through to_dict()
+        def tree(self):
+            raise AssertionError(f"count built {type(self).__name__}.to_dict()")
+        for cls in (counting.CountingTrace, counting.PassRecord, counting.CountLabel,
+                    counting.AntichainDecomposition, counting.CategoryVerdict):
+            monkeypatch.setattr(cls, "to_dict", tree)
+        monkeypatch.delenv(cli.ENV_SEED, raising=False)
+        for conflict in ("comparability", "incomparability"):
+            case = f"count-{algo}-{conflict}-cautious-json"
+            got = replay(GOLDEN_CASES["ctx_escaped10.json"][case])
+            assert got == _recorded("ctx_escaped10.json")[case]
+            assert got["exit"] == 0
+
     def test_count_payload_on_120_elements(self, tmp_path, monkeypatch):
         rng = random.Random(120)
         universe = [f"x{i:03d}" for i in range(120)]
@@ -661,7 +677,10 @@ class TestJsonWriter:
         payload, text = _handler_payload(monkeypatch, ["count", "--algo", "fhca",
                                                        "--parthood", "cautious",
                                                        "--input", str(path)])
-        trace = payload["trace"]   # written by trace.json_text; to_dict() is its reference
+        # the trace and decomposition are written by their json_text; to_dict()
+        # is the reference
+        trace = payload["trace"]
         assert len(trace.passes) > 1
-        assert text == json.dumps(payload | {"trace": trace.to_dict()},
+        assert text == json.dumps(payload | {"trace": trace.to_dict(),
+                                             "decomposition": payload["decomposition"].to_dict()},
                                   sort_keys=True, indent=2) + "\n"

@@ -697,3 +697,153 @@ class TestJsonText:
             trace.json_text()
         with pytest.raises(TypeError, match="tuple"):
             cli._json_text({"trace": trace})
+
+
+def count_payload(algo, trace, decomposition=None, antichains=None):
+    """A payload shaped as the command line's ``count`` payload."""
+    payload = {"config": {"algorithm": algo}, "trace": trace}
+    if decomposition is not None:
+        payload["decomposition"] = decomposition
+    if antichains is not None:
+        payload["antichains"] = C._MemberLists(antichains)
+    return payload
+
+
+def reference_text(payload):
+    """The reference: ``json.dumps`` of the payload with each object replaced
+    by its ``to_dict()``."""
+    return json.dumps({key: value.to_dict() if hasattr(value, "to_dict") else value
+                       for key, value in payload.items()}, sort_keys=True, indent=2)
+
+
+@st.composite
+def count_payloads(draw):
+    """The payload of one of the four procedures, as the command line runs
+    it, on 1..24 items (strings that need escapes and ints) with random
+    symmetric rows of a drawn density: dense rows give passes of few members
+    over long rotations."""
+    n = draw(st.integers(1, 24))
+    items = draw(st.lists(st.sampled_from(ESCAPED_ITEMS) | st.text(max_size=4)
+                          | st.integers(-3, 40), min_size=n, max_size=n, unique=True))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from([0.0, 0.3, 0.8, 0.95, 1.0]))
+    rows = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    seq = arrangement(items)
+    algo = draw(st.sampled_from(["hpc", "pca", "hpca", "fhca"]))
+    if algo == "hpc":
+        return count_payload(algo, C.hpc_count(seq, None, rows=rows))
+    if algo == "pca":
+        trace = C.pca_count(seq, None, rows=rows)
+        return count_payload(algo, trace, C.verify_decomposition(trace, None, rows=rows))
+    if algo == "hpca":
+        return count_payload(algo, *C.hpca_count(seq, None, rows=rows))
+    trace, antichains = C.fhca_count(seq, None, rows=rows)
+    return count_payload(algo, trace, C.verify_decomposition(trace, None, rows=rows),
+                         antichains)
+
+
+# Twenty items of different text lengths.  Every item conflicts with every
+# other but its partner, so each pass takes its start and the partner, and
+# rejects the other eighteen: the rejected text is sliced out of the order's.
+SLICED_ITEMS = (ESCAPED_ITEMS[:9] + [7, -12, 345] + ["a" * k for k in range(1, 9)])
+PARTNERS = [(0, 9), (1, 19), (2, 3), (5, 4), (6, 18), (8, 7), (10, 17), (11, 16), (12, 15),
+            (13, 14)]
+
+
+def partner_rows(n, partners):
+    full = (1 << n) - 1
+    rows = [full & ~(1 << i) for i in range(n)]
+    for i, j in partners:
+        rows[i] &= ~(1 << j)
+        rows[j] &= ~(1 << i)
+    return rows
+
+
+class TestReportText:
+    """A whole count report, trace, decomposition and antichains, is written
+    from one item-text table with the bytes of ``json.dumps`` on ``to_dict()``."""
+
+    @given(count_payloads())
+    @settings(max_examples=300, deadline=None)
+    def test_payload_equals_stdlib_on_to_dict(self, payload):
+        assert cli._json_text(payload) == reference_text(payload)
+
+    def test_hand_broken_traces(self):
+        # categories edited after the run: conflicting, not maximal, not covering
+        items = ['say "hi"', "back\\slash", "nul\x00", 7, "\U0001f600", "é"]
+        rows = partner_rows(6, [(0, 1), (2, 3), (4, 5), (0, 3)])   # conflicts elsewhere
+        base = C.hpca_count(arrangement(items), None, rows=rows)[0]
+        broken = [
+            [C.Category(1, (items[0], items[2]))],                    # conflict, not maximal
+            [C.Category(1, (items[0], items[1])), C.Category(2, (items[2], items[3])),
+             C.Category(3, (items[5], items[4]))],                    # a partition, no conflict
+            [C.Category(1, (items[0], items[1], items[3])),
+             C.Category(2, (items[2], items[3], items[4], items[5]))],   # 7 twice
+            [C.Category(1, ()), C.Category(2, (items[4],))],          # empty, not maximal
+        ]
+        seen = set()
+        for categories in broken:
+            for algo in ("hpc", "pca", "hpca", "fhca"):
+                trace = dataclasses.replace(base, algorithm=algo, categories=categories)
+                dec = C.verify_decomposition(trace, None, rows=rows)
+                payload = count_payload(algo, trace, dec, [c.members for c in categories])
+                assert cli._json_text(payload) == reference_text(payload)
+                seen |= {("counts_match", dec.counts_match), ("coherent", dec.coherent),
+                         ("missing", bool(dec.missing))}
+                seen |= {("conflict_witness", v.conflict_witness is not None)
+                         for v in dec.verdicts}
+                seen |= {("maximal_witness", v.maximal_witness is not None)
+                         for v in dec.verdicts}
+        for key in ("conflict_witness", "maximal_witness", "missing"):
+            assert (key, True) in seen and (key, False) in seen
+        assert {("counts_match", v) for v in (True, False, None)} <= seen
+        assert {("coherent", v) for v in (True, False, None)} <= seen
+
+    def test_rotation_edges(self):
+        # pass members at the rotation's first item, at its last item and
+        # at the item just before the wrap, in sliced rejected lists
+        n = len(SLICED_ITEMS)
+        rows = partner_rows(n, PARTNERS)
+        for algo in ("hpca", "fhca"):
+            trace = count_payload(algo, *C.hpca_count(arrangement(SLICED_ITEMS), None,
+                                                      rows=rows))["trace"]
+            ranks = []
+            for rec in trace.passes:
+                order = rec.order.sequence
+                assert len(rec.rejected) == n - 2 >= 8 * len(rec.assigned)
+                ranks.append((SLICED_ITEMS.index(order[0]),
+                              [order.index(x) for x, _ in rec.assigned]))
+            assert (0, [0, 9]) in ranks                  # canonical order, a gap each side
+            assert (1, [0, 18]) in ranks                 # the collection's last item, at the wrap
+            assert (5, [0, 19]) in ranks                 # the rotation's last item
+            assert (2, [0, 1]) in ranks                  # adjacent members
+            payload = count_payload(algo, trace, C.verify_decomposition(trace, None, rows=rows))
+            assert cli._json_text(payload) == reference_text(payload)
+
+    def test_pass_that_rejects_nothing_and_single_item(self):
+        for items, rows in ((SLICED_ITEMS, [0] * len(SLICED_ITEMS)), ([-1], [0]), (["é"], [0])):
+            for proc in (C.hpc_count, C.pca_count, C.hpca_count, C.fhca_count):
+                run = proc(arrangement(items), None, rows=rows)
+                trace = run[0] if isinstance(run, tuple) else run
+                assert [len(rec.rejected) for rec in trace.passes] == [0]
+                dec = C.verify_decomposition(trace, None, rows=rows)
+                payload = count_payload(trace.algorithm, trace, dec,
+                                        [c.members for c in trace.categories])
+                assert cli._json_text(payload) == reference_text(payload)
+
+    def test_permuted_orders_are_joined(self):
+        # fhca_rounds' permutations are not rotations; their texts are joined
+        n = len(SLICED_ITEMS)
+        rows = partner_rows(n, PARTNERS)
+        index = {x: i for i, x in enumerate(SLICED_ITEMS)}
+        trace, antichains = fhca_rounds(
+            arrangement(SLICED_ITEMS), lambda a, b: bool(rows[index[a]] >> index[b] & 1),
+            strategy="permutation", seed=3)
+        assert len(trace.passes) > 2
+        payload = count_payload("fhca", trace, C.verify_decomposition(trace, None, rows=rows),
+                                antichains)
+        assert cli._json_text(payload) == reference_text(payload)
