@@ -218,10 +218,9 @@ def _cmd_count(args):
     else:
         trace, antichains = counting.fhca_count(seq, None, rows=rows)
         decomposition = counting.verify_decomposition(trace, None, rows=rows)
-    # _json_text writes the trace, decomposition and antichains by their json_text
-    payload = {"config": {"algorithm": args.algo, "items": args.items,
-                          "parthood": args.parthood, "conflict": args.conflict},
-               "trace": trace}
+    payload = _CountPayload(config={"algorithm": args.algo, "items": args.items,
+                                    "parthood": args.parthood, "conflict": args.conflict},
+                            trace=trace)
     if decomposition is not None:
         payload["decomposition"] = decomposition
     if antichains is not None:
@@ -373,7 +372,13 @@ _HANDLERS = {
 }
 
 
-def _json_text(value, indent: str = "\n", texts=None) -> str:
+class _CountPayload(dict):
+    """``count``'s payload.  ``_json_text`` writes its trace, decomposition
+    and antichains by their own ``json_text`` from one item-text table, so
+    each item is quoted once and each member list is written once per depth."""
+
+
+def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
 
     The stdlib encoder runs in pure Python once ``indent`` is given.  This
@@ -381,9 +386,9 @@ def _json_text(value, indent: str = "\n", texts=None) -> str:
     str, int, bool, None) and joins a list of strings in one C-level pass.
     A ``CountingTrace``, ``AntichainDecomposition`` or antichain list node
     is written by its own ``json_text``, as the writer would write its
-    ``to_dict()`` (the list as it is), all from the one item-text table
-    ``texts`` that the outermost dict sets up.  Any other type, or a dict
-    key that is not a string, raises ``TypeError``.
+    ``to_dict()`` (the list as it is); in a ``_CountPayload`` they share one
+    item-text table.  Any other type, or a dict key that is not a string,
+    raises ``TypeError``.
     """
     kind = type(value)
     scalar = _SCALARS.get(kind)
@@ -393,14 +398,12 @@ def _json_text(value, indent: str = "\n", texts=None) -> str:
     if kind is dict:
         if not value:
             return "{}"
-        if texts is None:
-            texts = counting._ItemTexts()
         parts = []
         for key in sorted(value):
             item = value[key]
             scalar = _SCALARS.get(type(item))
             parts.append(_quote(key) + ": " + (scalar(item) if scalar is not None
-                                               else _json_text(item, inner, texts)))
+                                               else _json_text(item, inner)))
         return "{" + inner + ("," + inner).join(parts) + indent + "}"
     if kind is list or kind is tuple:
         if not value:
@@ -408,10 +411,16 @@ def _json_text(value, indent: str = "\n", texts=None) -> str:
         try:
             body = ("," + inner).join(map(_quote, value))
         except TypeError:   # not a list of strings
-            body = ("," + inner).join([_json_text(item, inner, texts) for item in value])
+            body = ("," + inner).join([_json_text(item, inner) for item in value])
         return "[" + inner + body + indent + "]"
+    if kind is _CountPayload:
+        texts = counting._ItemTexts()
+        return "{" + inner + ("," + inner).join(
+            _quote(key) + ": " + (item.json_text(inner, texts) if hasattr(item, "json_text")
+                                  else _json_text(item, inner))
+            for key, item in sorted(value.items())) + indent + "}"
     if kind in (counting.CountingTrace, counting.AntichainDecomposition, counting._MemberLists):
-        return value.json_text(indent, texts)
+        return value.json_text(indent)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 

@@ -224,11 +224,13 @@ class CountingTrace:
         kept.  An order that is a rotation of the canonical one is two
         slices of it.  A pass over a rotation rejects exactly the items
         between its members: its ``rejected`` list is the rotated order
-        minus its members, in scan order, and its text is the slices of
-        the order's text between the members' texts.  Any other order, or
-        a pass whose lists do not add up to the collection, is joined item
-        by item.  Each category's member list is written once per table and
-        depth; each label is one %-template per form.
+        minus its members, in scan order.  So when the pass rejects at
+        least eight items per member (a slice costs a step per member,
+        about what the join pays for eight items), its text is the slices
+        of the order's text between the members' texts.  Any other order or
+        pass, or one whose lists do not add up to the collection, is joined
+        item by item.  Each category's member list is written once per
+        table and depth; each label is one %-template per form.
         """
         i1 = indent + "  "
         i2 = i1 + "  "
@@ -244,8 +246,8 @@ class CountingTrace:
         body = sep.join(item_texts)
         lead = 1 + len(i4)   # where body's first item starts in the text of a list
         orders: dict[int, tuple] = {}   # id of an order -> its list text, its head or None
-        index: dict = {}   # item -> position, and
-        at: list[int] = []   # position -> offset of its text in body, then len(body) + lsep
+        index: dict = {}       # item -> its position in the collection
+        at: list[int] = []     # position -> offset of its text in body; at[n] = len(body) + lsep
 
         def offsets() -> list[int]:
             """``at``, built on first need: single-pass runs never need it."""
@@ -279,9 +281,8 @@ class CountingTrace:
             return got
 
         def rejected(rec: PassRecord, sequence: str, head: int | None) -> str:
-            """The text of ``rec.rejected``: slices of ``sequence``, the text of
-            the pass's rotated order, when that is the cheaper way (a step per
-            member costs about what a join pays for eight items), else joined."""
+            """The text of ``rec.rejected``, sliced out of ``sequence``, the text
+            of the pass's order, or joined (see above)."""
             members = rec.assigned
             if (head is None or len(rec.rejected) < 8 * len(members)
                     or len(members) + len(rec.rejected) != n):

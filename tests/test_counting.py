@@ -700,8 +700,8 @@ class TestJsonText:
 
 
 def count_payload(algo, trace, decomposition=None, antichains=None):
-    """A payload shaped as the command line's ``count`` payload."""
-    payload = {"config": {"algorithm": algo}, "trace": trace}
+    """A payload built as the command line builds its ``count`` payload."""
+    payload = cli._CountPayload(config={"algorithm": algo}, trace=trace)
     if decomposition is not None:
         payload["decomposition"] = decomposition
     if antichains is not None:
