@@ -224,7 +224,7 @@ def _cmd_count(args):
     if decomposition is not None:
         payload["decomposition"] = decomposition
     if antichains is not None:
-        payload["antichains"] = counting._MemberLists(antichains)
+        payload["antichains"] = antichains
     text = None   # JSON output writes the payload alone
     if args.output == "text":
         text = trace.render_text()
@@ -374,8 +374,8 @@ _HANDLERS = {
 
 class _CountPayload(dict):
     """``count``'s payload.  ``_json_text`` writes its trace, decomposition
-    and antichains by their own ``json_text`` from one item-text table, so
-    each item is quoted once and each member list is written once per depth."""
+    and antichains from one item-text table, so each item is quoted once
+    and each member list is written once per depth."""
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -384,11 +384,10 @@ def _json_text(value, indent: str = "\n") -> str:
     The stdlib encoder runs in pure Python once ``indent`` is given.  This
     writer dispatches on the exact type of each node (dict, list, tuple,
     str, int, bool, None) and joins a list of strings in one C-level pass.
-    A ``CountingTrace``, ``AntichainDecomposition`` or antichain list node
-    is written by its own ``json_text``, as the writer would write its
-    ``to_dict()`` (the list as it is); in a ``_CountPayload`` they share one
-    item-text table.  Any other type, or a dict key that is not a string,
-    raises ``TypeError``.
+    A ``CountingTrace`` node is written by its own ``json_text``, as the
+    writer would write its ``to_dict()``; a ``_CountPayload`` writes its
+    trace, decomposition and antichains from one item-text table.  Any
+    other type, or a dict key that is not a string, raises ``TypeError``.
     """
     kind = type(value)
     scalar = _SCALARS.get(kind)
@@ -415,11 +414,18 @@ def _json_text(value, indent: str = "\n") -> str:
         return "[" + inner + body + indent + "]"
     if kind is _CountPayload:
         texts = counting._ItemTexts()
-        return "{" + inner + ("," + inner).join(
-            _quote(key) + ": " + (item.json_text(inner, texts) if hasattr(item, "json_text")
-                                  else _json_text(item, inner))
-            for key, item in sorted(value.items())) + indent + "}"
-    if kind in (counting.CountingTrace, counting.AntichainDecomposition, counting._MemberLists):
+        parts = []
+        for key, item in sorted(value.items()):
+            if hasattr(item, "json_text"):   # the trace and the decomposition
+                item_text = item.json_text(inner, texts)
+            elif key == "antichains":        # fhca's member tuples
+                item_text = counting._json_list(texts.member_lists(item, inner + "    "),
+                                                inner + "  ")
+            else:
+                item_text = _json_text(item, inner)
+            parts.append(_quote(key) + ": " + item_text)
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    if kind is counting.CountingTrace:
         return value.json_text(indent)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 

@@ -222,15 +222,16 @@ class CountingTrace:
         Every order sits at the same depth, so the canonical order's item
         texts are joined once, and each item's offset into that text is
         kept.  An order that is a rotation of the canonical one is two
-        slices of it.  A pass over a rotation rejects exactly the items
-        between its members: its ``rejected`` list is the rotated order
-        minus its members, in scan order.  So when the pass rejects at
-        least eight items per member (a slice costs a step per member,
-        about what the join pays for eight items), its text is the slices
-        of the order's text between the members' texts.  Any other order or
-        pass, or one whose lists do not add up to the collection, is joined
-        item by item.  Each category's member list is written once per
-        table and depth; each label is one %-template per form.
+        slices of it.  A pass's ``rejected`` list is its order minus its
+        members, in scan order, so a pass that takes only its order's first
+        item rejects the rest of the order: when ``rejected`` equals the
+        order minus its first item, its text is one slice of the order's
+        text.  Any other order or ``rejected`` list is joined item by item.
+        (Slicing out the gaps between several members costs about a
+        microsecond per member, and it lost to the join on every such pass
+        of the count benchmark, 6 to 39 members: see BENCH_21.json.)  Each
+        category's member list is written once per table and depth; each
+        label is one %-template per form.
         """
         i1 = indent + "  "
         i2 = i1 + "  "
@@ -244,62 +245,46 @@ class CountingTrace:
         lsep = len(sep)
         item_texts = list(map(text.__getitem__, collection))
         body = sep.join(item_texts)
-        lead = 1 + len(i4)   # where body's first item starts in the text of a list
-        orders: dict[int, tuple] = {}   # id of an order -> its list text, its head or None
+        orders: dict[int, str] = {}   # id of an order -> its list text
         index: dict = {}       # item -> its position in the collection
-        at: list[int] = []     # position -> offset of its text in body; at[n] = len(body) + lsep
+        at: list[int] = []     # position -> offset of its text in body
 
-        def offsets() -> list[int]:
-            """``at``, built on first need: single-pass runs never need it."""
+        def offsets() -> None:
+            """Fill ``index`` and ``at`` on first need: single-pass runs never need them."""
             if not at:
                 index.update(zip(collection, range(n)))
                 end = 0
-                at.append(end)
                 for item_text in item_texts:
-                    end += len(item_text) + lsep
                     at.append(end)
-            return at
+                    end += len(item_text) + lsep
 
-        def arranged(order: OrderArrangement) -> tuple[str, int | None]:
-            """The list text of ``order`` at depth 4 and, for a rotation, the
-            offset in ``body`` of the item that starts it."""
+        def arranged(order: OrderArrangement) -> str:
+            """The list text of ``order`` at depth 4."""
             got = orders.get(id(order))
             if got is None:
                 seq = order.sequence
                 if seq is collection:
-                    got = "".join(("[", i4, body, i3, "]")) if seq else "[]", 0
+                    got = "".join(("[", i4, body, i3, "]")) if seq else "[]"
                 else:
                     offsets()
                     s = index.get(seq[0]) if seq else None
                     if s is not None and seq == collection[s:] + collection[:s]:
                         head = at[s]
                         got = "".join(("[", i4, body[head:], sep, body[:head - lsep], i3, "]")
-                                      if head else ("[", i4, body, i3, "]")), head
+                                      if head else ("[", i4, body, i3, "]"))
                     else:
-                        got = _json_list(map(text.__getitem__, seq), i4), None
+                        got = _json_list(map(text.__getitem__, seq), i4)
                 orders[id(order)] = got
             return got
 
-        def rejected(rec: PassRecord, sequence: str, head: int | None) -> str:
-            """The text of ``rec.rejected``, sliced out of ``sequence``, the text
-            of the pass's order, or joined (see above)."""
-            members = rec.assigned
-            if (head is None or len(rec.rejected) < 8 * len(members)
-                    or len(members) + len(rec.rejected) != n):
-                return _json_list(map(text.__getitem__, rec.rejected), i4)
-            at = offsets()
-            cycle = at[n]
-            gaps = []
-            done = lead   # where the first item not yet placed starts in sequence
-            for x, _ in members:
-                p = index[x]
-                start = lead + (at[p] - head) % cycle
-                if start > done:
-                    gaps.append(sequence[done:start - lsep])
-                done = start + at[p + 1] - at[p]
-            if done < lead + cycle:
-                gaps.append(sequence[done:lead + cycle - lsep])
-            return "".join(("[", i4, sep.join(gaps), i3, "]"))
+        def rejected(rec: PassRecord, sequence: str) -> str:
+            """The text of ``rec.rejected``; ``sequence`` is the text of the
+            pass's order."""
+            items = rec.rejected
+            seq = rec.order.sequence
+            if len(items) == len(seq) - 1 > 0 and items == seq[1:]:
+                return "".join(("[", i4, sequence[1 + len(i4) + len(text[seq[0]]) + lsep:]))
+            return _json_list(map(text.__getitem__, items), i4)
 
         order_form = "{" + i3 + '"origin": %s,' + i3 + '"sequence": %s' + i2 + "}"
         category_form = "{" + i3 + '"index": %d,' + i3 + '"members": %s' + i2 + "}"
@@ -316,12 +301,12 @@ class CountingTrace:
             for key, x in sorted(keyed.items())]
         passes = []
         for rec in self.passes:
-            sequence, head = arranged(rec.order)
+            sequence = arranged(rec.order)
             passes.append(pass_form % (
                 _json_list([pair_form % (text[x], _label_text(without_pass, lab))
                             for x, lab in rec.assigned], i4),
                 _scalar_text(rec.category_index), sequence, _json_quote(rec.order.origin),
-                rec.number, rejected(rec, sequence, head), _scalar_text(rec.retained),
+                rec.number, rejected(rec, sequence), _scalar_text(rec.retained),
                 text[rec.start]))
         return "".join((
             "{", i1, '"algorithm": ', _json_quote(self.algorithm),
@@ -333,7 +318,7 @@ class CountingTrace:
             ",", i1, '"labels": ',
             ("{" + i2 + ("," + i2).join(labels) + i1 + "}") if labels else "{}",
             ",", i1, '"orders": ', _json_list(
-                [order_form % (_json_quote(o.origin), arranged(o)[0]) for o in self.orders], i2),
+                [order_form % (_json_quote(o.origin), arranged(o)) for o in self.orders], i2),
             ",", i1, '"passes": ', _json_list(passes, i2),
             indent, "}"))
 
@@ -505,15 +490,6 @@ class AntichainDecomposition:
             ",", i1, '"sum_counts": ', _scalar_text(self.sum_counts),
             ",", i1, '"verdicts": ', _json_list(verdicts, i2),
             indent, "}"))
-
-
-class _MemberLists(list):
-    """fhca's antichains in a report: a list of member tuples, written from
-    the report's item-text table."""
-
-    def json_text(self, indent: str = "\n", texts: _ItemTexts | None = None) -> str:
-        text = _ItemTexts() if texts is None else texts
-        return _json_list(text.member_lists(self, indent + "    "), indent + "  ")
 
 
 def _raw_rows(items: Sequence[Item], conflict: ConflictFn) -> list[int]:

@@ -705,7 +705,7 @@ def count_payload(algo, trace, decomposition=None, antichains=None):
     if decomposition is not None:
         payload["decomposition"] = decomposition
     if antichains is not None:
-        payload["antichains"] = C._MemberLists(antichains)
+        payload["antichains"] = antichains
     return payload
 
 
@@ -748,8 +748,8 @@ def count_payloads(draw):
 
 # Twenty items of different text lengths.  Every item conflicts with every
 # other but its partner, so each pass takes its start and the partner, and
-# rejects the other eighteen: the rejected text is sliced out of the order's.
-SLICED_ITEMS = (ESCAPED_ITEMS[:9] + [7, -12, 345] + ["a" * k for k in range(1, 9)])
+# rejects the other eighteen in a list that is joined.
+ITEMS20 = (ESCAPED_ITEMS[:9] + [7, -12, 345] + ["a" * k for k in range(1, 9)])
 PARTNERS = [(0, 9), (1, 19), (2, 3), (5, 4), (6, 18), (8, 7), (10, 17), (11, 16), (12, 15),
             (13, 14)]
 
@@ -805,17 +805,17 @@ class TestReportText:
 
     def test_rotation_edges(self):
         # pass members at the rotation's first item, at its last item and
-        # at the item just before the wrap, in sliced rejected lists
-        n = len(SLICED_ITEMS)
+        # at the item just before the wrap, in joined rejected lists
+        n = len(ITEMS20)
         rows = partner_rows(n, PARTNERS)
         for algo in ("hpca", "fhca"):
-            trace = count_payload(algo, *C.hpca_count(arrangement(SLICED_ITEMS), None,
+            trace = count_payload(algo, *C.hpca_count(arrangement(ITEMS20), None,
                                                       rows=rows))["trace"]
             ranks = []
             for rec in trace.passes:
                 order = rec.order.sequence
-                assert len(rec.rejected) == n - 2 >= 8 * len(rec.assigned)
-                ranks.append((SLICED_ITEMS.index(order[0]),
+                assert len(rec.rejected) == n - 2
+                ranks.append((ITEMS20.index(order[0]),
                               [order.index(x) for x, _ in rec.assigned]))
             assert (0, [0, 9]) in ranks                  # canonical order, a gap each side
             assert (1, [0, 18]) in ranks                 # the collection's last item, at the wrap
@@ -824,8 +824,55 @@ class TestReportText:
             payload = count_payload(algo, trace, C.verify_decomposition(trace, None, rows=rows))
             assert cli._json_text(payload) == reference_text(payload)
 
+    def test_one_member_passes_on_every_rotation(self):
+        # every item conflicts with every other: each pass takes only its
+        # order's first item, and its rejected list is sliced out of the
+        # order's text, on the canonical order, on every rotation and on the
+        # one that starts at the collection's last item, just before the wrap
+        n = len(ITEMS20)
+        rows = partner_rows(n, [])
+        for algo in ("hpca", "fhca"):
+            run = (C.hpca_count if algo == "hpca" else C.fhca_count)(
+                arrangement(ITEMS20), None, rows=rows)
+            trace = run[0]
+            starts = []
+            for rec in trace.passes:
+                order = rec.order.sequence
+                assert [x for x, _ in rec.assigned] == [order[0]]
+                assert rec.rejected == order[1:]
+                starts.append(ITEMS20.index(order[0]))
+            assert starts == list(range(n))
+            payload = (count_payload(algo, *run) if algo == "hpca" else count_payload(
+                algo, trace, C.verify_decomposition(trace, None, rows=rows), run[1]))
+            assert cli._json_text(payload) == reference_text(payload)
+
+    def test_hand_edited_passes(self):
+        # a trace is a mutable public dataclass: a rejected list that is not
+        # the order minus its first item is joined, whatever the members
+        items = ITEMS20[:9]
+        trace = C.hpca_count(arrangement(items), None, rows=partner_rows(9, []))[0]
+        rec = trace.passes[1]
+        order = rec.order.sequence
+        edits = [
+            dict(rejected=rec.rejected[::-1]),                       # reordered
+            dict(rejected=order[:-1]),                               # order minus its last item
+            dict(rejected=order[1:-1]),                              # one item short
+            dict(rejected=order[2:] + order[1:2]),                   # rotated by one
+            dict(assigned=(("zzz", rec.assigned[0][1]),)),           # member not in the run
+            dict(assigned=(("zzz", rec.assigned[0][1]),), rejected=rec.rejected[::-1]),
+            dict(assigned=rec.assigned * 2),                         # two members, same list
+            dict(assigned=(), rejected=order),                       # no member
+            dict(rejected=()),
+        ]
+        for edit in edits:
+            passes = list(trace.passes)
+            passes[1] = dataclasses.replace(rec, **edit)
+            edited = dataclasses.replace(trace, passes=passes)
+            payload = count_payload("hpca", edited)
+            assert cli._json_text(payload) == reference_text(payload), edit
+
     def test_pass_that_rejects_nothing_and_single_item(self):
-        for items, rows in ((SLICED_ITEMS, [0] * len(SLICED_ITEMS)), ([-1], [0]), (["é"], [0])):
+        for items, rows in ((ITEMS20, [0] * len(ITEMS20)), ([-1], [0]), (["é"], [0])):
             for proc in (C.hpc_count, C.pca_count, C.hpca_count, C.fhca_count):
                 run = proc(arrangement(items), None, rows=rows)
                 trace = run[0] if isinstance(run, tuple) else run
@@ -837,11 +884,11 @@ class TestReportText:
 
     def test_permuted_orders_are_joined(self):
         # fhca_rounds' permutations are not rotations; their texts are joined
-        n = len(SLICED_ITEMS)
+        n = len(ITEMS20)
         rows = partner_rows(n, PARTNERS)
-        index = {x: i for i, x in enumerate(SLICED_ITEMS)}
+        index = {x: i for i, x in enumerate(ITEMS20)}
         trace, antichains = fhca_rounds(
-            arrangement(SLICED_ITEMS), lambda a, b: bool(rows[index[a]] >> index[b] & 1),
+            arrangement(ITEMS20), lambda a, b: bool(rows[index[a]] >> index[b] & 1),
             strategy="permutation", seed=3)
         assert len(trace.passes) > 2
         payload = count_payload("fhca", trace, C.verify_decomposition(trace, None, rows=rows),
