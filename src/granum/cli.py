@@ -412,19 +412,20 @@ def _json_text(value, indent: str = "\n") -> str:
         except TypeError:   # not a list of strings
             body = ("," + inner).join([_json_text(item, inner) for item in value])
         return "[" + inner + body + indent + "]"
-    if kind is _CountPayload:
+    if kind is _CountPayload:   # never empty; joined once, as the trace is most of it
         texts = counting._ItemTexts()
-        parts = []
+        parts = ["{"]
         for key, item in sorted(value.items()):
             if hasattr(item, "json_text"):   # the trace and the decomposition
-                item_text = item.json_text(inner, texts)
+                item = item.json_text(inner, texts)
             elif key == "antichains":        # fhca's member tuples
-                item_text = counting._json_list(texts.member_lists(item, inner + "    "),
-                                                inner + "  ")
+                item = counting._json_list(texts.member_lists(item, inner + "    "),
+                                           inner + "  ")
             else:
-                item_text = _json_text(item, inner)
-            parts.append(_quote(key) + ": " + item_text)
-        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+                item = _json_text(item, inner)
+            parts += inner, _quote(key), ": ", item, ","
+        parts[-1:] = indent, "}"
+        return "".join(parts)
     if kind is counting.CountingTrace:
         return value.json_text(indent)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
