@@ -65,6 +65,10 @@ def _fixture_cases(name: str, region: str) -> dict[str, list[str]]:
             runs[f"count-{algo}-{items}"] = ["count", "--algo", algo, "--items", items]
     for op in ("maximal-antichains", "antichain-cover", "signatures"):
         runs[f"oracle-{op}"] = ["oracle", "--op", op]
+    if name in ("ctx_vee.json", "ctx_chain9.json", "table_blocks.csv"):
+        runs["count-hpca-incomparability"] = ["count", "--algo", "hpca",
+                                              "--conflict", "incomparability"]
+        runs["count-hpca-cautious"] = ["count", "--algo", "hpca", "--parthood", "cautious"]
     if name == "table_blocks.csv":
         runs["parthood-audit-budget8-seed3"] = ["parthood-audit", "--budget", "8",
                                                 "--seed", "3"]
