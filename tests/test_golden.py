@@ -2,11 +2,11 @@
 
 The recordings in ``fixtures/golden/`` (one file per input fixture) pin the
 command line byte for byte: each subcommand on each fixture in both output
-modes, every counting algorithm on both item collections, the coherence
-verdict with ``--strict``, on rough objects, under the incomparability
-conflict and under cautious parthood, sampled parthood audits (one on 62
-elements, one of every variant on 16 overlapping elements, g-simple on 24),
-sampled axiom audits (every axiom on 62 and on 16 elements), an error case, every axiom audit under every parthood variant and the
+modes, every counting algorithm on both item collections, hpca under the
+incomparability conflict and under cautious parthood, sampled parthood
+audits (one on 62 elements, one of every variant on 16 overlapping elements,
+g-simple on 24), sampled axiom audits (every axiom on 62 and on 16
+elements), an error case, every axiom audit under every parthood variant and the
 rough-object count on a 14-element table (all 16384 regions) and on 13
 overlapping elements that the granules do not cover, and every counting
 algorithm under both conflicts and two parthood variants on a dense
@@ -54,11 +54,6 @@ def _fixture_cases(name: str, region: str) -> dict[str, list[str]]:
         "gos-audit": ["gos-audit"],
         "parthood-audit": ["parthood-audit"],
         "inverse": ["inverse"],
-        "coherence": ["coherence"],
-        "coherence-strict": ["coherence", "--strict"],
-        "coherence-rough-objects": ["coherence", "--items", "rough-objects"],
-        "coherence-incomparability": ["coherence", "--conflict", "incomparability"],
-        "coherence-cautious": ["coherence", "--parthood", "cautious"],
     }
     for algo in ("hpc", "pca", "hpca", "fhca"):
         for items in ("elements", "rough-objects"):
