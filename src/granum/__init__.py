@@ -13,8 +13,7 @@ from .core import (Basis, Granulation, IndiscernibilityRelation, InformationTabl
                    rough_equality, rough_inclusion, upper_approx)
 from .counting import (AntichainDecomposition, CountLabel, CountingTrace,
                        OrderArrangement, arrangement, fhca_count, hpc_count,
-                       hpca_count, is_hpca_coherent, pca_count,
-                       verify_decomposition)
+                       hpca_count, pca_count, verify_decomposition)
 from .gos import (AxiomReport, BasicRoughOrder, GranularOperatorSpace,
                   PartitionWitness, RoughQuotient, RoughRepresentation,
                   audit_full_underlap, audit_lower_stability,
@@ -42,7 +41,7 @@ __all__ = [
     "brute_force_signatures", "conflict", "enumerate_maximal_antichains",
     "fhca_count", "holds", "hpc_count", "hpca_count",
     "indiscernibility_partition", "interval_representation",
-    "inverse_rough_check", "is_hpca_coherent", "knowledge_validity_check",
+    "inverse_rough_check", "knowledge_validity_check",
     "lower_approx", "minimum_antichain_cover", "parse_context",
     "parse_information_table", "pca_count", "proper_part", "rough_equality",
     "rough_inclusion", "rough_objects", "rough_origin", "upper_approx",

@@ -1,7 +1,7 @@
 """Command-line front door.
 
 Subcommands cover every analysis: ``approx``, ``gos-audit``,
-``parthood-audit``, ``count``, ``coherence``, ``inverse`` and ``oracle``.
+``parthood-audit``, ``count``, ``inverse`` and ``oracle``.
 JSON output is schema-stable (sorted keys), so identical configurations
 produce byte-identical reports.  Exit status: 0 on success, 1 when a
 ``--strict`` run ends analysis-negative, 2 on usage or parse errors and
@@ -235,16 +235,6 @@ def _cmd_count(args):
     return payload, text, negative
 
 
-def _cmd_coherence(args):
-    space = _load_space(args, pH.variant(args.parthood))
-    items, rows, _ = _items(space, args)
-    seq = counting.arrangement(items)
-    coherent = counting.is_hpca_coherent(seq, None, rows=rows)
-    payload = {"order": list(items), "coherent": coherent}
-    text = f"order {items}: {'coherent' if coherent else 'NOT coherent'}"
-    return payload, text, not coherent
-
-
 def _cmd_inverse(args):
     if args.input is None:
         raise ParseError("an --input file is required")
@@ -349,9 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--strict", "--items")
     p.add_argument("--algo", required=True, choices=["hpc", "pca", "hpca", "fhca"])
 
-    command("coherence", "check that the hpca run in input order is coherent", *table,
-            "--parthood", "--conflict", "--strict", "--items")
-
     command("inverse", "decide whether pairs have a rough origin", "--strict")
 
     p = command("oracle", "run an independent brute-force verifier", *table, "--parthood",
@@ -366,7 +353,6 @@ _HANDLERS = {
     "gos-audit": _cmd_gos_audit,
     "parthood-audit": _cmd_parthood_audit,
     "count": _cmd_count,
-    "coherence": _cmd_coherence,
     "inverse": _cmd_inverse,
     "oracle": _cmd_oracle,
 }

@@ -801,16 +801,6 @@ def verify_decomposition(trace: CountingTrace, conflict: ConflictFn, *,
                                   len(items), counts_match, coherent)
 
 
-def is_hpca_coherent(seq: OrderArrangement, conflict: ConflictFn, *,
-                     rows: Sequence[int] | None = None) -> bool:
-    """True when the run covers the collection with maximal antichains.
-
-    With ``rows=`` given, ``conflict`` is not read and may be ``None``.
-    """
-    _, decomposition = hpca_count(seq, conflict, rows=rows)
-    return bool(decomposition.coherent)
-
-
 def fhca_count(seq: OrderArrangement, conflict: ConflictFn, *,
                rows: Sequence[int] | None = None) -> tuple[CountingTrace, list[tuple]]:
     """Full-history counting: the hpca run, relabelled ``fhca``.

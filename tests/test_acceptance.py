@@ -136,12 +136,12 @@ def test_criterion_05a_hpca_maximality(poset_corpus):
 @criterion("5b hpca-coherence-definition")
 def test_criterion_05b_coherence_matches_unfolded_definition(vee_poset):
     items, _, conflict = vee_poset
-    trace, _ = C.hpca_count(arrangement(items), conflict)
+    trace, dec = C.hpca_count(arrangement(items), conflict)
     # unfold the definition by hand: categories are maximal antichains and cover
     maximal = {frozenset(s) for s in enumerate_maximal_antichains(conflict, items)}
     unfolded = (all(frozenset(c.members) in maximal for c in trace.categories)
                 and set().union(*(set(c.members) for c in trace.categories)) == set(items))
-    assert C.is_hpca_coherent(arrangement(items), conflict) == unfolded is True
+    assert dec.coherent == unfolded is True
     assert [c.members for c in trace.categories] == [("p", "s"), ("q", "r", "s")]
 
 
@@ -156,10 +156,10 @@ def test_criterion_05c_noncoherent_pair_exists(poset_corpus):
     docstring).  So the search must come back empty, and the verdict is
     checked three ways:
 
-    1. on every arrangement ``is_hpca_coherent`` equals the definition
-       unfolded against the oracle: every category is a maximal antichain
-       from ``enumerate_maximal_antichains`` and the categories cover the
-       collection;
+    1. on every arrangement the run's verified ``coherent`` equals the
+       definition unfolded against the oracle: every category is a maximal
+       antichain from ``enumerate_maximal_antichains`` and the categories
+       cover the collection;
     2. no arrangement is non-coherent;
     3. the verdict can still say no: wherever pass 1 rejects something, the
        trace cut off after pass 1 (the run as if no marker were consumed) is
@@ -174,11 +174,11 @@ def test_criterion_05c_noncoherent_pair_exists(poset_corpus):
         maximal = {frozenset(s) for s in enumerate_maximal_antichains(conflict, items)}
         for perm in itertools.permutations(items):
             seq = C.OrderArrangement(perm)
-            trace, _ = C.hpca_count(seq, conflict)
+            trace, dec = C.hpca_count(seq, conflict)
             unfolded = (all(frozenset(c.members) in maximal for c in trace.categories)
                         and set().union(*(set(c.members) for c in trace.categories))
                         == set(items))
-            verdict = C.is_hpca_coherent(seq, conflict)
+            verdict = dec.coherent
             assert verdict == unfolded, (name, perm, verdict, unfolded)
             searched += 1
             if not verdict:
@@ -193,7 +193,7 @@ def test_criterion_05c_noncoherent_pair_exists(poset_corpus):
                 assert dec.coherent is False, (name, perm)
                 assert dec.missing == first.rejected, (name, perm, dec.missing)
                 cut_checked += 1
-    assert searched > 0 and cut_checked > 0
+    assert (searched, cut_checked) == (4114, 3828)
     assert not noncoherent, (
         f"non-coherent (poset, order) pairs found, first {noncoherent[0]}: "
         "every hpca run must cover its collection with maximal antichains "

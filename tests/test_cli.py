@@ -323,9 +323,9 @@ class TestApprox:
 
 class TestCoherenceAndOracle:
     def test_coherence_check(self):
-        code, doc = run_json(["coherence", "--input", VEE])
+        code, doc = run_json(["count", "--algo", "hpca", "--input", VEE])
         assert code == 0
-        assert doc["coherent"] is True
+        assert doc["decomposition"]["coherent"] is True
 
     def test_oracle_maximal_antichains(self):
         code, doc = run_json(["oracle", "--op", "maximal-antichains", "--input", VEE])
@@ -379,7 +379,7 @@ class TestCoherenceAndOracle:
 
 
 # Options each subcommand once accepted and ignored, or read to no effect
-# (fhca's budget, coherence's arrangement search), after a command line it runs.
+# (fhca's budget), after a command line it runs.
 _UNREAD = [(argv, extra) for argv, extras in [
     (["approx", "--input", VEE, "--region", "p"],
      [["--parthood", "lateral"], ["--conflict", "incomparability"], ["--seed", "3"]]),
@@ -388,7 +388,6 @@ _UNREAD = [(argv, extra) for argv, extras in [
      [["--parthood", "lateral"], ["--conflict", "incomparability"]]),
     (["count", "--algo", "hpc", "--input", VEE], [["--seed", "3"]]),
     (["count", "--algo", "fhca", "--input", VEE], [["--budget", "1"]]),
-    (["coherence", "--input", VEE], [["--search"], ["--budget", "3"], ["--seed", "3"]]),
     (["inverse", "--input", PAIRS_YES],
      [["--format", "json"], ["--attrs", "a"], ["--parthood", "lateral"],
       ["--conflict", "incomparability"], ["--seed", "3"]]),
@@ -397,9 +396,13 @@ _UNREAD = [(argv, extra) for argv, extras in [
 
 
 class TestErrorsAndDeterminism:
-    def test_unknown_subcommand_exit_two(self):
-        code, _ = run_cli(["frobnicate"])
-        assert code == 2
+    # coherence was a subcommand; the hpca count's decomposition states its verdict.
+    @pytest.mark.parametrize("argv", [["frobnicate"], ["coherence", "--input", VEE]],
+                             ids=lambda argv: argv[0])
+    def test_unknown_subcommand_exit_two(self, capsys, argv):
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
     def test_unknown_flag_exit_two(self):
         code, _ = run_cli(["count", "--algo", "hpca", "--input", VEE, "--bogus"])
@@ -467,7 +470,6 @@ class TestErrorsAndDeterminism:
          "pair 0: unknown element 'zz'"),
         (["approx", "--region", "a"], "{not json", "invalid JSON"),
         (["count", "--algo", "pca", "--items", "rough-objects"], WIDE15, "n=15 > 14"),
-        (["coherence", "--items", "rough-objects"], WIDE15, "n=15 > 14"),
     ])
     def test_refusals_print_one_error_line(self, tmp_path, capsys, argv, text, says):
         if text is not None:
@@ -503,7 +505,6 @@ class TestErrorsAndDeterminism:
 
     @pytest.mark.parametrize("argv", [["approx", "--input", VEE, "--region", "p"],
                                       ["count", "--algo", "hpc", "--input", VEE],
-                                      ["coherence", "--input", VEE],
                                       ["inverse", "--input", PAIRS_YES],
                                       ["oracle", "--op", "signatures", "--input", VEE]],
                              ids=lambda argv: argv[0])

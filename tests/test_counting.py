@@ -1,4 +1,4 @@
-"""Counting procedures: label traces, categories, coherence, verification."""
+"""Counting procedures: label traces, categories, the coherence theorem, verification."""
 
 import dataclasses
 import itertools
@@ -247,8 +247,7 @@ class TestCheckRows:
             def conflict(a, b):
                 return (a, b) in rel
             rows = rows_of(items, conflict)
-            for run in (C.hpc_count, C.pca_count, C.hpca_count, C.fhca_count,
-                        C.is_hpca_coherent):
+            for run in (C.hpc_count, C.pca_count, C.hpca_count, C.fhca_count):
                 assert outcome(lambda: run(seq, None, rows=rows)) == \
                     outcome(lambda: run(seq, conflict))
 
@@ -385,24 +384,24 @@ class TestGreedyPass:
 class TestCoherence:
     def test_vee_poset_canonical_coherent(self, vee_poset):
         items, _, conflict = vee_poset
-        assert C.is_hpca_coherent(arrangement(items), conflict)
+        assert C.hpca_count(arrangement(items), conflict)[1].coherent
 
     def test_antichain_any_order_coherent(self):
         rng = random.Random(2)
         items = list("abcde")
         for _ in range(10):
             rng.shuffle(items)
-            assert C.is_hpca_coherent(arrangement(items), lambda a, b: False)
+            assert C.hpca_count(arrangement(items), lambda a, b: False)[1].coherent
 
     def test_chain_any_order_coherent(self):
         for perm in itertools.permutations("abc"):
-            assert C.is_hpca_coherent(arrangement(perm), lambda a, b: a != b), perm
+            assert C.hpca_count(arrangement(perm), lambda a, b: a != b)[1].coherent, perm
 
     def test_corpus_canonical_coherent(self, poset_corpus):
         for name, (items, _, conflict) in poset_corpus:
             incomp = lambda a, b: a != b and not conflict(a, b)
             for cf in (conflict, incomp):
-                assert C.is_hpca_coherent(arrangement(items), cf), name
+                assert C.hpca_count(arrangement(items), cf)[1].coherent, name
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_seeded_shuffles_coherent(self, n):
@@ -412,7 +411,7 @@ class TestCoherence:
         order = list(range(n))
         for _ in range(20):
             rng.shuffle(order)
-            assert C.is_hpca_coherent(arrangement(order), conflict), order
+            assert C.hpca_count(arrangement(order), conflict)[1].coherent, order
 
 
 class TestCoherenceCensus:
@@ -446,7 +445,7 @@ class TestCoherenceCensus:
             incomp = lambda a, b: a != b and frozenset((a, b)) not in comp
             for perm in itertools.permutations(items):
                 for cf in (conflict, incomp):
-                    assert C.is_hpca_coherent(C.OrderArrangement(perm), cf), \
+                    assert C.hpca_count(C.OrderArrangement(perm), cf)[1].coherent, \
                         (rel, perm)
         assert posets == 219  # labeled posets on four elements
 
@@ -523,15 +522,13 @@ def counted(conflict):
 
 class TestConflictCalls:
     """Without ``rows=``, each procedure asks the conflict about every ordered
-    pair exactly once, n² calls in all; hpca and is_hpca_coherent verify on
-    those rows with no further call, and ``verify_decomposition`` alone makes
-    its own n².  Given ``rows=``, no procedure calls the conflict."""
+    pair exactly once, n² calls in all; hpca verifies on those rows with no
+    further call, and ``verify_decomposition`` alone makes its own n².  Given ``rows=``, no procedure calls the conflict."""
 
     RUNS = {
         "hpc": C.hpc_count,
         "pca": C.pca_count,
         "hpca": C.hpca_count,
-        "is_hpca_coherent": C.is_hpca_coherent,
         "fhca": C.fhca_count,
     }
 
