@@ -396,7 +396,7 @@ _UNREAD = [(argv, extra) for argv, extras in [
 
 
 class TestErrorsAndDeterminism:
-    # coherence was a subcommand; the hpca count's decomposition states its verdict.
+    # coherence stays unknown: `count --algo hpca` reports its verdict as decomposition.coherent.
     @pytest.mark.parametrize("argv", [["frobnicate"], ["coherence", "--input", VEE]],
                              ids=lambda argv: argv[0])
     def test_unknown_subcommand_exit_two(self, capsys, argv):

@@ -523,7 +523,8 @@ def counted(conflict):
 class TestConflictCalls:
     """Without ``rows=``, each procedure asks the conflict about every ordered
     pair exactly once, n² calls in all; hpca verifies on those rows with no
-    further call, and ``verify_decomposition`` alone makes its own n².  Given ``rows=``, no procedure calls the conflict."""
+    further call, and ``verify_decomposition`` alone makes its own n².
+    Given ``rows=``, no procedure calls the conflict."""
 
     RUNS = {
         "hpc": C.hpc_count,
