@@ -174,11 +174,11 @@ def test_criterion_05c_noncoherent_pair_exists(poset_corpus):
         maximal = {frozenset(s) for s in enumerate_maximal_antichains(conflict, items)}
         for perm in itertools.permutations(items):
             seq = C.OrderArrangement(perm)
-            trace, dec = C.hpca_count(seq, conflict)
+            trace, verified = C.hpca_count(seq, conflict)
             unfolded = (all(frozenset(c.members) in maximal for c in trace.categories)
                         and set().union(*(set(c.members) for c in trace.categories))
                         == set(items))
-            verdict = dec.coherent
+            verdict = verified.coherent
             assert verdict == unfolded, (name, perm, verdict, unfolded)
             searched += 1
             if not verdict:
