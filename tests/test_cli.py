@@ -327,6 +327,28 @@ class TestCoherenceAndOracle:
         assert code == 0
         assert doc["decomposition"]["coherent"] is True
 
+    @pytest.mark.parametrize("parthood", sorted(ph.VARIANTS))
+    @pytest.mark.parametrize("fixture", ["ctx_vee.json", "ctx_chain9.json",
+                                         "table_blocks.csv", "ctx_overlap13.json"])
+    def test_strict_hpca_is_coherent_or_refused(self, capsys, fixture, parthood):
+        """hpca's decomposition is coherent on every row set count accepts: a
+        ``--strict`` hpca run never ends negative, under either conflict and on
+        either item collection, and a refused one prints one error line."""
+        for conflict in ("comparability", "incomparability"):
+            for items in ("elements", "rough-objects"):
+                code, text = run_cli(["count", "--algo", "hpca", "--strict",
+                                      "--parthood", parthood, "--conflict", conflict,
+                                      "--items", items, "--input", str(FIXTURES / fixture),
+                                      "--output", "json"])
+                err = capsys.readouterr().err
+                if code == 2:
+                    assert conflict == "incomparability" and text == ""
+                    assert err.startswith("error: conflict relation is not irreflexive")
+                    assert err.count("\n") == 1
+                else:
+                    assert code == 0 and err == ""
+                    assert json.loads(text)["decomposition"]["coherent"] is True
+
     def test_oracle_maximal_antichains(self):
         code, doc = run_json(["oracle", "--op", "maximal-antichains", "--input", VEE])
         assert code == 0

@@ -3,9 +3,9 @@
 The recordings in ``fixtures/golden/`` (one file per input fixture) pin the
 command line byte for byte: each subcommand on each fixture in both output
 modes, every counting algorithm on both item collections, hpca under the
-incomparability conflict and under cautious parthood, sampled parthood
-audits (one on 62 elements, one of every variant on 16 overlapping elements,
-g-simple on 24), sampled axiom audits (every axiom on 62 and on 16
+incomparability conflict, under cautious parthood and with ``--strict``,
+sampled parthood audits (one on 62 elements, one of every variant on 16
+overlapping elements, g-simple on 24), sampled axiom audits (every axiom on 62 and on 16
 elements), an error case, every axiom audit under every parthood variant and the
 rough-object count on a 14-element table (all 16384 regions) and on 13
 overlapping elements that the granules do not cover, and every counting
@@ -64,6 +64,7 @@ def _fixture_cases(name: str, region: str) -> dict[str, list[str]]:
         runs["count-hpca-incomparability"] = ["count", "--algo", "hpca",
                                               "--conflict", "incomparability"]
         runs["count-hpca-cautious"] = ["count", "--algo", "hpca", "--parthood", "cautious"]
+        runs["count-hpca-strict"] = ["count", "--algo", "hpca", "--strict"]
     if name == "table_blocks.csv":
         runs["parthood-audit-budget8-seed3"] = ["parthood-audit", "--budget", "8",
                                                 "--seed", "3"]
