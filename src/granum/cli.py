@@ -20,8 +20,9 @@ from pathlib import Path
 
 from . import counting, gos as gos_mod, oracles, parthood as pH
 from .core import (DEFAULT_SEED, ParseError, Region, Universe, _JSON_SCALARS as _SCALARS,
-                   _json_quote as _quote, _list_field, _transpose, indiscernibility_partition,
-                   parse_context, parse_information_table)
+                   _context_from_json, _decode_json, _json_quote as _quote, _list_field,
+                   _table_from_json, _transpose, indiscernibility_partition,
+                   parse_information_table)
 
 ENV_SEED = "GRANUM_SEED"
 
@@ -59,26 +60,26 @@ def _load_space(args: argparse.Namespace,
     fmt = args.format
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "json"
-    if fmt == "csv" or (fmt == "json" and _looks_like_table(text)):
-        table = parse_information_table(text, fmt)
-        attrs = args.attrs.split(",") if args.attrs else table.attributes
-        granulation = indiscernibility_partition(table, attrs).granulation()
-        universe = table.objects
-    else:
-        for option, value in (("--attrs", args.attrs), ("--format", args.format)):
-            if value is not None:
-                raise ParseError(f"{option} applies only to an information table, "
-                                 f"not to a JSON context")
-        universe, granulation = parse_context(text)
-    return gos_mod.GranularOperatorSpace(universe, granulation, parthood=parthood)
-
-
-def _looks_like_table(text: str) -> bool:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        return False
-    return isinstance(doc, dict) and "objects" in doc and "attributes" in doc
+    if fmt == "csv":
+        table = parse_information_table(text)
+    else:   # decoded once, then read as a table or as a context
+        try:
+            doc = _decode_json(text)
+        except ParseError as exc:   # not a table: raised after the context's option checks
+            doc = exc
+        if not (isinstance(doc, dict) and "objects" in doc and "attributes" in doc):
+            for option, value in (("--attrs", args.attrs), ("--format", args.format)):
+                if value is not None:
+                    raise ParseError(f"{option} applies only to an information table, "
+                                     f"not to a JSON context")
+            if isinstance(doc, ParseError):
+                raise doc
+            universe, granulation = _context_from_json(doc)
+            return gos_mod.GranularOperatorSpace(universe, granulation, parthood=parthood)
+        table = _table_from_json(doc)
+    attrs = args.attrs.split(",") if args.attrs else table.attributes
+    granulation = indiscernibility_partition(table, attrs).granulation()
+    return gos_mod.GranularOperatorSpace(table.objects, granulation, parthood=parthood)
 
 
 def _parse_regions(space: gos_mod.GranularOperatorSpace, raw: list[str]) -> list[Region]:

@@ -60,9 +60,13 @@ class Universe:
             raise ValueError(f"unknown element {element!r}") from None
 
     def region(self, members: Iterable[str] = ()) -> Region:
+        positions = self._positions
         bits = 0
         for m in members:
-            bits |= 1 << self.index(m)
+            try:
+                bits |= 1 << positions[m]
+            except (KeyError, TypeError):   # as in index
+                raise ValueError(f"unknown element {m!r}") from None
         return Region(self, bits)
 
     def region_from_bits(self, bits: int) -> Region:
@@ -164,7 +168,7 @@ class Granulation:
             raise ValueError("granulation must contain at least one granule")
         seen = set()
         for g in self.granules:
-            if g.universe != self.universe:
+            if g.universe is not self.universe and g.universe != self.universe:
                 raise ValueError("granule universe differs from granulation universe")
             if g.bits == 0:
                 raise ValueError("granules must be nonempty")
@@ -204,7 +208,7 @@ class IndiscernibilityRelation:
             object.__setattr__(self, "blocks", tuple(self.blocks))
         total = 0
         for b in self.blocks:
-            if b.universe != self.universe:
+            if b.universe is not self.universe and b.universe != self.universe:
                 raise ValueError("block universe differs from relation universe")
             if b.bits == 0:
                 raise ValueError("partition blocks must be nonempty")
@@ -252,35 +256,38 @@ def parse_information_table(source: str | io.TextIOBase, format: str = "csv") ->
     ids, ragged rows, or missing values.
     """
     text = source.read() if hasattr(source, "read") else source
-    if format == "csv":
-        rows = list(csv.reader(io.StringIO(text)))
-        rows = [r for r in rows if r]  # ignore blank lines
-        if not rows:
-            raise ParseError("empty input: no header row")
-        header = rows[0]
-        if not header or header[0] != "id":
-            raise ParseError("first column of the header must be 'id'")
-        attributes = tuple(header[1:])
-        body = rows[1:]
-    elif format == "json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from None
-        if not isinstance(doc, dict) or "attributes" not in doc or "objects" not in doc:
-            raise ParseError("JSON table must have 'attributes' and 'objects' keys")
-        attributes = tuple(str(a) for a in _list_field(doc, "attributes"))
-        body = [[str(v) for v in row] for row in _list_field(doc, "objects", nested=True)]
-    else:
+    if format == "json":
+        return _table_from_json(_decode_json(text))
+    if format != "csv":
         raise ParseError(f"unknown table format {format!r}")
+    rows = list(csv.reader(io.StringIO(text)))
+    rows = [r for r in rows if r]  # ignore blank lines
+    if not rows:
+        raise ParseError("empty input: no header row")
+    header = rows[0]
+    if not header or header[0] != "id":
+        raise ParseError("first column of the header must be 'id'")
+    return _table(tuple(header[1:]), rows[1:], 2)
 
+
+def _table_from_json(doc) -> InformationTable:
+    """The table of a decoded JSON table document."""
+    if not isinstance(doc, dict) or "attributes" not in doc or "objects" not in doc:
+        raise ParseError("JSON table must have 'attributes' and 'objects' keys")
+    attributes = tuple(str(a) for a in _list_field(doc, "attributes"))
+    body = [[str(v) for v in row] for row in _list_field(doc, "objects", nested=True)]
+    return _table(attributes, body, 1)
+
+
+def _table(attributes: tuple[str, ...], body: list[list[str]], first: int) -> InformationTable:
+    """The table of ``body``'s rows, numbered from ``first`` in error messages."""
     if not body:
         raise ParseError("no objects: table body is empty")
 
     ids: list[str] = []
     values: dict[str, dict[str, str]] = {a: {} for a in attributes}
     width = 1 + len(attributes)
-    for n, row in enumerate(body, start=2 if format == "csv" else 1):
+    for n, row in enumerate(body, start=first):
         if len(row) < width:
             missing = attributes[len(row) - 1] if row else attributes[0]
             raise ParseError(f"row {n}: missing value for column {missing!r}")
@@ -302,10 +309,11 @@ def parse_context(source: str | io.TextIOBase) -> tuple[Universe, Granulation]:
     validated as a partition before being taken as the granulation.
     """
     text = source.read() if hasattr(source, "read") else source
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    return _context_from_json(_decode_json(text))
+
+
+def _context_from_json(doc) -> tuple[Universe, Granulation]:
+    """The universe and granulation of a decoded JSON context document."""
     if not isinstance(doc, dict) or "universe" not in doc:
         raise ParseError("context must be an object with a 'universe' key")
     universe = Universe(tuple(str(e) for e in _list_field(doc, "universe")))
@@ -320,6 +328,14 @@ def parse_context(source: str | io.TextIOBase) -> tuple[Universe, Granulation]:
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     return universe, gran
+
+
+def _decode_json(text: str):
+    """The value of a JSON text; invalid JSON raises :class:`ParseError`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
 
 
 def indiscernibility_partition(table: InformationTable, attrs: Iterable[str]) -> IndiscernibilityRelation:

@@ -202,8 +202,9 @@ class CountingTrace:
             "algorithm": self.algorithm,
             "orders": [{"sequence": list(o.sequence), "origin": o.origin}
                        for o in self.orders],
-            "labels": {str(x): [{"pass": p, **lab.to_dict()} for p, lab in
-                                self.labels.get(x, [])] for x in self.collection},
+            "labels": {key: [{"pass": p, **lab.to_dict()} for p, lab in
+                             self.labels.get(x, [])]
+                       for key, x in _label_keys(self.collection).items()},
             "categories": [{"index": c.index, "members": list(c.members)}
                            for c in self.categories],
             "passes": [p.to_dict() for p in self.passes],
@@ -295,10 +296,9 @@ class CountingTrace:
         with_pass = _label_forms(i4, '"pass": %d,')
         without_pass = _label_forms(i5 + "  ", "")
 
-        keyed = {str(x): x for x in collection}   # as in to_dict, the last item wins
         labels = [(text[x] if type(x) is str else _json_quote(key)) + ": " + _json_list(
             [_label_text(with_pass, lab, p) for p, lab in self.labels.get(x, ())], i3)
-            for key, x in sorted(keyed.items())]
+            for key, x in sorted(_label_keys(collection).items())]
         passes = []
         for rec in self.passes:
             sequence = arranged(rec.order)
@@ -332,6 +332,20 @@ class CountingTrace:
         if self.incomplete:
             lines.append("  (incomplete: budget exhausted before coverage)")
         return "\n".join(lines)
+
+
+def _label_keys(collection: Sequence[Item]) -> dict[str, Item]:
+    """Each item of ``collection`` under its ``labels`` key, ``str(item)``, in
+    collection order.  Two different items with one key, such as ``1`` and
+    ``"1"``, would leave one of them without labels: that raises
+    ``ValueError`` naming both."""
+    keyed: dict[str, Item] = {}
+    for x in collection:
+        key = str(x)
+        other = keyed.setdefault(key, x)
+        if other != x:
+            raise ValueError(f"items {other!r} and {x!r} share the labels key {key!r}")
+    return keyed
 
 
 def _scalar_text(value) -> str:
@@ -585,21 +599,27 @@ def pca_count(seq: OrderArrangement, conflict: ConflictFn, *,
 
     An element that conflicts with every open category opens the next one.
     Labels are per-category running counts, so category j ends up labeled
-    1_j .. Q_j with no gaps.  With ``rows=`` given, ``conflict`` is not
-    read and may be ``None``.
+    1_j .. Q_j with no gaps.  Each category keeps its member list as it
+    grows, in sequence order: a label's count is that list's length, and
+    the list becomes :attr:`Category.members`.  That is one append per
+    item, not a scan of all n items per category (80 items in 71
+    categories on a dense count context).  With ``rows=`` given,
+    ``conflict`` is not read and may be ``None``.
     """
     items = _require_items(seq)
     rows = _conflict_masks(items, conflict, rows=rows)
     taken: list[int] = []   # position mask of each category
+    members: list[list[Item]] = []
     labels: dict[Item, list[tuple[int, CountLabel]]] = {}
     for i, x in enumerate(items):
         idx = next((c for c, mask in enumerate(taken) if not rows[i] & mask), len(taken))
         if idx == len(taken):
             taken.append(0)
+            members.append([])
         taken[idx] |= 1 << i
-        labels[x] = [(1, count_label(taken[idx].bit_count(), idx + 1))]
-    categories = [Category(c, tuple(x for i, x in enumerate(items) if mask >> i & 1))
-                  for c, mask in enumerate(taken, start=1)]
+        members[idx].append(x)
+        labels[x] = [(1, count_label(len(members[idx]), idx + 1))]
+    categories = [Category(c, tuple(xs)) for c, xs in enumerate(members, start=1)]
     rec = PassRecord(1, seq, items[0],
                      tuple((x, labels[x][0][1]) for x in items), (), None)
     return CountingTrace("pca", [seq], labels, categories, [rec])

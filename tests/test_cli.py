@@ -492,6 +492,13 @@ class TestErrorsAndDeterminism:
          "pair 0: unknown element 'zz'"),
         (["approx", "--region", "a"], "{not json", "invalid JSON"),
         (["count", "--algo", "pca", "--items", "rough-objects"], WIDE15, "n=15 > 14"),
+        (["approx", "--region", "a", "--format", "json"], "{not json",
+         "--format applies only to an information table"),
+        (["approx", "--region", "a", "--attrs", "c"], "{not json",
+         "--attrs applies only to an information table"),
+        (["approx", "--region", "a"], "null", "context must be an object"),
+        (["approx", "--region", "1"], {"attributes": ["c"], "objects": [["1"]]},
+         "row 1: missing value for column 'c'"),
     ])
     def test_refusals_print_one_error_line(self, tmp_path, capsys, argv, text, says):
         if text is not None:
@@ -583,12 +590,12 @@ class TestErrorsAndDeterminism:
         assert err.startswith("error: cannot write the output: ") and err.count("\n") == 1
 
     def test_closed_pipe_ends_with_one_error_line(self):
-        proc = subprocess.Popen([sys.executable, *self.SIGNATURES],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        assert proc.stdout.read(10) == '{\n  "signa'
-        proc.stdout.close()   # as `| head -c 10` does
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 2
+        with subprocess.Popen([sys.executable, *self.SIGNATURES], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            assert proc.stdout.read(10) == '{\n  "signa'
+            proc.stdout.close()   # as `| head -c 10` does
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 2
         self._one_error_line(err)
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full here")

@@ -375,6 +375,12 @@ class TestSignatures:
             region = space.universe.region_from_bits
             everything = list(range(1 << n))
             some = [rng.randrange(1 << n) for _ in range(rng.randint(0, 40))]
+            called = []
+            lower = space._lower_op
+            space._lower_op = lambda a: called.append(a.bits) or lower(a)
+            singles = [1 << e for e in range(n)]
+            space.signatures(singles)
+            assert called == singles   # a one-element read calls the operators too
             for masks in (everything, everything[::-1], some):
                 scanned = _log_lookups(space)
                 assert space.signatures(masks) == [
@@ -401,6 +407,9 @@ class TestSignatures:
             granules = space.granulation.masks()
             masks = [0, full, *granules, *(rng.getrandbits(n) for _ in range(20))]
             masks += [g | rng.getrandbits(n) for g in granules[:3]]
+            singles = [1 << e for e in range(n)]   # half read first, half last
+            rng.shuffle(singles)
+            masks = singles[:n // 2] + masks + singles[n // 2:]
             if rng.random() < 0.5:   # a granule list no Granulation accepts
                 space._masks = tuple(_granule_masks(rng, n))
                 granules = space._masks
