@@ -105,10 +105,11 @@ class GranularOperatorSpace:
         :func:`~granum.core.lower_bits` and :func:`~granum.core.upper_bits`
         in one pass over the granules: only a granule that meets the region
         can lie inside it (an empty one adds nothing to either union).  A
-        per-element read of those regions measured 2 to 3 times slower than
-        the loop on audit bases (0.21 -> 0.61 ms for 128 masks on 24
-        elements and 8 granules; 6.4 -> 11.1 ms for all 4096 regions on 12
-        elements), so the path is chosen from the mask: exactly one bit set.
+        per-element read of those regions measured 3 to 7 times slower than
+        the loop on audit bases (0.16 -> 0.68-1.07 ms for 128 masks on 24
+        elements and 8 granules; 4.3-5.8 -> 11.5-19.7 ms for all 4096
+        regions on 12 elements), so the path is chosen from the mask:
+        exactly one bit set.
         """
         got = self._cache.get(bits)
         if got is not None:
