@@ -20,9 +20,9 @@ from pathlib import Path
 
 from . import counting, gos as gos_mod, oracles, parthood as pH
 from .core import (DEFAULT_SEED, ParseError, Region, Universe, _JSON_SCALARS as _SCALARS,
-                   _context_from_json, _decode_json, _json_quote as _quote, _list_field,
-                   _table_from_json, _transpose, indiscernibility_partition,
-                   parse_information_table)
+                   _ReportTexts, _context_from_json, _decode_json, _json_list,
+                   _json_quote as _quote, _list_field, _table_from_json, _transpose,
+                   indiscernibility_partition, parse_information_table)
 
 ENV_SEED = "GRANUM_SEED"
 
@@ -174,7 +174,7 @@ def _cmd_gos_audit(args):
     containment = {"holds": not violations, "witnesses": [sorted(v) for v in violations]}
     if basis.seed is not None:
         containment.update(mode=basis.mode, seed=basis.seed)
-    payload = {"axioms": [r.to_dict() for r in reports], "upper_contains_lower": containment}
+    payload = {"axioms": _AuditReports(reports), "upper_contains_lower": containment}
     lines = [f"{r.axiom}: {'pass' if r.passed else 'FAIL'} ({r.mode}, {r.checked} checks)"
              for r in reports]
     lines.append("upper-contains-lower: " + ("pass" if not violations else "FAIL")
@@ -188,7 +188,7 @@ def _cmd_parthood_audit(args):
     names = sorted(pH.VARIANTS) if args.variant == "all" else [args.variant]
     basis = pH._property_basis(len(space.universe), args.budget, args.seed)
     reports = [pH.audit_properties(pH.variant(n), space, basis) for n in names]
-    payload = {"reports": [r.to_dict() for r in reports]}
+    payload = {"reports": _AuditReports(reports)}
     lines = []
     for r in reports:
         cells = ", ".join(f"{c.name}={'ok' if c.verdict.startswith('holds') else 'FAIL'}"
@@ -365,6 +365,13 @@ class _CountPayload(dict):
     and each member list is written once per depth."""
 
 
+class _AuditReports(list):
+    """The ``AxiomReport`` list of ``gos-audit`` or the ``PropertyReport``
+    list of ``parthood-audit``.  ``_json_text`` writes each report by its
+    ``json_text`` from one region-text table, so each witness region is
+    sorted and quoted once per depth."""
+
+
 def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
 
@@ -373,8 +380,10 @@ def _json_text(value, indent: str = "\n") -> str:
     str, int, bool, None) and joins a list of strings in one C-level pass.
     A ``CountingTrace`` node is written by its own ``json_text``, as the
     writer would write its ``to_dict()``; a ``_CountPayload`` writes its
-    trace, decomposition and antichains from one item-text table.  Any
-    other type, or a dict key that is not a string, raises ``TypeError``.
+    trace, decomposition and antichains from one item-text table, and an
+    ``_AuditReports`` list writes its reports from one region-text table.
+    Any other type, or a dict key that is not a string, raises
+    ``TypeError``.
     """
     kind = type(value)
     scalar = _SCALARS.get(kind)
@@ -406,13 +415,15 @@ def _json_text(value, indent: str = "\n") -> str:
             if hasattr(item, "json_text"):   # the trace and the decomposition
                 item = item.json_text(inner, texts)
             elif key == "antichains":        # fhca's member tuples
-                item = counting._json_list(texts.member_lists(item, inner + "    "),
-                                           inner + "  ")
+                item = _json_list(texts.member_lists(item, inner + "    "), inner + "  ")
             else:
                 item = _json_text(item, inner)
             parts += inner, _quote(key), ": ", item, ","
         parts[-1:] = indent, "}"
         return "".join(parts)
+    if kind is _AuditReports:
+        texts = _ReportTexts()
+        return _json_list([r.json_text(inner, texts) for r in value], inner)
     if kind is counting.CountingTrace:
         return value.json_text(indent)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -385,6 +385,87 @@ def _jsonify(x):
     return x
 
 
+def _scalar_text(value) -> str:
+    """The JSON text of a scalar; any other type raises ``TypeError``."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return scalar(value)
+
+
+def _json_list(texts: Iterable[str], inner: str) -> str:
+    """The JSON list of element ``texts``, one per line at indent ``inner``."""
+    body = ("," + inner).join(texts)
+    return "[" + inner + body + inner[:-2] + "]" if body else "[]"
+
+
+class _ReportTexts:
+    """The JSON texts of report values for one write: :meth:`value` is
+    ``cli._json_text(_jsonify(x), indent)``, byte for byte, where ``indent``
+    is the newline and indentation the value's closing bracket sits at.
+
+    A region is the list of its member names, sorted, as ``_jsonify``
+    writes it (name order, not universe order).  The regions of one
+    universe, the first one written, are kept per indent by mask, so each
+    distinct region is sorted and quoted once per indent; a region of any
+    other universe is written afresh each time, since its mask means other
+    members.  A dict is written by a %-template kept per key tuple and
+    indent, its keys sorted and quoted once.
+    """
+
+    def __init__(self):
+        self.universe: Universe | None = None
+        self._regions: dict[str, dict[int, str]] = {}   # indent -> mask -> text
+        self._forms: dict[tuple, tuple[tuple, str]] = {}   # (keys, indent) -> sorted, template
+
+    def region(self, r, indent: str) -> str:
+        """:meth:`value` of ``r``, read from the table when ``r`` is a region
+        of its universe: the entry for values that are mostly regions."""
+        if not isinstance(r, Region):
+            return self.value(r, indent)
+        if self.universe is None:
+            self.universe = r.universe
+        elif r.universe is not self.universe:
+            return _region_text(r, indent)
+        done = self._regions.get(indent)
+        if done is None:
+            done = self._regions[indent] = {}
+        text = done.get(r.bits)
+        if text is None:
+            text = done[r.bits] = _region_text(r, indent)
+        return text
+
+    def value(self, x, indent: str) -> str:
+        """The JSON text of ``_jsonify(x)``.  A type that writer refuses, or a
+        dict key that is not a string, raises ``TypeError``."""
+        scalar = _JSON_SCALARS.get(type(x))
+        if scalar is not None:
+            return scalar(x)
+        if isinstance(x, Region):
+            return self.region(x, indent)
+        inner = indent + "  "
+        if isinstance(x, dict):
+            if not x:
+                return "{}"
+            keys = tuple(x)
+            got = self._forms.get((keys, indent))
+            if got is None:
+                order = tuple(sorted(keys))
+                got = self._forms[keys, indent] = order, "{" + ",".join(
+                    inner + _json_quote(k).replace("%", "%%") + ": %s" for k in order
+                ) + indent + "}"
+            order, form = got
+            return form % tuple([self.region(x[k], inner) for k in order])
+        if isinstance(x, (list, tuple)):
+            return _json_list([self.region(v, inner) for v in x], inner)
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _region_text(r: Region, indent: str) -> str:
+    """The JSON list of ``r``'s member names, sorted, its closing bracket at ``indent``."""
+    return _json_list(map(_json_quote, sorted(r)), indent + "  ")
+
+
 @dataclass(frozen=True)
 class Basis:
     """The region masks an audit scans: all 2^n, ascending ("exhaustive", seed

@@ -52,7 +52,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .core import DEFAULT_SEED, _JSON_SCALARS, _json_quote, _transpose
+from .core import DEFAULT_SEED, _json_list, _json_quote, _scalar_text, _transpose
 
 Item = Hashable
 ConflictFn = Callable[[Item, Item], bool]
@@ -348,25 +348,22 @@ def _label_keys(collection: Sequence[Item]) -> dict[str, Item]:
     return keyed
 
 
-def _scalar_text(value) -> str:
-    """The JSON text of a scalar; any other type raises ``TypeError``."""
-    scalar = _JSON_SCALARS.get(type(value))
-    if scalar is None:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return scalar(value)
-
-
 class _ItemTexts(dict):
     """Item -> its JSON text, each written on first use; one table serves
-    every part of a count report.  ``lists`` holds, per indent, the member
-    lists written so far, by the id of the member tuple."""
+    every part of a count report.  Only string items are kept: equal items
+    of other types can be written differently (``True == 1`` is written
+    ``true`` and ``1``), so they are written on each use.  ``lists`` holds,
+    per indent, the member lists written so far, by the id of the member
+    tuple."""
 
     def __init__(self):
         super().__init__()
         self.lists: dict[str, dict[int, str]] = {}
 
     def __missing__(self, item) -> str:
-        out = self[item] = _scalar_text(item)
+        out = _scalar_text(item)
+        if type(item) is str:
+            self[item] = out
         return out
 
     def member_lists(self, lists: Iterable[tuple], inner: str) -> list[str]:
@@ -385,12 +382,6 @@ class _ItemTexts(dict):
                     "[" + inner + sep.join(map(get, members)) + close if members else "[]")
             out.append(text)
         return out
-
-
-def _json_list(texts: Iterable[str], inner: str) -> str:
-    """The JSON list of element ``texts``, one per line at indent ``inner``."""
-    body = ("," + inner).join(texts)
-    return "[" + inner + body + inner[:-2] + "]" if body else "[]"
 
 
 def _label_forms(inner: str, pass_field: str) -> dict[str, str]:

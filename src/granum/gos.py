@@ -38,8 +38,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import parthood as ph
 from .core import (DEFAULT_SEED, Basis, Granulation, IndiscernibilityRelation, Region,
-                   Universe, _ascending, _is_ascending, _jsonify, _region_masks,
-                   _transpose, lower_approx, lower_bits, upper_approx)
+                   Universe, _ascending, _is_ascending, _json_list, _json_quote, _jsonify,
+                   _region_masks, _ReportTexts, _scalar_text, _transpose, lower_approx,
+                   lower_bits, upper_approx)
 
 EXHAUSTIVE_UNIVERSE_CAP = 14  # 16384 regions; beyond this audits sample
 AUDIT_SAMPLE = 2048
@@ -270,6 +271,46 @@ class AxiomReport:
             out["seed"] = self.seed
         return out
 
+    def json_text(self, indent: str = "\n", texts: _ReportTexts | None = None) -> str:
+        """``cli._json_text(self.to_dict(), indent)``, written without the dict tree.
+
+        ``indent`` is the newline and indentation the report's closing
+        brace sits at; ``texts`` is the region-text table of the payload
+        the report is part of, or ``None`` for a table of its own.  Each
+        witness and detail is written by the table, so a granule that
+        full underlap names in many pairs is written once per depth.  A
+        detail of full underlap's form, ``{"pair": [g, h], "witness": w}``,
+        is one %-template; any other detail is written as the table writes
+        any value.
+        """
+        i1 = indent + "  "
+        i2 = i1 + "  "
+        i3 = i2 + "  "
+        i4 = i3 + "  "
+        text = _ReportTexts() if texts is None else texts
+        parts = ["{", i1, '"axiom": ', _json_quote(self.axiom),
+                 ",", i1, '"checked": ', _scalar_text(self.checked)]
+        if self.details:
+            region = text.region
+            pair_form = ("{" + i3 + '"pair": [' + i4 + "%s," + i4 + "%s" + i3 + "],"
+                         + i3 + '"witness": %s' + i2 + "}")
+            details = []
+            for d in self.details:
+                pair = d.get("pair") if type(d) is dict and len(d) == 2 else None
+                if type(pair) is list and len(pair) == 2 and "witness" in d:
+                    details.append(pair_form % (region(pair[0], i4), region(pair[1], i4),
+                                                region(d["witness"], i3)))
+                else:
+                    details.append(text.value(d, i2))
+            parts += ",", i1, '"details": ', _json_list(details, i2)
+        parts += (",", i1, '"mode": ', _scalar_text(self.mode),
+                  ",", i1, '"passed": ', _scalar_text(self.passed))
+        if self.seed is not None:
+            parts += ",", i1, '"seed": ', _scalar_text(self.seed)
+        parts += (",", i1, '"witnesses": ', _json_list(
+            [text.value(w, i2) for w in self.witnesses], i2), indent, "}")
+        return "".join(parts)
+
 
 def _axiom_basis(n: int, seed: int = DEFAULT_SEED) -> Basis:
     """The basis the axiom audits scan unless given one: every region up to
@@ -438,10 +479,13 @@ def rough_objects(gos: GranularOperatorSpace, notion: str = "maximal-consistent"
 
 @dataclass(frozen=True)
 class BasicRoughOrder:
-    """The parthood-induced relation between rough-object classes, as bit rows."""
+    """The parthood-induced relation between rough-object classes, as bit
+    rows; ``parthood`` is the variant they were built from, or None when
+    unknown."""
 
     quotient: RoughQuotient
     rows: tuple[int, ...]
+    parthood: ph.ParthoodVariant | None = None
 
     def holds(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -450,6 +494,14 @@ class BasicRoughOrder:
         return list(ph._reflexive_failures(self.rows))
 
     def transitive_failures(self) -> list[tuple[int, int, int]]:
+        """Each (i, j, k) with i -> j, j -> k and i -/-> k.  When signatures
+        decide ``parthood`` and the lemma of
+        :func:`~granum.parthood._transitive_by_form` holds on the class
+        signatures, there is none and the rows are not scanned."""
+        tests = self.parthood and ph._subset_tests(self.parthood, self.quotient.space)
+        if tests and ph._transitive_by_form(
+                tests, [(c.lower.bits, c.upper.bits) for c in self.quotient.classes]):
+            return []
         return [(i, j, k) for i, j, escape in ph._transitive_failures(self.rows)
                 for k in ph._bits(escape)]
 
@@ -488,7 +540,7 @@ def basic_rough_order(q: RoughQuotient) -> BasicRoughOrder:
                     if all(row == (1 << len(ys)) - 1
                            for row in ph.relation_rows(v, gos, xs, ys)))
                 for xs in members]
-    return BasicRoughOrder(q, tuple(rows))
+    return BasicRoughOrder(q, tuple(rows), v)
 
 
 @dataclass(frozen=True)

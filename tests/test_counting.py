@@ -719,6 +719,14 @@ class TestJsonText:
                 with pytest.raises(ValueError, match="items 1 and '1' share the labels key '1'"):
                     write()
 
+    def test_equal_items_of_other_types_keep_their_texts(self):
+        # True == 1, yet the one is written true and the other 1
+        trace = C.hpca_count(arrangement([1, "a"]), lambda a, b: a != b)[0]
+        trace.passes[-1] = dataclasses.replace(trace.passes[-1], start=True)
+        text = trace.json_text()
+        assert text == json.dumps(trace.to_dict(), sort_keys=True, indent=2)
+        assert '"start": true' in text and '"start": 1' in text
+
     def test_tuple_item_raises_type_error(self):
         trace = C.pca_count(arrangement([("a", 1), "b"]), lambda a, b: False)
         with pytest.raises(TypeError, match="tuple"):

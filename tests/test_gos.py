@@ -716,6 +716,48 @@ class TestAuditsMatchPairwiseReference:
             assert list(basic_rough_order(q).rows) == want
             assert len(calls) == (len(members) ** 2 if explicit else 1)
 
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
+    def test_transitivity_proved_from_class_signatures(self, explicit, monkeypatch):
+        # the lemma on the class signatures skips the scan; a failed check,
+        # or a parthood signatures do not decide, scans the rows
+        scans = []
+        scan = ph._transitive_failures
+        monkeypatch.setattr(ph, "_transitive_failures",
+                            lambda rows: scans.append(1) or scan(rows))
+        skipped = set()
+        for v in AUDIT_VARIANTS:
+            for _, space in _seeded_spaces(f"order-lemma-{v.name}-{explicit}", 6, 4):
+                if explicit:
+                    space = GranularOperatorSpace(space.universe, space.granulation,
+                                                  *classical_ops(space.granulation))
+                space.parthood = v
+                q = rough_objects(space)
+                order = basic_rough_order(q)
+                tests = ph._subset_tests(v, space)
+                proved = tests is not None and ph._transitive_by_form(
+                    tests, [(c.lower.bits, c.upper.bits) for c in q.classes])
+                scans.clear()
+                found = order.transitive_failures()
+                assert len(scans) == (not proved), v.name
+                assert found == [(i, j, k) for i, j, escape in scan(order.rows)
+                                 for k in ph._bits(escape)], v.name
+                if proved:
+                    skipped.add(v.name)
+        covered = {"very-cautious", "possibilist", "bilateral", "lateral-plus",
+                   "rough-inclusion", "ultra-cautious", "g-simple"}
+        unsigned = {"subset", "g-simple"} if explicit else {"subset"}   # decided by holds()
+        assert covered - unsigned <= skipped <= set(ph.VARIANTS) - unsigned
+
+    def test_transitivity_of_the_parthood_the_rows_were_built_from(self, u5, gran5):
+        space = GranularOperatorSpace(u5, gran5, parthood=ph.CAUTIOUS)
+        order = basic_rough_order(rough_objects(space))
+        failures = order.transitive_failures()
+        assert failures
+        space.parthood = ph.ROUGH_INCLUSION   # the rows are still cautious's
+        assert order.transitive_failures() == failures
+        assert gos_mod.BasicRoughOrder(order.quotient, order.rows).transitive_failures() \
+            == failures
+
 
 def _universe(n):
     return Universe(tuple(f"e{i}" for i in range(n)))

@@ -575,3 +575,105 @@ class TestFailureScans:
             return [("bad",)] if row == 3 else []
         assert list(ph._unless_clean([5, 3, 5, 3], failures)) == [(1, "bad"), (3, "bad")]
         assert scanned == [5, 3, 3]
+
+
+# The variants whose transitivity the lemma proves on a derived space with a
+# rough region: Y(s) <= X(s) on every signature s.
+PROVED_ON_DERIVED = {"very-cautious", "possibilist", "bilateral", "lateral-plus",
+                     "rough-inclusion", "ultra-cautious", "g-simple"}
+
+
+def _skipped_scans(monkeypatch):
+    """The audits that skipped the transitivity scan, counted from here on."""
+    scans = []
+    scan = ph._transitive_failures
+    monkeypatch.setattr(ph, "_transitive_failures", lambda rows: scans.append(1) or scan(rows))
+    return scans
+
+
+class TestTransitivityLemma:
+    """``_transitive_by_form``: if Y(s) <= X(s) on every scanned signature s,
+    each test X(a) <= Y(b) is transitive on the basis, and the audit skips
+    the scan."""
+
+    @given(st.sampled_from(sorted(ph._FORMULAS)), st.booleans(),
+           st.randoms(use_true_random=False), st.integers(1, 5), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_proof_means_the_scan_finds_nothing(self, name, explicit, rng, n, data):
+        space = seeded_space(rng, n, explicit)
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, unique=True)
+                          | st.just(list(range(1 << n))))
+        rows = ph.relation_rows(ph.variant(name), space, masks, masks)
+        if ph._transitive_by_form(ph._FORMULAS[name], space.signatures(masks)):
+            assert not list(ph._transitive_failures(rows))
+
+    def test_corpus_holds_proofs_and_fallbacks(self):
+        # the differential corpus: explicit operators with lower outside the
+        # upper, proofs on them, and failed checks on every variant
+        rng = random.Random("lemma-corpus")
+        seen = collections.Counter()
+        for _ in range(300):
+            explicit = rng.random() < 0.5
+            n = rng.randint(1, 5)
+            space = seeded_space(rng, n, explicit)
+            sigs = space.signatures(range(1 << n))
+            wild = any(lo & ~up for lo, up in sigs)   # a lower outside its upper
+            for name, tests in ph._FORMULAS.items():
+                rows = ph.relation_rows(ph.variant(name), space, list(range(1 << n)),
+                                        list(range(1 << n)))
+                proved = ph._transitive_by_form(tests, sigs)
+                clean = not list(ph._transitive_failures(rows))
+                assert clean or not proved, (name, explicit)
+                seen[explicit, wild, name, proved, clean] += 1
+        always = {"very-cautious", "possibilist", "bilateral", "lateral-plus",
+                  "rough-inclusion"}
+        for name in ph._FORMULAS:
+            proofs = sum(seen[True, True, name, True, clean] for clean in (False, True))
+            misses = sum(seen[e, w, name, False, clean] for e in (False, True)
+                         for w in (False, True) for clean in (False, True))
+            assert (proofs > 0 and misses == 0) if name in always else misses > 0, name
+        assert seen[True, True, "ultra-cautious", False, False] > 0
+        for name in ("cautious", "lateral", "lateral-plus-plus"):
+            assert seen[False, False, name, False, False] > 0, name
+
+    def test_variants_proved_on_a_derived_space(self, monkeypatch):
+        u = Universe(tuple("abcd"))
+        space = GranularOperatorSpace(u, Granulation.from_sets(u, ["ab", "bc", "d"]))
+        masks = list(range(16))
+        sigs = space.signatures(masks)
+        assert any(lo != up for lo, up in sigs)   # a rough region
+        proved = {name for name, v in ph.VARIANTS.items()
+                  if ph._transitive_by_form(ph._subset_tests(v, space), sigs)}
+        assert proved == PROVED_ON_DERIVED
+        scans = _skipped_scans(monkeypatch)
+        for name, v in sorted(ph.VARIANTS.items()):
+            before = len(scans)
+            report = ph.audit_properties(v, space)
+            assert len(scans) - before == (name not in PROVED_ON_DERIVED), name
+            assert report.check("transitive").verdict != "fails" or name not in proved
+
+    def test_proved_on_every_random_derived_space(self):
+        rng = random.Random("lemma-derived")
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            space = seeded_space(rng, n)
+            sigs = space.signatures(ph._property_basis(n, rng.randint(1, 64), 7).masks)
+            for name in PROVED_ON_DERIVED:
+                assert ph._transitive_by_form(ph._subset_tests(ph.variant(name), space), sigs)
+
+    def test_degenerate_signatures_prove_cautious_too(self):
+        # every region definite: upper = lower, so cautious is very-cautious
+        u = Universe(tuple("abc"))
+        space = GranularOperatorSpace(u, Granulation.from_sets(u, ["a", "b", "c"]))
+        assert ph._transitive_by_form(ph._FORMULAS["cautious"], space.signatures(range(8)))
+        report = ph.audit_properties(ph.CAUTIOUS, space)
+        assert report.to_dict() == _reference_audit(ph.CAUTIOUS, space,
+                                                    ph._property_basis(3)).to_dict()
+
+    @pytest.mark.parametrize("v", [ph.G_SIMPLE] + KERNEL_VARIANTS[-2:], ids=lambda v: v.name)
+    def test_holds_only_variants_always_scan(self, v, monkeypatch):
+        # custom evaluators, and g-simple on explicit operators
+        scans = _skipped_scans(monkeypatch)
+        space = seeded_space(random.Random("scan"), 4, explicit=True)
+        ph.audit_properties(v, space)
+        assert scans == [1]
