@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import parthood as ph
 from .core import (DEFAULT_SEED, Basis, Granulation, IndiscernibilityRelation, Region,
-                   Universe, _ascending, _is_ascending, _json_list, _json_quote, _jsonify,
+                   Universe, _ascending, _is_ascending, _json_list, _jsonify,
                    _region_masks, _ReportTexts, _scalar_text, _transpose, lower_approx,
                    lower_bits, upper_approx)
 
@@ -288,7 +288,7 @@ class AxiomReport:
         i3 = i2 + "  "
         i4 = i3 + "  "
         text = _ReportTexts() if texts is None else texts
-        parts = ["{", i1, '"axiom": ', _json_quote(self.axiom),
+        parts = ["{", i1, '"axiom": ', _scalar_text(self.axiom),
                  ",", i1, '"checked": ', _scalar_text(self.checked)]
         if self.details:
             region = text.region

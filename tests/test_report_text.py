@@ -155,7 +155,7 @@ near_details = st.fixed_dictionaries({"pair": st.lists(regions | values, min_siz
 
 
 class TestHandBuiltReports:
-    @given(text, st.booleans(), text, st.integers(-5, 2**40),
+    @given(scalars, st.booleans(), scalars, st.integers(-5, 2**40),
            st.lists(values, max_size=4).map(tuple),
            st.lists(near_details | values, max_size=5).map(tuple),
            st.none() | st.integers(0, 2**64))
@@ -167,8 +167,8 @@ class TestHandBuiltReports:
         assert cli._json_text({"axioms": cli._AuditReports([r, r])}) == \
             reference({"axioms": [r.to_dict()] * 2})
 
-    @given(text, st.lists(st.tuples(text, text, st.lists(values, max_size=3).map(tuple)),
-                          max_size=4),
+    @given(scalars, st.lists(st.tuples(scalars, scalars,
+                                       st.lists(values, max_size=3).map(tuple)), max_size=4),
            st.dictionaries(text, scalars | st.lists(scalars, max_size=3), max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_property_report(self, variant, checks, scope):
