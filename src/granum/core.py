@@ -385,14 +385,6 @@ def _jsonify(x):
     return x
 
 
-def _scalar_text(value) -> str:
-    """The JSON text of a scalar; any other type raises ``TypeError``."""
-    scalar = _JSON_SCALARS.get(type(value))
-    if scalar is None:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return scalar(value)
-
-
 def _json_list(texts: Iterable[str], inner: str) -> str:
     """The JSON list of element ``texts``, one per line at indent ``inner``."""
     body = ("," + inner).join(texts)
@@ -418,31 +410,24 @@ class _ReportTexts:
         self._regions: dict[str, dict[int, str]] = {}   # indent -> mask -> text
         self._forms: dict[tuple, tuple[tuple, str]] = {}   # (keys, indent) -> sorted, template
 
-    def region(self, r, indent: str) -> str:
-        """:meth:`value` of ``r``, read from the table when ``r`` is a region
-        of its universe: the entry for values that are mostly regions."""
-        if not isinstance(r, Region):
-            return self.value(r, indent)
-        if self.universe is None:
-            self.universe = r.universe
-        elif r.universe is not self.universe:
-            return _region_text(r, indent)
-        done = self._regions.get(indent)
-        if done is None:
-            done = self._regions[indent] = {}
-        text = done.get(r.bits)
-        if text is None:
-            text = done[r.bits] = _region_text(r, indent)
-        return text
-
     def value(self, x, indent: str) -> str:
         """The JSON text of ``_jsonify(x)``.  A type that writer refuses, or a
         dict key that is not a string, raises ``TypeError``."""
+        if isinstance(x, Region):
+            if x.universe is not self.universe:
+                if self.universe is not None:
+                    return _region_text(x, indent)
+                self.universe = x.universe
+            done = self._regions.get(indent)
+            if done is None:
+                done = self._regions[indent] = {}
+            text = done.get(x.bits)
+            if text is None:
+                text = done[x.bits] = _region_text(x, indent)
+            return text
         scalar = _JSON_SCALARS.get(type(x))
         if scalar is not None:
             return scalar(x)
-        if isinstance(x, Region):
-            return self.region(x, indent)
         inner = indent + "  "
         if isinstance(x, dict):
             if not x:
@@ -455,10 +440,27 @@ class _ReportTexts:
                     inner + _json_quote(k).replace("%", "%%") + ": %s" for k in order
                 ) + indent + "}"
             order, form = got
-            return form % tuple([self.region(x[k], inner) for k in order])
-        if isinstance(x, (list, tuple)):
-            return _json_list([self.region(v, inner) for v in x], inner)
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+            items = map(x.__getitem__, order)
+        elif isinstance(x, (list, tuple)):
+            form, items = None, x
+        else:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        # the items' texts; regions of the table's universe, most of a
+        # report's values, are read here without a call
+        universe = self.universe
+        done = self._regions.get(inner)
+        if done is None:
+            done = self._regions[inner] = {}
+        texts = []
+        for v in items:
+            if type(v) is Region and v.universe is universe:
+                text = done.get(v.bits)
+                if text is None:
+                    text = done[v.bits] = _region_text(v, inner)
+            else:
+                text = self.value(v, inner)
+            texts.append(text)
+        return _json_list(texts, inner) if form is None else form % tuple(texts)
 
 
 def _region_text(r: Region, indent: str) -> str:

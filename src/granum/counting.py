@@ -52,7 +52,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .core import DEFAULT_SEED, _json_list, _json_quote, _scalar_text, _transpose
+from .core import DEFAULT_SEED, _JSON_SCALARS, _json_list, _json_quote, _transpose
 
 Item = Hashable
 ConflictFn = Callable[[Item, Item], bool]
@@ -346,6 +346,14 @@ def _label_keys(collection: Sequence[Item]) -> dict[str, Item]:
         if other != x:
             raise ValueError(f"items {other!r} and {x!r} share the labels key {key!r}")
     return keyed
+
+
+def _scalar_text(value) -> str:
+    """The JSON text of a scalar; any other type raises ``TypeError``."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return scalar(value)
 
 
 class _ItemTexts(dict):

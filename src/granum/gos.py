@@ -30,7 +30,7 @@ measured faster than a per-element read on audit bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, islice
 from operator import and_, or_
@@ -38,9 +38,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import parthood as ph
 from .core import (DEFAULT_SEED, Basis, Granulation, IndiscernibilityRelation, Region,
-                   Universe, _ascending, _is_ascending, _json_list, _jsonify,
-                   _region_masks, _ReportTexts, _scalar_text, _transpose, lower_approx,
-                   lower_bits, upper_approx)
+                   Universe, _ascending, _is_ascending, _jsonify, _region_masks,
+                   _ReportTexts, _transpose, lower_approx, lower_bits, upper_approx)
 
 EXHAUSTIVE_UNIVERSE_CAP = 14  # 16384 regions; beyond this audits sample
 AUDIT_SAMPLE = 2048
@@ -257,59 +256,34 @@ class AxiomReport:
     details: tuple = ()
     seed: int | None = None
 
-    def to_dict(self) -> dict:
+    def _fields(self) -> dict:
+        """The layout of :meth:`to_dict`, its regions left as regions."""
         out = {
             "axiom": self.axiom,
             "passed": self.passed,
             "mode": self.mode,
             "checked": self.checked,
-            "witnesses": [_jsonify(w) for w in self.witnesses],
+            "witnesses": self.witnesses,
         }
         if self.details:
-            out["details"] = [_jsonify(d) for d in self.details]
+            out["details"] = self.details
         if self.seed is not None:
             out["seed"] = self.seed
         return out
+
+    def to_dict(self) -> dict:
+        return _jsonify(self._fields())
 
     def json_text(self, indent: str = "\n", texts: _ReportTexts | None = None) -> str:
         """``cli._json_text(self.to_dict(), indent)``, written without the dict tree.
 
         ``indent`` is the newline and indentation the report's closing
         brace sits at; ``texts`` is the region-text table of the payload
-        the report is part of, or ``None`` for a table of its own.  Each
-        witness and detail is written by the table, so a granule that
-        full underlap names in many pairs is written once per depth.  A
-        detail of full underlap's form, ``{"pair": [g, h], "witness": w}``,
-        is one %-template; any other detail is written as the table writes
-        any value.
+        the report is part of, or ``None`` for a table of its own.  The
+        table writes each region, so a granule that full underlap names in
+        many pairs is sorted and quoted once per depth.
         """
-        i1 = indent + "  "
-        i2 = i1 + "  "
-        i3 = i2 + "  "
-        i4 = i3 + "  "
-        text = _ReportTexts() if texts is None else texts
-        parts = ["{", i1, '"axiom": ', _scalar_text(self.axiom),
-                 ",", i1, '"checked": ', _scalar_text(self.checked)]
-        if self.details:
-            region = text.region
-            pair_form = ("{" + i3 + '"pair": [' + i4 + "%s," + i4 + "%s" + i3 + "],"
-                         + i3 + '"witness": %s' + i2 + "}")
-            details = []
-            for d in self.details:
-                pair = d.get("pair") if type(d) is dict and len(d) == 2 else None
-                if type(pair) is list and len(pair) == 2 and "witness" in d:
-                    details.append(pair_form % (region(pair[0], i4), region(pair[1], i4),
-                                                region(d["witness"], i3)))
-                else:
-                    details.append(text.value(d, i2))
-            parts += ",", i1, '"details": ', _json_list(details, i2)
-        parts += (",", i1, '"mode": ', _scalar_text(self.mode),
-                  ",", i1, '"passed": ', _scalar_text(self.passed))
-        if self.seed is not None:
-            parts += ",", i1, '"seed": ', _scalar_text(self.seed)
-        parts += (",", i1, '"witnesses": ', _json_list(
-            [text.value(w, i2) for w in self.witnesses], i2), indent, "}")
-        return "".join(parts)
+        return (_ReportTexts() if texts is None else texts).value(self._fields(), indent)
 
 
 def _axiom_basis(n: int, seed: int = DEFAULT_SEED) -> Basis:
@@ -479,13 +453,12 @@ def rough_objects(gos: GranularOperatorSpace, notion: str = "maximal-consistent"
 
 @dataclass(frozen=True)
 class BasicRoughOrder:
-    """The parthood-induced relation between rough-object classes, as bit
-    rows; ``parthood`` is the variant they were built from, or None when
-    unknown."""
+    """The parthood-induced relation between rough-object classes, as bit rows."""
 
     quotient: RoughQuotient
     rows: tuple[int, ...]
-    parthood: ph.ParthoodVariant | None = None
+    # set by basic_rough_order when the lemma proves its own rows transitive
+    _transitive: bool = field(default=False, init=False, repr=False, compare=False)
 
     def holds(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -494,13 +467,11 @@ class BasicRoughOrder:
         return list(ph._reflexive_failures(self.rows))
 
     def transitive_failures(self) -> list[tuple[int, int, int]]:
-        """Each (i, j, k) with i -> j, j -> k and i -/-> k.  When signatures
-        decide ``parthood`` and the lemma of
-        :func:`~granum.parthood._transitive_by_form` holds on the class
-        signatures, there is none and the rows are not scanned."""
-        tests = self.parthood and ph._subset_tests(self.parthood, self.quotient.space)
-        if tests and ph._transitive_by_form(
-                tests, [(c.lower.bits, c.upper.bits) for c in self.quotient.classes]):
+        """Each (i, j, k) with i -> j, j -> k and i -/-> k.  None, without a
+        scan of the rows, when :func:`basic_rough_order` built them and the
+        lemma of :func:`~granum.parthood._transitive_by_form` holds on the
+        class signatures."""
+        if self._transitive:
             return []
         return [(i, j, k) for i, j, escape in ph._transitive_failures(self.rows)
                 for k in ph._bits(escape)]
@@ -530,8 +501,9 @@ def basic_rough_order(q: RoughQuotient) -> BasicRoughOrder:
     gos = q.space
     v = gos.parthood
     classes = q.classes
+    tests = ph._subset_tests(v, gos)
 
-    if ph._subset_tests(v, gos) is not None:   # one representative decides each class
+    if tests is not None:   # one representative decides each class
         reps = [c.representative().bits for c in classes]
         rows = ph.relation_rows(v, gos, reps, reps)
     else:                   # every member pair must hold
@@ -540,7 +512,11 @@ def basic_rough_order(q: RoughQuotient) -> BasicRoughOrder:
                     if all(row == (1 << len(ys)) - 1
                            for row in ph.relation_rows(v, gos, xs, ys)))
                 for xs in members]
-    return BasicRoughOrder(q, tuple(rows), v)
+    order = BasicRoughOrder(q, tuple(rows))
+    if tests is not None and ph._transitive_by_form(
+            tests, [(c.lower.bits, c.upper.bits) for c in classes]):
+        object.__setattr__(order, "_transitive", True)   # the order is frozen
+    return order
 
 
 @dataclass(frozen=True)

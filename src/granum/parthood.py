@@ -30,8 +30,8 @@ from itertools import islice
 from operator import itemgetter, or_
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .core import (DEFAULT_SEED, Basis, Region, _json_list, _jsonify, _region_masks,
-                   _ReportTexts, _scalar_text, _transpose)
+from .core import (DEFAULT_SEED, Basis, Region, _jsonify, _region_masks, _ReportTexts,
+                   _transpose)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gos import GranularOperatorSpace
@@ -225,12 +225,12 @@ class PropertyCheck:
     verdict: str  # holds-exhaustively | holds-sampled | fails
     witnesses: tuple = ()
 
+    def _fields(self) -> dict:
+        """The layout of :meth:`to_dict`, its regions left as regions."""
+        return {"name": self.name, "verdict": self.verdict, "witnesses": self.witnesses}
+
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "witnesses": [_jsonify(w) for w in self.witnesses],
-        }
+        return _jsonify(self._fields())
 
 
 @dataclass(frozen=True)
@@ -247,33 +247,25 @@ class PropertyReport:
                 return c
         raise KeyError(name)
 
-    def to_dict(self) -> dict:
+    def _fields(self) -> dict:
+        """The layout of :meth:`to_dict`, its regions left as regions."""
         return {
             "variant": self.variant,
             "scope": dict(self.scope),
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [c._fields() for c in self.checks],
         }
+
+    def to_dict(self) -> dict:
+        return _jsonify(self._fields())
 
     def json_text(self, indent: str = "\n", texts: _ReportTexts | None = None) -> str:
         """``cli._json_text(self.to_dict(), indent)``, written without the dict tree.
 
         ``indent`` and ``texts`` are as in :meth:`granum.gos.AxiomReport.json_text`:
-        each witness region is written once per table and depth, so a
-        region in the witnesses of several checks or variants is sorted
-        and quoted once.
+        a region in the witnesses of several checks or variants is sorted
+        and quoted once per table and depth.
         """
-        i1 = indent + "  "
-        i2 = i1 + "  "
-        i3 = i2 + "  "
-        i4 = i3 + "  "
-        text = _ReportTexts() if texts is None else texts
-        check_form = ("{" + i3 + '"name": %s,' + i3 + '"verdict": %s,' + i3 + '"witnesses": %s'
-                      + i2 + "}")
-        checks = [check_form % (_scalar_text(c.name), _scalar_text(c.verdict), _json_list(
-            [text.value(w, i4) for w in c.witnesses], i4)) for c in self.checks]
-        return "".join(("{", i1, '"checks": ', _json_list(checks, i2),
-                        ",", i1, '"scope": ', text.value(dict(self.scope), i1),
-                        ",", i1, '"variant": ', _scalar_text(self.variant), indent, "}"))
+        return (_ReportTexts() if texts is None else texts).value(self._fields(), indent)
 
 
 def _property_basis(n: int, budget: int = EXHAUSTIVE_REGION_LIMIT,

@@ -1,5 +1,6 @@
 """Operator-space audits, rough quotients and representations."""
 
+import dataclasses
 import json
 import random
 
@@ -757,6 +758,24 @@ class TestAuditsMatchPairwiseReference:
         assert order.transitive_failures() == failures
         assert gos_mod.BasicRoughOrder(order.quotient, order.rows).transitive_failures() \
             == failures
+
+    def test_rows_not_built_by_basic_rough_order_are_scanned(self, u5, gran5):
+        # a proof holds for the rows it was made on: failing rows given
+        # with a proved order's quotient, or swapped into a copy of it, and
+        # the proved variant's space, still report their failures
+        space = GranularOperatorSpace(u5, gran5, parthood=ph.ROUGH_INCLUSION)
+        proved = basic_rough_order(rough_objects(space))
+        assert proved._transitive and proved.transitive_failures() == []
+        failing = (0b011, 0b110, 0b100) + proved.rows[3:]   # 0 -> 1 -> 2, not 0 -> 2
+        want = [(i, j, k) for i, j, escape in ph._transitive_failures(failing)
+                for k in ph._bits(escape)]
+        assert (0, 1, 2) in want
+        for order in (gos_mod.BasicRoughOrder(proved.quotient, failing),
+                      dataclasses.replace(proved, rows=failing)):
+            assert not order._transitive
+            assert order.transitive_failures() == want
+        with pytest.raises(TypeError):
+            gos_mod.BasicRoughOrder(proved.quotient, failing, True)
 
 
 def _universe(n):

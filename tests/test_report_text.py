@@ -130,9 +130,8 @@ def _context(name):
     return doc["universe"], doc["granules"]
 
 
-# Hand-built reports: any value the generic writer takes, regions of two
-# universes (one a renamed copy, so a mask means other members), and
-# details that are near full underlap's form but not of it.
+# Hand-built reports: any value the generic writer takes, and regions of
+# two universes (one a renamed copy, so a mask means other members).
 U1 = Universe(("b", "a", "%d", "é"))
 U2 = Universe(("x", "\x00", "Z", "y"))
 
@@ -147,17 +146,12 @@ scalars = st.none() | st.booleans() | st.integers(-2**70, 2**70) | text
 values = st.recursive(scalars | regions, lambda children: (
     st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
     | st.dictionaries(text, children, max_size=4)), max_leaves=12)
-near_details = st.fixed_dictionaries({"pair": st.lists(regions | values, min_size=2, max_size=2)
-                                              | st.lists(regions, max_size=3)
-                                              | st.tuples(regions, regions),
-                                      "witness": st.none() | regions | values},
-                                     optional={"other": values})
 
 
 class TestHandBuiltReports:
     @given(scalars, st.booleans(), scalars, st.integers(-5, 2**40),
            st.lists(values, max_size=4).map(tuple),
-           st.lists(near_details | values, max_size=5).map(tuple),
+           st.lists(values, max_size=5).map(tuple),
            st.none() | st.integers(0, 2**64))
     @settings(max_examples=300, deadline=None)
     def test_axiom_report(self, axiom, passed, mode, checked, witnesses, details, seed):
@@ -169,7 +163,7 @@ class TestHandBuiltReports:
 
     @given(scalars, st.lists(st.tuples(scalars, scalars,
                                        st.lists(values, max_size=3).map(tuple)), max_size=4),
-           st.dictionaries(text, scalars | st.lists(scalars, max_size=3), max_size=4))
+           st.dictionaries(text, values, max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_property_report(self, variant, checks, scope):
         r = ph.PropertyReport(variant, tuple(ph.PropertyCheck(*c) for c in checks), scope)
@@ -180,19 +174,31 @@ class TestRegionTexts:
     def test_masks_of_another_universe_are_not_confused(self):
         texts = _ReportTexts()
         first, other = U1.region_from_bits(0b0011), U2.region_from_bits(0b0011)
-        assert texts.region(first, "\n") == reference(sorted(first))
-        assert texts.region(other, "\n") == reference(sorted(other))
-        assert texts.region(first, "\n") == reference(["a", "b"])
-        assert texts.region(Region(Universe(U1.elements), 0b0011), "\n") == \
+        assert texts.value(first, "\n") == reference(sorted(first))
+        assert texts.value(other, "\n") == reference(sorted(other))
+        assert texts.value(first, "\n") == reference(["a", "b"])
+        assert texts.value(Region(Universe(U1.elements), 0b0011), "\n") == \
             reference(["a", "b"])
+        # as items of a list or a dict, where the table's regions are read inline
+        assert texts.value([other, first, {"r": other}], "\n") == \
+            reference([sorted(other), ["a", "b"], {"r": sorted(other)}])
+
+    def test_the_first_region_written_names_the_universe(self):
+        texts = _ReportTexts()
+        first, other = U2.region_from_bits(0b0101), U1.region_from_bits(0b0101)
+        assert texts.value([first, other, first], "\n") == \
+            reference([sorted(first), sorted(other), sorted(first)])
+        assert texts.universe is U2
 
     def test_each_region_is_sorted_once_per_indent(self, monkeypatch):
         granule = U1.region_from_bits(0b0101)
         want = reference(sorted(granule))
+        want_pair = reference([sorted(granule)] * 2)
         calls = []
         real = Region.__iter__
         monkeypatch.setattr(Region, "__iter__", lambda r: calls.append(r.bits) or real(r))
         texts = _ReportTexts()
         for indent in ("\n", "\n", "\n  ", "\n", "\n  "):
-            assert texts.region(granule, indent) == want.replace("\n", indent)
+            assert texts.value(granule, indent) == want.replace("\n", indent)
+        assert texts.value([granule, granule], "\n") == want_pair   # items at "\n  "
         assert calls == [0b0101] * 2   # once per indent
