@@ -9,9 +9,10 @@ overlapping elements, g-simple on 24), sampled axiom audits (every axiom on 62 a
 elements), an error case, every axiom audit under every parthood variant and the
 rough-object count on a 14-element table (all 16384 regions) and on 13
 overlapping elements that the granules do not cover, and every counting
-algorithm under both conflicts and two parthood variants on a dense
-120-element and a sparse 60-element context (gzipped recordings) and on 10
-elements whose names need JSON escapes.
+algorithm under both conflicts and three parthood variants (cautious,
+lateral and rough-inclusion) on a dense 120-element and a sparse 60-element
+context (gzipped recordings), and under two of them on 10 elements whose
+names need JSON escapes.
 A change that alters any of them shows up here as a diff.
 
 Regenerate the recordings, only when an output change is intended, with::
@@ -120,6 +121,7 @@ CASES["ctx_overlap24.json"] = {
     for output in ("json", "text")}
 # Counting at benchmark scale, on contexts shaped as the count workload's:
 # conflict density about 0.98 (dense, 120 elements) and 0.5 (sparse, 60).
+# lateral tests against the boundary, as 6 of every 20 benchmark count ops do.
 COUNT_SCALE = ("ctx_dense120.json", "ctx_sparse60.json")
 for _name in COUNT_SCALE:
     CASES[_name] = {
@@ -128,7 +130,7 @@ for _name in COUNT_SCALE:
             "--input", f"{{fixtures}}/{_name}", "--output", output]
         for algo in ("hpc", "pca", "hpca", "fhca")
         for conflict in ("comparability", "incomparability")
-        for parthood in ("cautious", "rough-inclusion")
+        for parthood in ("cautious", "lateral", "rough-inclusion")
         for output in ("json", "text")}
 
 
