@@ -249,7 +249,8 @@ def _cmd_inverse(args):
     pairs = []
     for i, p in enumerate(_list_field(doc, "pairs")):
         try:
-            pairs.append((universe.region(p["lower"]), universe.region(p["upper"])))
+            pairs.append((universe.region(_list_field(p, "lower")),
+                          universe.region(_list_field(p, "upper"))))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"pair {i}: {exc}") from None
     witness = gos_mod.rough_origin(pairs, universe)

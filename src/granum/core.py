@@ -528,54 +528,67 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     """The ``width`` columns of a bit matrix of ``width``-bit rows: bit i of
     column j is bit j of row i.
 
-    The matrix is padded to ``size`` = 2^k rows of ``size`` bits, with
-    k = (max(len(rows), width, 8) - 1).bit_length(), and packed row-major
-    into one int: bit ``i * size + j`` is bit j of row i.  Then k delta
-    swaps, with d = s * (size - 1) for s = size/2 down to 1, exchange each
-    pair of off-diagonal s-by-s blocks of every 2s-by-2s block at once.
-    This takes O(k) big-int operations on size^2 bits, whatever the bits
-    set, and column j comes out as bytes ``j * size/8`` to
-    ``(j + 1) * size/8`` of the packed int.
+    The matrix is padded to ``size`` = 2^k rows of ``blocks * size`` bits:
+    ``blocks`` square blocks side by side, and packed row-major into one
+    int.  k = (max(len(rows), width, 8) - 1).bit_length(), so one square
+    block, unless the width exceeds four times the rows (at least 8): then
+    the block edge follows the rows, and 6 rows of 1000 bits take 125
+    blocks of 8 x 8 bits, not 1024 x 1024.  Then k delta swaps, for s =
+    size/2 down to 1, exchange bit s of the row index with bit s of the
+    column index within the block, in every block at once.  This takes O(k)
+    big-int operations on blocks * size^2 bits, whatever the bits set, and
+    column ``b * size + j`` comes out as chunk ``j * blocks + b`` of
+    ``size`` bits of the packed int.
 
-    A larger matrix is cut into tiles of ``TILE_BITS`` rows by as many
-    columns, each transposed so, and column j is the OR of its tile columns
-    shifted to their row offsets.  Only the swap masks of k <= 10 are thus
-    ever built; they are kept, k masks of 2^(2k-3) bytes each, 1.6 MiB for
-    all of them, where one packed transpose at k = 13 would need 104 MiB.
+    A matrix with more than ``TILE_BITS`` rows or columns is cut into tiles
+    of ``TILE_BITS`` rows by as many columns, each transposed so, and column
+    j is the OR of its tile columns shifted to their row offsets.  Only the
+    swap masks of at most 2^20 bits are thus ever built; they are kept: the
+    k square masks of 2^(2k-3) bytes for each k <= 10, 1.6 MiB for all of
+    them, and those of the few-row shapes met, where one packed transpose
+    at k = 13 would need 104 MiB.
     """
-    k = (max(len(rows), width, 8) - 1).bit_length()
-    if 1 << k > TILE_BITS:
+    if max(len(rows), width) > TILE_BITS:
         bands = [rows[i:i + TILE_BITS] for i in range(0, max(len(rows), 1), TILE_BITS)]
         cols = []
         for j in range(0, width, TILE_BITS):
             w = min(TILE_BITS, width - j)
             low = (1 << w) - 1
             tiles = [_transpose([row >> j & low for row in band], w) for band in bands]
-            cols += [sum(c << (i * TILE_BITS) for i, c in enumerate(parts))
-                     for parts in zip(*tiles)]
+            cols += tiles[0] if len(tiles) == 1 else [
+                sum(c << (i * TILE_BITS) for i, c in enumerate(parts)) for parts in zip(*tiles)]
         return cols
-    step = 1 << k - 3   # bytes per packed row
-    x = int.from_bytes(b"".join([row.to_bytes(step, "little") for row in rows]), "little")
-    for d, mask in _swap_masks(k):
+    k = (max(len(rows), width, 8) - 1).bit_length()
+    if width > 4 * max(len(rows), 8):   # few rows: the block edge follows them
+        k = (max(len(rows), 8) - 1).bit_length()
+    size, step = 1 << k, 1 << k - 3   # step: bytes per block row
+    blocks = -(-width // size) or 1
+    x = int.from_bytes(b"".join([row.to_bytes(step * blocks, "little") for row in rows]),
+                       "little")
+    for d, mask in _swap_masks(k, blocks):
         t = (x ^ (x >> d)) & mask
         x ^= t ^ (t << d)
-    data = x.to_bytes(step << k, "little")
-    return [int.from_bytes(data[p:p + step], "little") for p in range(0, width * step, step)]
+    data = x.to_bytes((step << k) * blocks, "little")
+    chunks = range(0, width * step, step) if blocks == 1 else [
+        (j * blocks + b) * step for b in range(blocks) for j in range(size)][:width]
+    return [int.from_bytes(data[p:p + step], "little") for p in chunks]
 
 
 @functools.cache
-def _swap_masks(k: int) -> tuple[tuple[int, int], ...]:
-    """``(d, mask)`` for each delta swap of :func:`_transpose` at size 2^k,
-    s = size/2 first.  The mask holds bit ``i * size + j`` when bit s of j
-    is set and bit s of i is not: the lower bit of each pair to swap.  Each
-    is built as bytes, a zero row or the column pattern per row."""
+def _swap_masks(k: int, blocks: int = 1) -> tuple[tuple[int, int], ...]:
+    """``(d, mask)`` for each delta swap of :func:`_transpose` at size 2^k
+    with ``blocks`` blocks per row, s = size/2 first.  With W = blocks *
+    size bits per row, d = s * (W - 1), and the mask holds bit ``i * W + c``
+    when bit s of c is set and bit s of i is not: the lower bit of each
+    pair to swap.  Each is built as bytes, a zero row or the column pattern
+    per row."""
     size, step = 1 << k, 1 << k - 3
-    zero = bytes(step)
+    zero = bytes(step * blocks)
     masks = []
     for s in (1 << t for t in reversed(range(k))):
         cols = bytes(sum(1 << j for j in range(8) if (8 * b + j) & s) for b in range(step))
-        rows = b"".join(zero if i & s else cols for i in range(size))
-        masks.append((s * (size - 1), int.from_bytes(rows, "little")))
+        rows = b"".join(zero if i & s else cols * blocks for i in range(size))
+        masks.append((s * (size * blocks - 1), int.from_bytes(rows, "little")))
     return tuple(masks)
 
 

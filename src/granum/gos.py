@@ -144,8 +144,11 @@ class GranularOperatorSpace:
         for g in self._masks:
             if g and not g & (g - 1):
                 lower[g.bit_length() - 1] = g
-            for e in ph._bits(g):
-                upper[e] |= g
+            rest = g
+            while rest:
+                low = rest & -rest
+                upper[low.bit_length() - 1] |= g
+                rest ^= low
         self._elements = list(zip(lower, upper))
         return self._elements
 

@@ -37,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .gos import GranularOperatorSpace
 
 EXHAUSTIVE_REGION_LIMIT = 32  # 2^5: full pair/triple scans stay cheap below this
+CLASS_SHARE = 64   # targets per signature class past which rows are built per class
 
 _lower, _upper = itemgetter(0), itemgetter(1)
 
@@ -160,30 +161,32 @@ def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
 def _signature_rows(tests, n: int, target_sigs: list[tuple[int, int]],
                     source_sigs: list[tuple[int, int]]) -> list[int]:
     """:func:`relation_rows` for the subset ``tests`` of a signature formula
-    on ``n`` elements, from the signatures of the targets and sources."""
-    classes: dict[tuple[int, int], int] = {}   # signature -> its targets' bits, disjoint
-    for j, sig in enumerate(target_sigs):
-        classes[sig] = classes.get(sig, 0) | 1 << j
+    on ``n`` elements, from the signatures of the targets and sources.
+
+    Each test's columns are one bit-matrix transpose of the targets' ``Y``
+    masks, with ``Y`` read once per distinct target signature: column e
+    holds the targets whose ``Y`` holds e.  Each distinct source signature
+    then gets its row from :func:`_part_of`.
+    """
+    if not target_sigs:
+        return [0] * len(source_sigs)
+    distinct = dict.fromkeys(target_sigs)
+    if len(target_sigs) > CLASS_SHARE * len(distinct):
+        # Few signature classes: rows over the classes, spread to their members.
+        members = dict.fromkeys(distinct, 0)
+        for j, sig in enumerate(target_sigs):
+            members[sig] |= 1 << j
+        bits = list(members.values())
+        rows = _signature_rows(tests, n, list(members), source_sigs)
+        spread = {row: sum(bits[c] for c in _bits(row)) for row in set(rows)}
+        return list(map(spread.__getitem__, rows))
     columns = []
     for x, y in tests:
-        by_y: dict[int, int] = {}   # Y mask -> its targets' bits
-        for sig, bits in classes.items():
-            ym = y(sig)
-            by_y[ym] = by_y.get(ym, 0) | bits
-        cols = [0] * n
-        for ym, bits in by_y.items():
-            for e in _bits(ym):
-                cols[e] |= bits
-        columns.append((x, cols))
+        ys = dict(zip(distinct, map(y, distinct)))
+        columns.append((x, _transpose(list(map(ys.__getitem__, target_sigs)), n)))
     everything = (1 << len(target_sigs)) - 1
-    by_sig: dict[tuple[int, int], int] = {}
-    rows = []
-    for sig in source_sigs:
-        row = by_sig.get(sig)
-        if row is None:
-            row = by_sig[sig] = _part_of(columns, sig, everything)
-        rows.append(row)
-    return rows
+    part = {sig: _part_of(columns, sig, everything) for sig in dict.fromkeys(source_sigs)}
+    return list(map(part.__getitem__, source_sigs))
 
 
 def _part_of(columns, sig: tuple[int, int], everything: int) -> int:
@@ -193,8 +196,11 @@ def _part_of(columns, sig: tuple[int, int], everything: int) -> int:
     elements of ``X(sig)``, and is ``everything`` when there are none."""
     row = everything
     for x, cols in columns:
-        for e in _bits(x(sig)):
-            row &= cols[e]
+        xm = x(sig)
+        while xm:
+            low = xm & -xm
+            row &= cols[low.bit_length() - 1]
+            xm ^= low
     return row
 
 

@@ -499,6 +499,12 @@ class TestErrorsAndDeterminism:
         (["approx", "--region", "a"], "null", "context must be an object"),
         (["approx", "--region", "1"], {"attributes": ["c"], "objects": [["1"]]},
          "row 1: missing value for column 'c'"),
+        # A string or an object is not read as its characters or keys.
+        (["inverse"], {"universe": ["a", "b", "c", "d"],
+                       "pairs": [{"lower": ["a"], "upper": "abcd"}]},
+         "pair 0: 'upper' must be a list"),
+        (["inverse"], {"universe": ["a", "b"], "pairs": [{"lower": {"a": 1}, "upper": ["a"]}]},
+         "pair 0: 'lower' must be a list"),
     ])
     def test_refusals_print_one_error_line(self, tmp_path, capsys, argv, text, says):
         if text is not None:

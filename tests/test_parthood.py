@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from granum import GranularOperatorSpace, Universe, Granulation
 from granum import core, parthood as ph
-from granum.core import DEFAULT_SEED, Basis, _swap_masks, _transpose
+from granum.core import DEFAULT_SEED, Basis, _swap_masks, _transpose, parse_context
 
-from conftest import granulation_suite, seeded_space
+from conftest import FIXTURES, granulation_suite, seeded_space
 
 
 @pytest.fixture()
@@ -206,6 +206,18 @@ KERNEL_VARIANTS = list(ph.VARIANTS.values()) + [
 ]
 
 
+SIGNATURE_VARIANTS = list(ph.VARIANTS.values())   # all read from signatures on a derived space
+
+
+def _assert_rows_hold(v, space, sources, targets):
+    """``relation_rows`` equals ``holds`` pair by pair."""
+    region = space.universe.region_from_bits
+    ends = [region(b) for b in targets]
+    assert ph.relation_rows(v, space, sources, targets) == [
+        sum(1 << j for j, b in enumerate(ends) if ph.holds(v, region(a), b, space))
+        for a in sources]
+
+
 class TestRelationRows:
     @pytest.mark.parametrize("v", KERNEL_VARIANTS, ids=lambda v: v.name)
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
@@ -249,6 +261,43 @@ class TestRelationRows:
             assert {sig for (slot, sig) in calls if slot == ("x", t)} == source_sigs
             assert {sig for (slot, sig) in calls if slot == ("y", t)} == target_sigs
         assert set(calls.values()) == {1}
+
+    # Shapes the columns' transpose meets, each against pairwise holds.
+    @pytest.mark.parametrize("v", SIGNATURE_VARIANTS, ids=lambda v: v.name)
+    def test_more_targets_than_a_tile(self, v):
+        rng = random.Random(f"tile-{v.name}")
+        u = Universe(tuple(f"e{i}" for i in range(12)))
+        granules = {(e,) for e in u.elements[:6]}   # many signatures: lowers vary
+        granules |= {tuple(sorted(rng.sample(u.elements, 2))) for _ in range(6)}
+        space = GranularOperatorSpace(u, Granulation.from_sets(u, sorted(granules)))
+        targets = rng.sample(range(1 << 12), core.TILE_BITS + 76)
+        assert len(set(space.signatures(targets))) * ph.CLASS_SHARE >= len(targets)
+        _assert_rows_hold(v, space, [rng.randrange(1 << 12) for _ in range(12)], targets)
+
+    @pytest.mark.parametrize("v", SIGNATURE_VARIANTS, ids=lambda v: v.name)
+    def test_wide_universe_with_few_targets(self, v):
+        rng = random.Random(f"wide-{v.name}")
+        space = seeded_space(rng, 40)
+        sources = [rng.getrandbits(40) for _ in range(20)]
+        sources += [b for lo, up in space.signatures(sources) for b in (lo, up)]
+        for m in (3, 1, 0):
+            _assert_rows_hold(v, space, sources, [rng.getrandbits(40) for _ in range(m)])
+
+    @pytest.mark.parametrize("v", SIGNATURE_VARIANTS, ids=lambda v: v.name)
+    def test_targets_in_few_signature_classes(self, v):
+        # Past CLASS_SHARE targets per class, rows are built per class.
+        rng = random.Random(f"classes-{v.name}")
+        space = seeded_space(rng, 10)
+        few = [rng.randrange(1 << 10) for _ in range(4)]
+        targets = [rng.choice(few) for _ in range(ph.CLASS_SHARE * 4 + 1)]
+        _assert_rows_hold(v, space, few + [rng.randrange(1 << 10) for _ in range(12)], targets)
+
+    def test_every_variant_over_the_dense_singletons(self):
+        universe, granulation = parse_context(open(FIXTURES / "ctx_dense120.json").read())
+        space = GranularOperatorSpace(universe, granulation)
+        singletons = [1 << i for i in range(len(universe))]
+        for v in SIGNATURE_VARIANTS:
+            _assert_rows_hold(v, space, singletons, singletons)
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
     def test_one_signature_read_when_sources_are_targets(self, explicit, monkeypatch):
@@ -367,12 +416,23 @@ class TestRelationRows:
     @pytest.mark.parametrize("m, width", [(1025, 1025), (1024, 3000), (3000, 1024),
                                           (1100, 2049), (0, 1500), (1500, 0)])
     def test_transpose_in_tiles_builds_only_small_swap_masks(self, m, width, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(core, "_swap_masks", lambda k: sizes.append(k) or _swap_masks(k))
+        sizes = []   # (k, blocks) of each mask set: masks of blocks * 4^k bits
+        monkeypatch.setattr(core, "_swap_masks",
+                            lambda k, blocks: sizes.append((k, blocks)) or _swap_masks(k, blocks))
         rng = random.Random(f"tiles-{m}x{width}")
         rows = [rng.getrandbits(width) for _ in range(m)]
         assert _transpose(rows, width) == _reference_transpose(rows, width)
-        assert sizes and max(sizes) == 10 if width else not sizes
+        # A full tile is 1024 x 1024 bits (k = 10); with no rows, 8-row blocks (k = 3).
+        assert sizes and max(sizes)[0] == (10 if m else 3) if width else not sizes
+        assert all(blocks << 2 * k <= 1 << 20 for k, blocks in sizes)
+
+    @pytest.mark.parametrize("m, width", [(0, 40), (1, 33), (9, 37), (16, 65), (3, 300),
+                                          (100, 1000), (6, 2000), (3, 5000)])
+    def test_transpose_of_few_rows_in_blocks(self, m, width):
+        # Past four times the rows, the blocks' edge follows the rows.
+        rng = random.Random(f"blocks-{m}x{width}")
+        rows = [rng.getrandbits(width) for _ in range(m)]
+        assert _transpose(rows, width) == _reference_transpose(rows, width)
 
     def test_transpose_of_a_tuple(self):
         rows = (0b011, 0b000, 0b110, 0b001)   # as BasicRoughOrder holds them
