@@ -137,15 +137,20 @@ def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
     ``targets[j]``.  The signatures of the sources and of the targets are
     read in one :meth:`~granum.gos.GranularOperatorSpace.signatures` call
     each, or in one call in all when ``sources is targets``.  For a
-    signature formula, the targets are grouped by (lower, upper)
-    signature, and each subset test ``X(a) <= Y(b)`` gets one column per
-    universe element e: the targets whose ``Y`` contains e.  A source's
-    row is then the AND of the columns of the elements of its ``X`` (all
-    targets when ``X`` is empty), built once per distinct source signature:
-    O(k * n) integer operations for k signatures on n elements, not k * k
-    formula calls.  g-simple is very-cautious on a derived space and is
-    built the same way; on explicit operators it falls back to
-    :func:`holds` pair by pair, as do custom evaluators.
+    signature formula, each subset test ``X(a) <= Y(b)`` gets one column
+    per universe element e, the targets whose ``Y`` contains e, from one
+    bit-matrix transpose of the targets' ``Y`` masks; a source's row is the
+    AND of the columns at the elements of its ``X`` (all targets when ``X``
+    is empty), built once per distinct source signature.  On the count
+    benchmark's 40-120 singletons that takes 0.11 to 0.19 ms a call, where
+    walking each distinct ``Y`` mask bit by bit took 0.20 to 0.28.  Targets
+    that share few signature classes get their rows per class instead, see
+    :func:`_signature_rows`.  A transpose costs about 0.3 microseconds a
+    column whatever the rows, so on thousands of elements a call with a
+    handful of targets can cost more than the walk did.  g-simple is
+    very-cautious on a derived space and is built the same way; on explicit
+    operators it falls back to :func:`holds` pair by pair, as do custom
+    evaluators.
     """
     tests = _subset_tests(v, ctx)
     if tests is None:
@@ -163,12 +168,17 @@ def _signature_rows(tests, n: int, target_sigs: list[tuple[int, int]],
     """:func:`relation_rows` for the subset ``tests`` of a signature formula
     on ``n`` elements, from the signatures of the targets and sources.
 
-    Each test's columns are one bit-matrix transpose of the targets' ``Y``
-    masks, with ``Y`` read once per distinct target signature: column e
-    holds the targets whose ``Y`` holds e.  Each distinct source signature
-    then gets its row from :func:`_part_of`.
+    Each test's columns are one :func:`~granum.core._transpose` of the
+    targets' ``Y`` masks, with ``Y`` read once per distinct target
+    signature: column e holds the targets whose ``Y`` holds e.  Each
+    distinct source signature then gets its row from :func:`_part_of`.
+    With more than ``CLASS_SHARE`` targets per distinct signature, the rows
+    are built over the distinct signatures and each is spread to its
+    targets: 2048 sampled regions of a 100-object, 6-block table have 3
+    signatures, and their call takes 0.63 ms so against 3.9 ms for the
+    2048-target transposes.
     """
-    if not target_sigs:
+    if not target_sigs or not source_sigs:
         return [0] * len(source_sigs)
     distinct = dict.fromkeys(target_sigs)
     if len(target_sigs) > CLASS_SHARE * len(distinct):

@@ -293,7 +293,8 @@ class TestRelationRows:
         _assert_rows_hold(v, space, few + [rng.randrange(1 << 10) for _ in range(12)], targets)
 
     def test_every_variant_over_the_dense_singletons(self):
-        universe, granulation = parse_context(open(FIXTURES / "ctx_dense120.json").read())
+        text = (FIXTURES / "ctx_dense120.json").read_text(encoding="utf-8")
+        universe, granulation = parse_context(text)
         space = GranularOperatorSpace(universe, granulation)
         singletons = [1 << i for i in range(len(universe))]
         for v in SIGNATURE_VARIANTS:
