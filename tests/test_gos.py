@@ -629,6 +629,33 @@ class TestAuditsMatchPairwiseReference:
             assert space._columns is None
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
+    def test_lower_stability_off_the_lattice_tests_each_signature_once(self, explicit,
+                                                                        monkeypatch):
+        rng = random.Random(f"once-{explicit}")
+        n = 8 if explicit else 30
+        space = seeded_space(rng, n)
+        if explicit:   # lookup tables of few values, so signatures repeat
+            u, few = space.universe, rng.sample(list(space.universe.all_regions()), 3)
+            space = GranularOperatorSpace(u, space.granulation,
+                                          lower={a: rng.choice(few) for a in u.all_regions()},
+                                          upper={a: rng.choice(few) for a in u.all_regions()})
+        basis = Basis(sorted(rng.sample(range(1 << n), 200)), "sampled", 5)
+        sizes = []   # the targets of each relation_rows call
+        rows = ph.relation_rows
+        monkeypatch.setattr(ph, "relation_rows",
+                            lambda v, gos, s, t: sizes.append(len(t)) or rows(v, gos, s, t))
+        distinct = len(set(space.signatures(basis.masks)))
+        assert distinct < len(basis.masks)
+        for v in AUDIT_VARIANTS:
+            space.parthood = v
+            sizes.clear()
+            for cap in CAPS:
+                assert audit_lower_stability(space, basis, witness_cap=cap) == \
+                    _reference_lower_stability(space, basis, cap)[0]
+            tested = len(basis.masks) if ph._subset_tests(v, space) is None else distinct
+            assert sizes == [tested, tested] * len(CAPS)
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
     def test_containment(self, explicit):
         rng = random.Random(f"containment-{explicit}")
         failing = 0
