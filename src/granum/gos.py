@@ -327,7 +327,8 @@ def audit_lower_stability(gos: GranularOperatorSpace, basis: Basis | None = None
     A signature formula reads x and x^lower through the signature of x, so
     off the region lattice each distinct signature is tested once, on one
     of its regions: 2048 regions sampled from a 2000-object, 6-block table
-    share one.  Custom evaluators test every region."""
+    share one.  Variants that only :func:`~granum.parthood.holds` decides
+    test every region."""
     basis = basis or _axiom_basis(len(gos.universe))
     scanned = basis.scan(gos.universe)
     granules = gos.granulation.granules

@@ -282,14 +282,6 @@ class TestRelationRows:
         for m in (3, 1, 0):
             _assert_rows_hold(v, space, sources, [rng.getrandbits(40) for _ in range(m)])
 
-    @pytest.mark.parametrize("v", SIGNATURE_VARIANTS, ids=lambda v: v.name)
-    def test_targets_in_few_signature_classes(self, v):
-        rng = random.Random(f"classes-{v.name}")
-        space = seeded_space(rng, 10)
-        few = [rng.randrange(1 << 10) for _ in range(4)]
-        targets = [rng.choice(few) for _ in range(257)]
-        _assert_rows_hold(v, space, few + [rng.randrange(1 << 10) for _ in range(12)], targets)
-
     def test_every_variant_over_the_dense_singletons(self):
         text = (FIXTURES / "ctx_dense120.json").read_text(encoding="utf-8")
         universe, granulation = parse_context(text)
