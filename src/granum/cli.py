@@ -2,11 +2,13 @@
 
 Subcommands cover every analysis: ``approx``, ``gos-audit``,
 ``parthood-audit``, ``count``, ``inverse`` and ``oracle``.
-JSON output is schema-stable (sorted keys), so identical configurations
-produce byte-identical reports.  Exit status: 0 on success, 1 when a
-``--strict`` run ends analysis-negative, 2 on usage or parse errors and
-when the output cannot be written (a closed pipe, a full disk), 3 on an
-internal error (a defect: any other exception).
+Each handler returns a plain payload dict, and ``core._json_text``, the
+package's one JSON writer, writes it with sorted keys, so identical
+configurations produce byte-identical reports; count's trace and
+decomposition write themselves through that writer.  Exit status: 0 on
+success, 1 when a ``--strict`` run ends analysis-negative, 2 on usage or
+parse errors and when the output cannot be written (a closed pipe, a full
+disk), 3 on an internal error (a defect: any other exception).
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import sys
 from pathlib import Path
 
 from . import counting, gos as gos_mod, oracles, parthood as pH
-from .core import (DEFAULT_SEED, ParseError, Region, Universe, _JSON_SCALARS as _SCALARS,
-                   _ReportTexts, _context_from_json, _decode_json, _json_list,
-                   _json_quote as _quote, _list_field, _table_from_json, _transpose,
+from .core import (DEFAULT_SEED, ParseError, Region, Universe, _context_from_json,
+                   _decode_json, _json_text, _list_field, _table_from_json, _transpose,
                    indiscernibility_partition, parse_information_table)
 
 ENV_SEED = "GRANUM_SEED"
@@ -174,7 +175,7 @@ def _cmd_gos_audit(args):
     containment = {"holds": not violations, "witnesses": [sorted(v) for v in violations]}
     if basis.seed is not None:
         containment.update(mode=basis.mode, seed=basis.seed)
-    payload = {"axioms": _AuditReports(reports), "upper_contains_lower": containment}
+    payload = {"axioms": reports, "upper_contains_lower": containment}
     lines = [f"{r.axiom}: {'pass' if r.passed else 'FAIL'} ({r.mode}, {r.checked} checks)"
              for r in reports]
     lines.append("upper-contains-lower: " + ("pass" if not violations else "FAIL")
@@ -188,7 +189,7 @@ def _cmd_parthood_audit(args):
     names = sorted(pH.VARIANTS) if args.variant == "all" else [args.variant]
     basis = pH._property_basis(len(space.universe), args.budget, args.seed)
     reports = [pH.audit_properties(pH.variant(n), space, basis) for n in names]
-    payload = {"reports": _AuditReports(reports)}
+    payload = {"reports": reports}
     lines = []
     for r in reports:
         cells = ", ".join(f"{c.name}={'ok' if c.verdict.startswith('holds') else 'FAIL'}"
@@ -219,9 +220,9 @@ def _cmd_count(args):
     else:
         trace, antichains = counting.fhca_count(seq, None, rows=rows)
         decomposition = counting.verify_decomposition(trace, None, rows=rows)
-    payload = _CountPayload(config={"algorithm": args.algo, "items": args.items,
-                                    "parthood": args.parthood, "conflict": args.conflict},
-                            trace=trace)
+    payload = {"config": {"algorithm": args.algo, "items": args.items,
+                          "parthood": args.parthood, "conflict": args.conflict},
+               "trace": trace}
     if decomposition is not None:
         payload["decomposition"] = decomposition
     if antichains is not None:
@@ -358,76 +359,6 @@ _HANDLERS = {
     "inverse": _cmd_inverse,
     "oracle": _cmd_oracle,
 }
-
-
-class _CountPayload(dict):
-    """``count``'s payload.  ``_json_text`` writes its trace, decomposition
-    and antichains from one item-text table, so each item is quoted once
-    and each member list is written once per depth."""
-
-
-class _AuditReports(list):
-    """The ``AxiomReport`` list of ``gos-audit`` or the ``PropertyReport``
-    list of ``parthood-audit``.  ``_json_text`` writes each report by its
-    ``json_text`` from one region-text table, so each witness region is
-    sorted and quoted once per depth."""
-
-
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
-
-    The stdlib encoder runs in pure Python once ``indent`` is given.  This
-    writer dispatches on the exact type of each node (dict, list, tuple,
-    str, int, bool, None) and joins a list of strings in one C-level pass.
-    A ``CountingTrace`` node is written by its own ``json_text``, as the
-    writer would write its ``to_dict()``; a ``_CountPayload`` writes its
-    trace, decomposition and antichains from one item-text table, and an
-    ``_AuditReports`` list writes its reports from one region-text table.
-    Any other type, or a dict key that is not a string, raises
-    ``TypeError``.
-    """
-    kind = type(value)
-    scalar = _SCALARS.get(kind)
-    if scalar is not None:
-        return scalar(value)
-    inner = indent + "  "
-    if kind is dict:
-        if not value:
-            return "{}"
-        parts = []
-        for key in sorted(value):
-            item = value[key]
-            scalar = _SCALARS.get(type(item))
-            parts.append(_quote(key) + ": " + (scalar(item) if scalar is not None
-                                               else _json_text(item, inner)))
-        return "{" + inner + ("," + inner).join(parts) + indent + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        try:
-            body = ("," + inner).join(map(_quote, value))
-        except TypeError:   # not a list of strings
-            body = ("," + inner).join([_json_text(item, inner) for item in value])
-        return "[" + inner + body + indent + "]"
-    if kind is _CountPayload:   # never empty; joined once, as the trace is most of it
-        texts = counting._ItemTexts()
-        parts = ["{"]
-        for key, item in sorted(value.items()):
-            if hasattr(item, "json_text"):   # the trace and the decomposition
-                item = item.json_text(inner, texts)
-            elif key == "antichains":        # fhca's member tuples
-                item = _json_list(texts.member_lists(item, inner + "    "), inner + "  ")
-            else:
-                item = _json_text(item, inner)
-            parts += inner, _quote(key), ": ", item, ","
-        parts[-1:] = indent, "}"
-        return "".join(parts)
-    if kind is _AuditReports:
-        texts = _ReportTexts()
-        return _json_list([r.json_text(inner, texts) for r in value], inner)
-    if kind is counting.CountingTrace:
-        return value.json_text(indent)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 @functools.cache

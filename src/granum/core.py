@@ -288,9 +288,10 @@ def _table(attributes: tuple[str, ...], body: list[list[str]], first: int) -> In
     values: dict[str, dict[str, str]] = {a: {} for a in attributes}
     width = 1 + len(attributes)
     for n, row in enumerate(body, start=first):
+        if not row:
+            raise ParseError(f"row {n}: missing object id")
         if len(row) < width:
-            missing = attributes[len(row) - 1] if row else attributes[0]
-            raise ParseError(f"row {n}: missing value for column {missing!r}")
+            raise ParseError(f"row {n}: missing value for column {attributes[len(row) - 1]!r}")
         if len(row) > width:
             raise ParseError(f"row {n}: expected {width} values, got {len(row)}")
         oid = row[0]
@@ -367,8 +368,7 @@ def _list_field(doc: dict, key: str, nested: bool = False) -> list:
 
 _json_quote = json.encoder.encode_basestring_ascii
 # The JSON text of each scalar, dispatched on its exact type: the JSON
-# writers (``cli._json_text``, ``CountingTrace.json_text``) write nothing else
-# as a leaf.
+# writer (``_ReportTexts``) writes nothing else as a leaf.
 _JSON_SCALARS = {str: _json_quote, int: int.__repr__,
                  bool: {True: "true", False: "false"}.__getitem__,
                  type(None): lambda _: "null"}
@@ -391,28 +391,78 @@ def _json_list(texts: Iterable[str], inner: str) -> str:
     return "[" + inner + body + inner[:-2] + "]" if body else "[]"
 
 
-class _ReportTexts:
-    """The JSON texts of report values for one write: :meth:`value` is
-    ``cli._json_text(_jsonify(x), indent)``, byte for byte, where ``indent``
-    is the newline and indentation the value's closing bracket sits at.
+def _json_text(value, indent: str = "\n") -> str:
+    """The JSON text of any payload: ``json.dumps(value, sort_keys=True,
+    indent=2)``, byte for byte, with each region written as its sorted
+    member list and each report object as its ``to_dict()``.  ``indent`` is
+    the newline and indentation the closing bracket sits at.  See
+    :class:`_ReportTexts` for what it writes and refuses."""
+    return _ReportTexts().value(value, indent)
+
+
+def _unwritable(x) -> TypeError:
+    return TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+class _ReportTexts(dict):
+    """The JSON texts of one write, the one JSON writer of the package:
+    :meth:`value` writes a dict, list, tuple, str, int, bool, None or
+    region, and a report object in its ``to_dict()`` layout.  A
+    ``CountingTrace`` or ``AntichainDecomposition`` writes itself by its
+    ``json_text(indent, texts)`` from this table; an ``AxiomReport``,
+    ``PropertyReport`` or ``PropertyCheck`` is written from its
+    ``_fields()``.  Any other type, or a dict key that is not a string,
+    raises ``TypeError``.
 
     A region is the list of its member names, sorted, as ``_jsonify``
     writes it (name order, not universe order).  The regions of one
     universe, the first one written, are kept per indent by mask, so each
     distinct region is sorted and quoted once per indent; a region of any
     other universe is written afresh each time, since its mask means other
-    members.  A dict is written by a %-template kept per key tuple and
-    indent, its keys sorted and quoted once.
+    members.  A dict is written by the %-template of its key tuple and
+    indent (:func:`_dict_form`).
+
+    As a dict the table maps each item of a counting run to its JSON text,
+    written on first use.  Only string items are kept: equal items of other
+    types can be written differently (``True == 1`` is written ``true`` and
+    ``1``), so they are written on each use.  ``_lists`` holds, per indent,
+    the member lists written so far, by the id of the member tuple.
     """
 
     def __init__(self):
+        super().__init__()
         self.universe: Universe | None = None
         self._regions: dict[str, dict[int, str]] = {}   # indent -> mask -> text
-        self._forms: dict[tuple, tuple[tuple, str]] = {}   # (keys, indent) -> sorted, template
+        self._lists: dict[str, dict[int, str]] = {}   # indent -> id of a member tuple -> text
+
+    def __missing__(self, item) -> str:
+        scalar = _JSON_SCALARS.get(type(item))
+        if scalar is None:
+            raise _unwritable(item)
+        out = scalar(item)
+        if type(item) is str:
+            self[item] = out
+        return out
+
+    def member_lists(self, lists: Iterable[tuple], inner: str) -> list[str]:
+        """The JSON list text of each member tuple in ``lists``, its items at
+        indent ``inner``: written once per tuple and indent, so the tuples
+        must outlive the table."""
+        done = self._lists.setdefault(inner, {})
+        sep = "," + inner
+        close = inner[:-2] + "]"
+        get = self.__getitem__
+        out = []
+        for members in lists:
+            text = done.get(id(members))
+            if text is None:
+                text = done[id(members)] = (
+                    "[" + inner + sep.join(map(get, members)) + close if members else "[]")
+            out.append(text)
+        return out
 
     def value(self, x, indent: str) -> str:
-        """The JSON text of ``_jsonify(x)``.  A type that writer refuses, or a
-        dict key that is not a string, raises ``TypeError``."""
+        """The JSON text of ``x``, its closing bracket at ``indent``."""
         if isinstance(x, Region):
             if x.universe is not self.universe:
                 if self.universe is not None:
@@ -432,28 +482,28 @@ class _ReportTexts:
         if isinstance(x, dict):
             if not x:
                 return "{}"
-            keys = tuple(x)
-            got = self._forms.get((keys, indent))
-            if got is None:
-                order = tuple(sorted(keys))
-                got = self._forms[keys, indent] = order, "{" + ",".join(
-                    inner + _json_quote(k).replace("%", "%%") + ": %s" for k in order
-                ) + indent + "}"
-            order, form = got
+            order, form = _dict_form(tuple(x), indent)
             items = map(x.__getitem__, order)
         elif isinstance(x, (list, tuple)):
             form, items = None, x
+        elif hasattr(x, "json_text"):   # a counting trace or decomposition
+            return x.json_text(indent, self)
+        elif hasattr(x, "_fields"):     # an audit report or check
+            return self.value(x._fields(), indent)
         else:
-            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-        # the items' texts; regions of the table's universe, most of a
-        # report's values, are read here without a call
+            raise _unwritable(x)
+        # the items' texts; strings and regions of the table's universe, most
+        # of a payload's values, are read here without a call
         universe = self.universe
         done = self._regions.get(inner)
         if done is None:
             done = self._regions[inner] = {}
         texts = []
         for v in items:
-            if type(v) is Region and v.universe is universe:
+            kind = type(v)
+            if kind is str:
+                text = _json_quote(v)
+            elif kind is Region and v.universe is universe:
                 text = done.get(v.bits)
                 if text is None:
                     text = done[v.bits] = _region_text(v, inner)
@@ -461,6 +511,18 @@ class _ReportTexts:
                 text = self.value(v, inner)
             texts.append(text)
         return _json_list(texts, inner) if form is None else form % tuple(texts)
+
+
+@functools.lru_cache(maxsize=256)
+def _dict_form(keys: tuple, indent: str) -> tuple[tuple, str]:
+    """The sorted ``keys`` of a dict and the %-template of its JSON text, its
+    closing brace at ``indent``: kept across writes, since report and
+    payload dicts come in a few key tuples.  A key that is not a string
+    raises ``TypeError``."""
+    inner = indent + "  "
+    order = tuple(sorted(keys))
+    return order, "{" + ",".join(
+        inner + _json_quote(k).replace("%", "%%") + ": %s" for k in order) + indent + "}"
 
 
 def _region_text(r: Region, indent: str) -> str:

@@ -41,8 +41,9 @@ of the order between them; its item-by-item form is
 
 ``CountingTrace.json_text`` and ``AntichainDecomposition.json_text`` write
 their JSON straight from the run, without building the dict tree of
-``to_dict``, from one table of item texts per report; the command line's
-writer calls them, and ``to_dict`` through that writer is their
+``to_dict``.  They are the only objects that write themselves: the one
+JSON writer, ``core._json_text``, calls them with its table of item texts
+for the whole payload, and ``to_dict`` through that writer is their
 reference, byte for byte.
 """
 
@@ -52,7 +53,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .core import DEFAULT_SEED, _JSON_SCALARS, _json_list, _json_quote, _transpose
+from .core import DEFAULT_SEED, _json_list, _json_quote, _ReportTexts, _transpose
 
 Item = Hashable
 ConflictFn = Callable[[Item, Item], bool]
@@ -211,12 +212,12 @@ class CountingTrace:
             "incomplete": self.incomplete,
         }
 
-    def json_text(self, indent: str = "\n", texts: _ItemTexts | None = None) -> str:
-        """``cli._json_text(self.to_dict(), indent)``, written without the dict tree.
+    def json_text(self, indent: str = "\n", texts: _ReportTexts | None = None) -> str:
+        """``core._json_text(self.to_dict(), indent)``, written without the dict tree.
 
         ``indent`` is the newline and indentation the trace's closing brace
-        sits at; ``texts`` is the item-text table of the report the trace is
-        part of, or ``None`` for a table of its own.  Items are written as
+        sits at; ``texts`` is the writer's table for the payload the trace
+        is part of, or ``None`` for a table of its own.  Items are written as
         the writer writes scalars (str, int, bool, None); any other item
         type raises ``TypeError``.
 
@@ -239,7 +240,7 @@ class CountingTrace:
         i3 = i2 + "  "
         i4 = i3 + "  "
         i5 = i4 + "  "
-        text = _ItemTexts() if texts is None else texts
+        text = _ReportTexts() if texts is None else texts
         collection = self.collection
         n = len(collection)
         sep = "," + i4
@@ -305,8 +306,8 @@ class CountingTrace:
             passes.append(pass_form % (
                 _json_list([pair_form % (text[x], _label_text(without_pass, lab))
                             for x, lab in rec.assigned], i4),
-                _scalar_text(rec.category_index), sequence, _json_quote(rec.order.origin),
-                rec.number, rejected(rec, sequence), _scalar_text(rec.retained),
+                text[rec.category_index], sequence, _json_quote(rec.order.origin),
+                rec.number, rejected(rec, sequence), text[rec.retained],
                 text[rec.start]))
         return "".join((
             "{", i1, '"algorithm": ', _json_quote(self.algorithm),
@@ -314,7 +315,7 @@ class CountingTrace:
                 [category_form % (c.index, members) for c, members in zip(
                     self.categories, text.member_lists([c.members for c in self.categories], i4))],
                 i2),
-            ",", i1, '"incomplete": ', _scalar_text(self.incomplete),
+            ",", i1, '"incomplete": ', text[self.incomplete],
             ",", i1, '"labels": ',
             ("{" + i2 + ("," + i2).join(labels) + i1 + "}") if labels else "{}",
             ",", i1, '"orders": ', _json_list(
@@ -346,50 +347,6 @@ def _label_keys(collection: Sequence[Item]) -> dict[str, Item]:
         if other != x:
             raise ValueError(f"items {other!r} and {x!r} share the labels key {key!r}")
     return keyed
-
-
-def _scalar_text(value) -> str:
-    """The JSON text of a scalar; any other type raises ``TypeError``."""
-    scalar = _JSON_SCALARS.get(type(value))
-    if scalar is None:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return scalar(value)
-
-
-class _ItemTexts(dict):
-    """Item -> its JSON text, each written on first use; one table serves
-    every part of a count report.  Only string items are kept: equal items
-    of other types can be written differently (``True == 1`` is written
-    ``true`` and ``1``), so they are written on each use.  ``lists`` holds,
-    per indent, the member lists written so far, by the id of the member
-    tuple."""
-
-    def __init__(self):
-        super().__init__()
-        self.lists: dict[str, dict[int, str]] = {}
-
-    def __missing__(self, item) -> str:
-        out = _scalar_text(item)
-        if type(item) is str:
-            self[item] = out
-        return out
-
-    def member_lists(self, lists: Iterable[tuple], inner: str) -> list[str]:
-        """The JSON list text of each member tuple in ``lists``, its items at
-        indent ``inner``: written once per tuple and indent, so the tuples
-        must outlive the table."""
-        done = self.lists.setdefault(inner, {})
-        sep = "," + inner
-        close = inner[:-2] + "]"
-        get = self.__getitem__
-        out = []
-        for members in lists:
-            text = done.get(id(members))
-            if text is None:
-                text = done[id(members)] = (
-                    "[" + inner + sep.join(map(get, members)) + close if members else "[]")
-            out.append(text)
-        return out
 
 
 def _label_forms(inner: str, pass_field: str) -> dict[str, str]:
@@ -471,8 +428,8 @@ class AntichainDecomposition:
             "coherent": self.coherent,
         }
 
-    def json_text(self, indent: str = "\n", texts: _ItemTexts | None = None) -> str:
-        """``cli._json_text(self.to_dict(), indent)``, written without the dict tree.
+    def json_text(self, indent: str = "\n", texts: _ReportTexts | None = None) -> str:
+        """``core._json_text(self.to_dict(), indent)``, written without the dict tree.
 
         ``indent`` and ``texts`` are as in :meth:`CountingTrace.json_text`;
         a verdict's member list sits at the depth of a trace category's, so
@@ -482,25 +439,25 @@ class AntichainDecomposition:
         i2 = i1 + "  "
         i3 = i2 + "  "
         i4 = i3 + "  "
-        text = _ItemTexts() if texts is None else texts
+        text = _ReportTexts() if texts is None else texts
         verdict_form = "{" + ",".join(i3 + '"%s": %%s' % key for key in (
             "conflict_free", "conflict_witness", "index", "maximal", "maximal_witness",
             "members")) + i2 + "}"
         verdicts = [verdict_form % (
-            _scalar_text(v.conflict_free),
+            text[v.conflict_free],
             _json_list(map(text.__getitem__, v.conflict_witness), i4)
             if v.conflict_witness else "null",
-            _scalar_text(v.index), _scalar_text(v.maximal), text[v.maximal_witness],
+            text[v.index], text[v.maximal], text[v.maximal_witness],
             members) for v, members in zip(
                 self.verdicts, text.member_lists([v.members for v in self.verdicts], i4))]
         return "".join((
             "{", i1, '"categories": ', _json_list(text.member_lists(self.categories, i3), i2),
-            ",", i1, '"coherent": ', _scalar_text(self.coherent),
-            ",", i1, '"counts_match": ', _scalar_text(self.counts_match),
-            ",", i1, '"coverage": ', _scalar_text(self.coverage),
+            ",", i1, '"coherent": ', text[self.coherent],
+            ",", i1, '"counts_match": ', text[self.counts_match],
+            ",", i1, '"coverage": ', text[self.coverage],
             ",", i1, '"missing": ', _json_list(map(text.__getitem__, self.missing), i2),
-            ",", i1, '"n_items": ', _scalar_text(self.n_items),
-            ",", i1, '"sum_counts": ', _scalar_text(self.sum_counts),
+            ",", i1, '"n_items": ', text[self.n_items],
+            ",", i1, '"sum_counts": ', text[self.sum_counts],
             ",", i1, '"verdicts": ', _json_list(verdicts, i2),
             indent, "}"))
 

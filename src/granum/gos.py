@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import parthood as ph
 from .core import (DEFAULT_SEED, Basis, Granulation, IndiscernibilityRelation, Region,
                    Universe, _ascending, _is_ascending, _jsonify, _region_masks,
-                   _ReportTexts, _transpose, lower_approx, lower_bits, upper_approx)
+                   _transpose, lower_approx, lower_bits, upper_approx)
 
 EXHAUSTIVE_UNIVERSE_CAP = 14  # 16384 regions; beyond this audits sample
 AUDIT_SAMPLE = 2048
@@ -273,17 +273,6 @@ class AxiomReport:
 
     def to_dict(self) -> dict:
         return _jsonify(self._fields())
-
-    def json_text(self, indent: str = "\n", texts: _ReportTexts | None = None) -> str:
-        """``cli._json_text(self.to_dict(), indent)``, written without the dict tree.
-
-        ``indent`` is the newline and indentation the report's closing
-        brace sits at; ``texts`` is the region-text table of the payload
-        the report is part of, or ``None`` for a table of its own.  The
-        table writes each region, so a granule that full underlap names in
-        many pairs is sorted and quoted once per depth.
-        """
-        return (_ReportTexts() if texts is None else texts).value(self._fields(), indent)
 
 
 def _axiom_basis(n: int, seed: int = DEFAULT_SEED) -> Basis:

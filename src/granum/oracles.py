@@ -24,6 +24,7 @@ from .gos import PartitionWitness
 Item = Hashable
 
 MAX_ANTICHAIN_ITEMS = 20
+MAX_COVER_ITEMS = 200      # n^3 order checks: a few seconds at the cap
 MAX_SIGNATURE_UNIVERSE = 14
 MAX_INVERSE_UNIVERSE = 10  # Bell(10) = 115975 partitions
 
@@ -166,6 +167,9 @@ def minimum_antichain_cover(le: Callable[[Item, Item], bool],
     longest chain length.
     """
     items = list(collection)
+    if len(items) > MAX_COVER_ITEMS:
+        raise ValueError(f"collection too large for the partial-order check "
+                         f"(n={len(items)} > {MAX_COVER_ITEMS})")
     for a in items:
         if not le(a, a):
             raise ValueError(f"relation is not a partial order: not reflexive at {a!r}")

@@ -30,8 +30,7 @@ from itertools import islice
 from operator import itemgetter, or_
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .core import (DEFAULT_SEED, Basis, Region, _jsonify, _region_masks, _ReportTexts,
-                   _transpose)
+from .core import DEFAULT_SEED, Basis, Region, _jsonify, _region_masks, _transpose
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gos import GranularOperatorSpace
@@ -259,15 +258,6 @@ class PropertyReport:
 
     def to_dict(self) -> dict:
         return _jsonify(self._fields())
-
-    def json_text(self, indent: str = "\n", texts: _ReportTexts | None = None) -> str:
-        """``cli._json_text(self.to_dict(), indent)``, written without the dict tree.
-
-        ``indent`` and ``texts`` are as in :meth:`granum.gos.AxiomReport.json_text`:
-        a region in the witnesses of several checks or variants is sorted
-        and quoted once per table and depth.
-        """
-        return (_ReportTexts() if texts is None else texts).value(self._fields(), indent)
 
 
 def _property_basis(n: int, budget: int = EXHAUSTIVE_REGION_LIMIT,

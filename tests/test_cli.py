@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from granum import (GranularOperatorSpace, IndiscernibilityRelation, PartitionWitness,
                     Universe, cli, counting, gos, oracles, parse_context)
 from granum import parthood as ph
+from granum.core import _json_text
 
 from conftest import FIXTURES, planted_pairs
 from test_golden import CASES as GOLDEN_CASES, _recorded, replay
@@ -505,6 +506,11 @@ class TestErrorsAndDeterminism:
          "pair 0: 'upper' must be a list"),
         (["inverse"], {"universe": ["a", "b"], "pairs": [{"lower": {"a": 1}, "upper": ["a"]}]},
          "pair 0: 'lower' must be a list"),
+        # A row without even its id, in a table without attributes.
+        (["approx", "--region", ""], {"attributes": [], "objects": [[]]},
+         "row 1: missing object id"),
+        (["oracle", "--op", "antichain-cover", "--items", "rough-objects", "--input",
+          str(FIXTURES / "table_cap14.csv")], None, "n=1944 > 200"),
     ])
     def test_refusals_print_one_error_line(self, tmp_path, capsys, argv, text, says):
         if text is not None:
@@ -647,25 +653,26 @@ def _handler_payload(monkeypatch, argv):
 
 
 class TestJsonWriter:
-    """``cli._json_text`` writes the bytes of ``json.dumps(sort_keys=True, indent=2)``."""
+    """``core._json_text``, the one JSON writer, writes the bytes of
+    ``json.dumps(sort_keys=True, indent=2)``."""
 
     @given(_json_values())
     @settings(max_examples=150, deadline=None)
     def test_equals_stdlib(self, value):
-        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
     def test_edge_values(self):
         for value in ([], {}, (), [[]], {"a": {}}, [True, 1, False, 0, None],
                       {"b": (1, "x", [2, "y"]), "a": ["é中\U0001f600", '"\\\x00']},
                       -2**100, 2**64, ["", "\x7f", "\n"]):
-            assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+            assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("value", [1.5, [1, 2.0], {"a": {"b": {1}}}, {1: "a"},
                                        {"a": 1, None: 2}, [b"x"], ["a", b"x"]],
                              ids=repr)
     def test_other_types_raise_type_error(self, value):
         with pytest.raises(TypeError):
-            cli._json_text(value)
+            _json_text(value)
 
     def test_unwritable_payload_exits_three(self, monkeypatch, capsys):
         monkeypatch.setitem(cli._HANDLERS, "approx", lambda args: ({"ratio": 0.5}, "", False))
@@ -684,7 +691,7 @@ class TestJsonWriter:
             for case, record in json.loads(data.decode("utf-8")).items():
                 if case.endswith("-json") and record["stdout"]:
                     text = record["stdout"]
-                    assert cli._json_text(json.loads(text)) + "\n" == text, (path.name, case)
+                    assert _json_text(json.loads(text)) + "\n" == text, (path.name, case)
                     checked += 1
         assert checked >= 115
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from granum import cli, counting as C
+from granum import counting as C
+from granum.core import _json_text
 from granum.counting import arrangement, fhca_rounds
 from granum.oracles import (enumerate_maximal_antichains, greedy_pass_by_scan,
                             minimum_antichain_cover, verify_decomposition_by_calls)
@@ -662,7 +663,7 @@ def stdlib_text(trace):
 
 
 class TestJsonText:
-    """``CountingTrace.json_text``, which the CLI writer calls for a trace,
+    """``CountingTrace.json_text``, which the JSON writer calls for a trace,
     writes the bytes of ``json.dumps`` on ``to_dict()``."""
 
     @given(json_runs())
@@ -673,7 +674,7 @@ class TestJsonText:
                 with pytest.raises(ValueError, match="share the labels key"):
                     write()
             return
-        assert cli._json_text({"trace": trace}) == stdlib_text(trace)
+        assert _json_text({"trace": trace}) == stdlib_text(trace)
         assert trace.json_text() == json.dumps(trace.to_dict(), sort_keys=True, indent=2)
 
     def test_discarded_pass(self):
@@ -682,7 +683,7 @@ class TestJsonText:
         trace, _ = C.hpca_count(arrangement(list("abcd")), conflict)
         assert [(p.retained, p.category_index) for p in trace.passes] == [
             (True, 1), (True, 2), (False, None), (True, 3)]
-        text = cli._json_text({"trace": trace})
+        text = _json_text({"trace": trace})
         assert text == stdlib_text(trace)
         assert '"category": null' in text and '"retained": false' in text
 
@@ -692,7 +693,7 @@ class TestJsonText:
             trace, _ = fhca_rounds(arrangement(["x", "y", 3]), lambda a, b: a != b,
                                    strategy=strategy, budget=1, seed=2)
             assert trace.incomplete and len(trace.passes) == 2
-            text = cli._json_text({"trace": trace})
+            text = _json_text({"trace": trace})
             assert text == stdlib_text(trace)
             assert '"incomplete": true' in text
 
@@ -701,13 +702,13 @@ class TestJsonText:
         items = ESCAPED_ITEMS[:6]
         trace, _ = C.hpca_count(arrangement(items), lambda a, b: a != b)
         assert len({p.order.sequence for p in trace.passes}) == len(items)
-        assert cli._json_text({"trace": trace}) == stdlib_text(trace)
+        assert _json_text({"trace": trace}) == stdlib_text(trace)
 
     def test_single_item(self):
         for proc in (C.hpc_count, C.pca_count, C.hpca_count, C.fhca_count):
             run = proc(arrangement(["\U0001f600"]), lambda a, b: False)
             trace = run[0] if isinstance(run, tuple) else run
-            assert cli._json_text({"trace": trace}) == stdlib_text(trace)
+            assert _json_text({"trace": trace}) == stdlib_text(trace)
 
     def test_items_with_one_str_raise_value_error(self):
         # labels are keyed by str(item): 1 and "1" would share one key
@@ -715,7 +716,7 @@ class TestJsonText:
             run = proc(arrangement(["a", 1, "1"]), lambda a, b: False)
             trace = run[0] if isinstance(run, tuple) else run
             for write in (trace.to_dict, trace.json_text,
-                          lambda: cli._json_text({"trace": trace})):
+                          lambda: _json_text({"trace": trace})):
                 with pytest.raises(ValueError, match="items 1 and '1' share the labels key '1'"):
                     write()
 
@@ -732,12 +733,12 @@ class TestJsonText:
         with pytest.raises(TypeError, match="tuple"):
             trace.json_text()
         with pytest.raises(TypeError, match="tuple"):
-            cli._json_text({"trace": trace})
+            _json_text({"trace": trace})
 
 
 def count_payload(algo, trace, decomposition=None, antichains=None):
     """A payload built as the command line builds its ``count`` payload."""
-    payload = cli._CountPayload(config={"algorithm": algo}, trace=trace)
+    payload = {"config": {"algorithm": algo}, "trace": trace}
     if decomposition is not None:
         payload["decomposition"] = decomposition
     if antichains is not None:
@@ -808,9 +809,9 @@ class TestReportText:
     def test_payload_equals_stdlib_on_to_dict(self, payload):
         if one_str_twice(payload["trace"].collection):
             with pytest.raises(ValueError, match="share the labels key"):
-                cli._json_text(payload)
+                _json_text(payload)
             return
-        assert cli._json_text(payload) == reference_text(payload)
+        assert _json_text(payload) == reference_text(payload)
 
     def test_hand_broken_traces(self):
         # categories edited after the run: conflicting, not maximal, not covering
@@ -831,7 +832,7 @@ class TestReportText:
                 trace = dataclasses.replace(base, algorithm=algo, categories=categories)
                 dec = C.verify_decomposition(trace, None, rows=rows)
                 payload = count_payload(algo, trace, dec, [c.members for c in categories])
-                assert cli._json_text(payload) == reference_text(payload)
+                assert _json_text(payload) == reference_text(payload)
                 seen |= {("counts_match", dec.counts_match), ("coherent", dec.coherent),
                          ("missing", bool(dec.missing))}
                 seen |= {("conflict_witness", v.conflict_witness is not None)
@@ -862,7 +863,7 @@ class TestReportText:
             assert (5, [0, 19]) in ranks                 # the rotation's last item
             assert (2, [0, 1]) in ranks                  # adjacent members
             payload = count_payload(algo, trace, C.verify_decomposition(trace, None, rows=rows))
-            assert cli._json_text(payload) == reference_text(payload)
+            assert _json_text(payload) == reference_text(payload)
 
     def test_one_member_passes_on_every_rotation(self):
         # every item conflicts with every other: each pass takes only its
@@ -884,7 +885,7 @@ class TestReportText:
             assert starts == list(range(n))
             payload = (count_payload(algo, *run) if algo == "hpca" else count_payload(
                 algo, trace, C.verify_decomposition(trace, None, rows=rows), run[1]))
-            assert cli._json_text(payload) == reference_text(payload)
+            assert _json_text(payload) == reference_text(payload)
 
     def test_hand_edited_passes(self):
         # a trace is a mutable public dataclass: a rejected list that is not
@@ -909,7 +910,7 @@ class TestReportText:
             passes[1] = dataclasses.replace(rec, **edit)
             edited = dataclasses.replace(trace, passes=passes)
             payload = count_payload("hpca", edited)
-            assert cli._json_text(payload) == reference_text(payload), edit
+            assert _json_text(payload) == reference_text(payload), edit
 
     def test_pass_that_rejects_nothing_and_single_item(self):
         for items, rows in ((ITEMS20, [0] * len(ITEMS20)), ([-1], [0]), (["é"], [0])):
@@ -920,7 +921,7 @@ class TestReportText:
                 dec = C.verify_decomposition(trace, None, rows=rows)
                 payload = count_payload(trace.algorithm, trace, dec,
                                         [c.members for c in trace.categories])
-                assert cli._json_text(payload) == reference_text(payload)
+                assert _json_text(payload) == reference_text(payload)
 
     def test_permuted_orders_are_joined(self):
         # fhca_rounds' permutations are not rotations; their texts are joined
@@ -933,4 +934,4 @@ class TestReportText:
         assert len(trace.passes) > 2
         payload = count_payload("fhca", trace, C.verify_decomposition(trace, None, rows=rows),
                                 antichains)
-        assert cli._json_text(payload) == reference_text(payload)
+        assert _json_text(payload) == reference_text(payload)

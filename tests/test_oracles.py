@@ -7,7 +7,7 @@ import pytest
 
 from granum import Universe, lower_approx, upper_approx
 from granum.core import IndiscernibilityRelation
-from granum.oracles import (all_partitions, brute_force_signatures,
+from granum.oracles import (MAX_COVER_ITEMS, all_partitions, brute_force_signatures,
                             enumerate_maximal_antichains, inverse_rough_check,
                             minimum_antichain_cover)
 
@@ -76,6 +76,15 @@ class TestMirskyCover:
         cover = minimum_antichain_cover(le, list(order))
         assert cover.longest_chain == 4
         assert all(len(l) == 1 for l in cover.levels)
+
+    def test_cap_refused_before_any_check(self):
+        asked = []
+        le = lambda a, b: asked.append((a, b)) or a <= b
+        with pytest.raises(ValueError, match=f"n={MAX_COVER_ITEMS + 1} > {MAX_COVER_ITEMS}"):
+            minimum_antichain_cover(le, range(MAX_COVER_ITEMS + 1))
+        assert asked == []
+        cover = minimum_antichain_cover(le, range(MAX_COVER_ITEMS))   # at the cap it answers
+        assert cover.longest_chain == MAX_COVER_ITEMS
 
     def test_non_partial_order_rejected(self):
         with pytest.raises(ValueError, match="antisymmetry.*'a'.*'b'"):

@@ -1,6 +1,6 @@
-"""The audit reports' JSON writers: ``AxiomReport.json_text`` and
-``PropertyReport.json_text`` write the bytes of ``json.dumps`` on
-``to_dict()``, alone and from one region-text table per payload."""
+"""The audit reports through the one JSON writer, ``core._json_text``: a
+report's ``_fields()`` and a payload of reports are written as the bytes of
+``json.dumps`` on ``to_dict()``, from one region-text table per payload."""
 
 import json
 import random
@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from granum import (AxiomReport, GranularOperatorSpace, Granulation, Universe,
                     audit_full_underlap, audit_lower_stability, audit_weak_representability,
-                    cli, parthood as ph)
-from granum.core import Region, _region_masks, _ReportTexts
+                    parthood as ph)
+from granum.core import Region, _json_text, _region_masks, _ReportTexts
 
 from conftest import FIXTURES
 
@@ -78,10 +78,10 @@ class TestAuditReports:
     def test_axiom_reports_equal_stdlib_on_to_dict(self, rng):
         reports = axiom_reports(rng)
         for r in reports:
-            assert r.json_text() == reference(r.to_dict())
+            assert _json_text(r._fields()) == reference(r.to_dict())
         containment = {"holds": True, "witnesses": []}
-        payload = {"axioms": cli._AuditReports(reports), "upper_contains_lower": containment}
-        assert cli._json_text(payload) == reference(
+        payload = {"axioms": reports, "upper_contains_lower": containment}
+        assert _json_text(payload) == reference(
             {"axioms": [r.to_dict() for r in reports], "upper_contains_lower": containment})
 
     @given(st.randoms(use_true_random=False))
@@ -89,8 +89,8 @@ class TestAuditReports:
     def test_property_reports_equal_stdlib_on_to_dict(self, rng):
         reports = property_reports(rng)
         for r in reports:
-            assert r.json_text() == reference(r.to_dict())
-        assert cli._json_text({"reports": cli._AuditReports(reports)}) == reference(
+            assert _json_text(r._fields()) == reference(r.to_dict())
+        assert _json_text({"reports": reports}) == reference(
             {"reports": [r.to_dict() for r in reports]})
 
     def test_generators_reach_every_form(self):
@@ -122,7 +122,7 @@ class TestAuditReports:
         assert not any(r.passed for r in reports)
         assert any(d["witness"] is None for d in reports[1].details)
         for r in reports:
-            assert r.json_text() == reference(r.to_dict())
+            assert _json_text(r._fields()) == reference(r.to_dict())
 
 
 def _context(name):
@@ -156,9 +156,9 @@ class TestHandBuiltReports:
     @settings(max_examples=300, deadline=None)
     def test_axiom_report(self, axiom, passed, mode, checked, witnesses, details, seed):
         r = AxiomReport(axiom, passed, mode, checked, witnesses, details, seed)
-        assert r.json_text() == reference(r.to_dict())
+        assert _json_text(r._fields()) == reference(r.to_dict())
         # one table for both, as the command line shares one per payload
-        assert cli._json_text({"axioms": cli._AuditReports([r, r])}) == \
+        assert _json_text({"axioms": [r, r]}) == \
             reference({"axioms": [r.to_dict()] * 2})
 
     @given(scalars, st.lists(st.tuples(scalars, scalars,
@@ -167,7 +167,7 @@ class TestHandBuiltReports:
     @settings(max_examples=200, deadline=None)
     def test_property_report(self, variant, checks, scope):
         r = ph.PropertyReport(variant, tuple(ph.PropertyCheck(*c) for c in checks), scope)
-        assert r.json_text() == reference(r.to_dict())
+        assert _json_text(r._fields()) == reference(r.to_dict())
 
 
 class TestRegionTexts:
