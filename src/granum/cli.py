@@ -55,7 +55,7 @@ def _load_space(args: argparse.Namespace,
         raise ParseError("an --input file is required")
     path = Path(args.input)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     fmt = args.format
@@ -99,17 +99,18 @@ def _items(space: gos_mod.GranularOperatorSpace, args: argparse.Namespace):
     its parthood order over the collection: bit j of row i relates item i
     to item j.
 
-    Items are universe elements (as singletons) or rough-object classes (by
-    representative); both relations read one set of parthood rows.
+    Items are universe elements (as singletons) or rough-object classes
+    (named by representative, ordered by :func:`~granum.gos.basic_rough_order`);
+    both relations read one set of parthood rows.
     """
     if args.items == "elements":
         items = list(space.universe.elements)
         masks = [1 << i for i in range(len(items))]
+        rows = pH.relation_rows(space.parthood, space, masks, masks)
     else:
-        reps = [c.representative() for c in gos_mod.rough_objects(space).classes]
-        items = ["{%s}" % ",".join(r) for r in reps]
-        masks = [r.bits for r in reps]
-    rows = pH.relation_rows(space.parthood, space, masks, masks)
+        order = gos_mod.basic_rough_order(gos_mod.rough_objects(space))
+        items = ["{%s}" % ",".join(c.representative()) for c in order.quotient.classes]
+        rows = order.rows
     either = [row | col for row, col in zip(rows, _transpose(rows, len(rows)))]
     if args.conflict == "comparability":   # distinct regions related either way
         conflicts = [row & ~(1 << i) for i, row in enumerate(either)]
@@ -241,7 +242,7 @@ def _cmd_inverse(args):
     if args.input is None:
         raise ParseError("an --input file is required")
     try:
-        doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
+        doc = json.loads(Path(args.input).read_text(encoding="utf-8-sig"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read pairs file: {exc}") from None
     if not isinstance(doc, dict) or "universe" not in doc or "pairs" not in doc:

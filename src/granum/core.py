@@ -284,7 +284,7 @@ def _table(attributes: tuple[str, ...], body: list[list[str]], first: int) -> In
     if not body:
         raise ParseError("no objects: table body is empty")
 
-    ids: list[str] = []
+    ids: dict[str, int] = {}   # id -> row
     values: dict[str, dict[str, str]] = {a: {} for a in attributes}
     width = 1 + len(attributes)
     for n, row in enumerate(body, start=first):
@@ -295,9 +295,8 @@ def _table(attributes: tuple[str, ...], body: list[list[str]], first: int) -> In
         if len(row) > width:
             raise ParseError(f"row {n}: expected {width} values, got {len(row)}")
         oid = row[0]
-        if oid in ids:
+        if ids.setdefault(oid, n) != n:
             raise ParseError(f"row {n}: duplicate object id {oid!r}")
-        ids.append(oid)
         for a, v in zip(attributes, row[1:]):
             values[a][oid] = v
     return InformationTable(Universe(tuple(ids)), attributes, values)

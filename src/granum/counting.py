@@ -32,11 +32,11 @@ asking the callback lazily, is :func:`granum.oracles.verify_decomposition_by_cal
 the tests' reference.
 
 Every greedy pass (of hpca, fhca and ``fhca_rounds``) is one kernel that
-takes its order as the position masks of the order's ascending runs: the
-sequence itself is one run, a rotation two, and a seeded permutation its
-maximal ascending runs.  It visits only the pass's members, the lowest
-unblocked position of each run in turn, and slices the rejected items out
-of the order between them; its item-by-item form is
+takes its order as the position masks of ascending runs that, scanned run
+after run, give the order: the sequence itself is one run, a rotation two,
+and a seeded permutation one run per position.  It visits only the pass's
+members, the lowest unblocked position of each run in turn, and slices the
+rejected items out of the order between them; its item-by-item form is
 :func:`granum.oracles.greedy_pass_by_scan`, the tests' reference.
 
 ``CountingTrace.json_text`` and ``AntichainDecomposition.json_text`` write
@@ -589,20 +589,6 @@ def _rotation_runs(start: int, n: int) -> tuple[int, int]:
     return ((1 << n) - 1) & ~head, head
 
 
-def _permutation_runs(perm: Sequence[int]) -> list[int]:
-    """The position masks of the maximal ascending runs of ``perm``, in order."""
-    runs = []
-    run = last = 0
-    for p in perm:
-        if p < last:
-            runs.append(run)
-            run = 0
-        run |= 1 << p
-        last = p
-    runs.append(run)
-    return runs
-
-
 def _greedy_pass(order: OrderArrangement, runs: Sequence[int], items: Sequence[Item],
                  rows: list[int], cat_index: int
                  ) -> tuple[int, tuple[tuple[Item, CountLabel], ...], tuple]:
@@ -803,7 +789,9 @@ def fhca_rounds(seq: OrderArrangement, conflict: ConflictFn,
     Each round takes the first-pass maximal antichain of the current order
     and then permutes; the default strategy rotates the least-index uncovered
     element to the front, which covers at least one new element per round.
-    Any other strategy takes a seeded random permutation.
+    Any other strategy takes a seeded random permutation, which the greedy
+    pass scans as one run per position.  No command runs this procedure:
+    ``count --algo fhca`` is :func:`fhca_count`.
     """
     items = _require_items(seq)
     rows = _conflict_masks(items, conflict)
@@ -842,7 +830,7 @@ def fhca_rounds(seq: OrderArrangement, conflict: ConflictFn,
             perm = list(range(n))
             rng.shuffle(perm)
             order = seq.permuted(perm, f"permutation(seed={seed},round={used})")
-            runs = _permutation_runs(perm)
+            runs = [1 << p for p in perm]
 
     trace = CountingTrace("fhca", orders, labels, collected, passes,
                           incomplete=covered != full)

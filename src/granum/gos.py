@@ -30,7 +30,7 @@ measured faster than a per-element read on audit bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
 from operator import and_, or_
@@ -439,6 +439,7 @@ def rough_objects(gos: GranularOperatorSpace, notion: str = "maximal-consistent"
     if n > QUOTIENT_UNIVERSE_CAP:
         raise ValueError(f"universe too large for quotient enumeration (n={n} > {QUOTIENT_UNIVERSE_CAP})")
     sigs = gos.signatures(_ascending(n))   # indexed by mask
+    # each class enters at its least member: classes come in first-member order
     grouped: dict[tuple[int, int], list[Region]] = {}
     for a, sig in zip(gos.universe.all_regions(), sigs):
         grouped.setdefault(sig, []).append(a)
@@ -446,10 +447,9 @@ def rough_objects(gos: GranularOperatorSpace, notion: str = "maximal-consistent"
     for (lo, up), members in grouped.items():
         lower = gos.universe.region_from_bits(lo)
         upper = gos.universe.region_from_bits(up)
-        crisp = lo == up and any(m.bits == lo for m in members)
+        crisp = lo == up and sigs[lo] == (lo, lo)   # region lo is a member
         stable = sigs[lo][0] == lo and sigs[up][1] == up
         classes.append(RoughClass(tuple(members), lower, upper, crisp, stable))
-    classes.sort(key=lambda c: c.members[0].bits)
     if notion == "definite-only":
         classes = [c for c in classes if c.stable]
     return RoughQuotient(gos, tuple(classes), notion)
@@ -457,12 +457,12 @@ def rough_objects(gos: GranularOperatorSpace, notion: str = "maximal-consistent"
 
 @dataclass(frozen=True)
 class BasicRoughOrder:
-    """The parthood-induced relation between rough-object classes, as bit rows."""
+    """The parthood-induced relation between rough-object classes, as bit
+    rows: bit j of ``rows[i]`` is set when class i is part of class j.  Each
+    failure check scans the rows as they are."""
 
     quotient: RoughQuotient
     rows: tuple[int, ...]
-    # set by basic_rough_order when the lemma proves its own rows transitive
-    _transitive: bool = field(default=False, init=False, repr=False, compare=False)
 
     def holds(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -471,12 +471,7 @@ class BasicRoughOrder:
         return list(ph._reflexive_failures(self.rows))
 
     def transitive_failures(self) -> list[tuple[int, int, int]]:
-        """Each (i, j, k) with i -> j, j -> k and i -/-> k.  None, without a
-        scan of the rows, when :func:`basic_rough_order` built them and the
-        lemma of :func:`~granum.parthood._transitive_by_form` holds on the
-        class signatures."""
-        if self._transitive:
-            return []
+        """Each (i, j, k) with i -> j, j -> k and i -/-> k, from a scan of the rows."""
         return [(i, j, k) for i, j, escape in ph._transitive_failures(self.rows)
                 for k in ph._bits(escape)]
 
@@ -500,7 +495,9 @@ def basic_rough_order(q: RoughQuotient) -> BasicRoughOrder:
 
     Parthoods that signatures decide (g-simple too, on a derived space) are
     decided on one representative per class; custom evaluators, and
-    g-simple on explicit operators, quantify over every member pair.
+    g-simple on explicit operators, quantify over every member pair.  This
+    is the order that ``count`` and ``oracle`` read for ``--items
+    rough-objects``.  No property of the rows is checked here.
     """
     gos = q.space
     v = gos.parthood
@@ -516,11 +513,7 @@ def basic_rough_order(q: RoughQuotient) -> BasicRoughOrder:
                     if all(row == (1 << len(ys)) - 1
                            for row in ph.relation_rows(v, gos, xs, ys)))
                 for xs in members]
-    order = BasicRoughOrder(q, tuple(rows))
-    if tests is not None and ph._transitive_by_form(
-            tests, [(c.lower.bits, c.upper.bits) for c in classes]):
-        object.__setattr__(order, "_transitive", True)   # the order is frozen
-    return order
+    return BasicRoughOrder(q, tuple(rows))
 
 
 @dataclass(frozen=True)

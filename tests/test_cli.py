@@ -400,6 +400,22 @@ class TestCoherenceAndOracle:
                               "--parthood", "very-cautious"])
         assert code == 2 and text == ""
 
+    @pytest.mark.parametrize("fixture", ["ctx_vee.json", "ctx_chain9.json", "ctx_escaped10.json",
+                                         "table_blocks.csv", "ctx_overlap13.json"])
+    def test_rough_object_rows_are_the_representatives_rows(self, fixture):
+        # the items' order is basic_rough_order's; one representative per
+        # class decides every variant on the derived spaces the CLI reads
+        for parthood in sorted(ph.VARIANTS):
+            args = cli._parser().parse_args(["count", "--algo", "hpc", "--items", "rough-objects",
+                                             "--parthood", parthood,
+                                             "--input", str(FIXTURES / fixture)])
+            space = cli._load_space(args, ph.variant(parthood))
+            reps = [c.representative() for c in gos.rough_objects(space).classes]
+            items, _, rows = cli._items(space, args)
+            assert items == ["{%s}" % ",".join(r) for r in reps]
+            masks = [r.bits for r in reps]
+            assert list(rows) == ph.relation_rows(space.parthood, space, masks, masks), parthood
+
 
 # Options each subcommand once accepted and ignored, or read to no effect
 # (fhca's budget), after a command line it runs.
@@ -430,6 +446,21 @@ class TestErrorsAndDeterminism:
     def test_unknown_flag_exit_two(self):
         code, _ = run_cli(["count", "--algo", "hpca", "--input", VEE, "--bogus"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--input", TABLE, "--region", "1,2"],
+        ["count", "--algo", "hpca", "--input", VEE],
+        ["inverse", "--input", PAIRS_YES],
+    ], ids=["csv", "context", "pairs"])
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_byte_order_mark_is_not_content(self, tmp_path, capsys, argv, output):
+        source = Path(argv[argv.index("--input") + 1])
+        marked = tmp_path / source.name
+        marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        plain = run_cli(argv + ["--output", output]), capsys.readouterr().err
+        argv = [str(marked) if a == str(source) else a for a in argv]
+        assert (run_cli(argv + ["--output", output]), capsys.readouterr().err) == plain
+        assert plain[0][0] == 0 and plain[1] == ""
 
     def test_parse_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.csv"

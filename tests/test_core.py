@@ -34,6 +34,14 @@ class TestParsing:
         with pytest.raises(ParseError, match="duplicate object id"):
             parse_information_table("id,c\n1,x\n1,y\n")
 
+    def test_duplicate_id_after_many_rows_names_its_row(self):
+        # the ids are kept in a dict: a wide table parses in linear time
+        body = "".join(f"{i},v{i % 7}\n" for i in range(20000))
+        table = parse_information_table("id,c\n" + body)
+        assert len(table.objects) == 20000 and table.value("c", "19999") == "v0"
+        with pytest.raises(ParseError, match=r"^row 20002: duplicate object id '0'$"):
+            parse_information_table("id,c\n" + body + "0,x\n")
+
     def test_extra_value_rejected(self):
         with pytest.raises(ParseError, match="expected"):
             parse_information_table("id,c\n1,x,y\n")

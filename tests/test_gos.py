@@ -158,6 +158,19 @@ class TestRoughObjects:
         stable = rough_objects(space, notion="definite-only")
         assert len(stable.classes) < len(full.classes)
 
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
+    def test_classes_ascend_by_first_member_and_crisp_is_a_member_scan(self, explicit):
+        rng = random.Random(f"rough-object-order-{explicit}")
+        for _ in range(150):
+            space = seeded_space(rng, rng.randint(1, 7), explicit)
+            classes = rough_objects(space).classes
+            firsts = [c.members[0].bits for c in classes]
+            assert firsts == sorted(firsts)
+            for c in classes:
+                assert [m.bits for m in c.members] == sorted(m.bits for m in c.members)
+                assert c.crisp == (c.lower == c.upper
+                                   and any(m.bits == c.lower.bits for m in c.members))
+
 
 class TestBasicRoughOrder:
     def test_bottom_and_top(self, space5, u5):
@@ -745,13 +758,10 @@ class TestAuditsMatchPairwiseReference:
             assert len(calls) == (len(members) ** 2 if explicit else 1)
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
-    def test_transitivity_proved_from_class_signatures(self, explicit, monkeypatch):
-        # the lemma on the class signatures skips the scan; a failed check,
-        # or a parthood signatures do not decide, scans the rows
-        scans = []
+    def test_transitivity_proved_from_class_signatures(self, explicit):
+        # the scan finds every failure, and none where the lemma on the
+        # class signatures proves the order transitive
         scan = ph._transitive_failures
-        monkeypatch.setattr(ph, "_transitive_failures",
-                            lambda rows: scans.append(1) or scan(rows))
         skipped = set()
         for v in AUDIT_VARIANTS:
             for _, space in _seeded_spaces(f"order-lemma-{v.name}-{explicit}", 6, 4):
@@ -764,12 +774,11 @@ class TestAuditsMatchPairwiseReference:
                 tests = ph._subset_tests(v, space)
                 proved = tests is not None and ph._transitive_by_form(
                     tests, [(c.lower.bits, c.upper.bits) for c in q.classes])
-                scans.clear()
                 found = order.transitive_failures()
-                assert len(scans) == (not proved), v.name
                 assert found == [(i, j, k) for i, j, escape in scan(order.rows)
                                  for k in ph._bits(escape)], v.name
                 if proved:
+                    assert found == [], v.name
                     skipped.add(v.name)
         covered = {"very-cautious", "possibilist", "bilateral", "lateral-plus",
                    "rough-inclusion", "ultra-cautious", "g-simple"}
@@ -787,19 +796,17 @@ class TestAuditsMatchPairwiseReference:
             == failures
 
     def test_rows_not_built_by_basic_rough_order_are_scanned(self, u5, gran5):
-        # a proof holds for the rows it was made on: failing rows given
-        # with a proved order's quotient, or swapped into a copy of it, and
-        # the proved variant's space, still report their failures
+        # failing rows given with a transitive order's quotient, or swapped
+        # into a copy of it, and that variant's space, report their failures
         space = GranularOperatorSpace(u5, gran5, parthood=ph.ROUGH_INCLUSION)
         proved = basic_rough_order(rough_objects(space))
-        assert proved._transitive and proved.transitive_failures() == []
+        assert proved.transitive_failures() == []
         failing = (0b011, 0b110, 0b100) + proved.rows[3:]   # 0 -> 1 -> 2, not 0 -> 2
         want = [(i, j, k) for i, j, escape in ph._transitive_failures(failing)
                 for k in ph._bits(escape)]
         assert (0, 1, 2) in want
         for order in (gos_mod.BasicRoughOrder(proved.quotient, failing),
                       dataclasses.replace(proved, rows=failing)):
-            assert not order._transitive
             assert order.transitive_failures() == want
         with pytest.raises(TypeError):
             gos_mod.BasicRoughOrder(proved.quotient, failing, True)
