@@ -78,7 +78,7 @@ def _load_space(args: argparse.Namespace,
             universe, granulation = _context_from_json(doc)
             return gos_mod.GranularOperatorSpace(universe, granulation, parthood=parthood)
         table = _table_from_json(doc)
-    attrs = args.attrs.split(",") if args.attrs else table.attributes
+    attrs = table.attributes if args.attrs is None else args.attrs.split(",")
     granulation = indiscernibility_partition(table, attrs).granulation()
     return gos_mod.GranularOperatorSpace(table.objects, granulation, parthood=parthood)
 
@@ -250,10 +250,12 @@ def _cmd_inverse(args):
     universe = Universe(tuple(str(e) for e in _list_field(doc, "universe")))
     pairs = []
     for i, p in enumerate(_list_field(doc, "pairs")):
-        try:
-            pairs.append((universe.region(_list_field(p, "lower")),
-                          universe.region(_list_field(p, "upper"))))
-        except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(p, dict):
+            raise ParseError(f"pair {i}: must be an object with 'lower' and 'upper'")
+        try:   # ids are read as str, as the universe's are
+            pairs.append((universe.region(map(str, _list_field(p, "lower"))),
+                          universe.region(map(str, _list_field(p, "upper")))))
+        except (KeyError, ValueError) as exc:
             raise ParseError(f"pair {i}: {exc}") from None
     witness = gos_mod.rough_origin(pairs, universe)
     payload = {"realizable": witness is not None,

@@ -319,12 +319,14 @@ def _context_from_json(doc) -> tuple[Universe, Granulation]:
     universe = Universe(tuple(str(e) for e in _list_field(doc, "universe")))
     if ("granules" in doc) == ("partition" in doc):
         raise ParseError("context needs exactly one of 'granules' or 'partition'")
+    key = "granules" if "granules" in doc else "partition"
+    # member ids are read as str, as the universe's are
+    sets = [map(str, s) for s in _list_field(doc, key, nested=True)]
     try:
-        if "granules" in doc:
-            gran = Granulation.from_sets(universe, _list_field(doc, "granules", nested=True))
+        if key == "granules":
+            gran = Granulation.from_sets(universe, sets)
         else:
-            blocks = _list_field(doc, "partition", nested=True)
-            gran = IndiscernibilityRelation.from_sets(universe, blocks).granulation()
+            gran = IndiscernibilityRelation.from_sets(universe, sets).granulation()
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     return universe, gran

@@ -14,16 +14,14 @@ symmetric conflict relation:
                     covered or the markers run out.
 * ``fhca_count``  - full-history counting; hpca is coherent on every
                     symmetric, irreflexive conflict, so this is the hpca run
-                    relabelled.  Its permuted-order collection rounds are
-                    ``fhca_rounds``.
+                    relabelled.
 
-Every run is deterministic in (sequence, conflict), ``fhca_rounds`` also in
-its seed, and the trace records enough to replay each pass rule by rule.
+Every run is deterministic in (sequence, conflict), and the trace records
+enough to replay each pass rule by rule.
 
 Each procedure works on the conflict's bit rows over the sequence: bit j of
 row i is set when item i conflicts with item j.  A caller that already holds
-them passes ``rows=`` (every procedure but ``fhca_rounds``, which the command
-line does not run) and the conflict callback is never read, so it may be
+them passes ``rows=`` and the conflict callback is never read, so it may be
 ``None``; otherwise the rows are built from one call per ordered pair, n²
 calls in all.  Either way they are refused, with the first witness, unless
 irreflexive (hpc never reads the diagonal) and symmetric.
@@ -31,12 +29,10 @@ irreflexive (hpc never reads the diagonal) and symmetric.
 asking the callback lazily, is :func:`granum.oracles.verify_decomposition_by_calls`,
 the tests' reference.
 
-Every greedy pass (of hpca, fhca and ``fhca_rounds``) is one kernel that
-takes its order as the position masks of ascending runs that, scanned run
-after run, give the order: the sequence itself is one run, a rotation two,
-and a seeded permutation one run per position.  It visits only the pass's
-members, the lowest unblocked position of each run in turn, and slices the
-rejected items out of the order between them; its item-by-item form is
+Every greedy pass (of hpca and fhca) is one kernel that scans a rotation
+of the sequence, the sequence itself for pass 1.  It visits only the pass's
+members, the lowest unblocked position in turn, and slices the rejected
+items out of the order between them; its item-by-item form is
 :func:`granum.oracles.greedy_pass_by_scan`, the tests' reference.
 
 ``CountingTrace.json_text`` and ``AntichainDecomposition.json_text`` write
@@ -49,11 +45,10 @@ reference, byte for byte.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .core import DEFAULT_SEED, _json_list, _json_quote, _ReportTexts, _transpose
+from .core import _json_list, _json_quote, _ReportTexts, _transpose
 
 Item = Hashable
 ConflictFn = Callable[[Item, Item], bool]
@@ -85,10 +80,6 @@ class OrderArrangement:
                            self.sequence[position - 1:] + self.sequence[:position - 1])
         object.__setattr__(rotated, "origin", f"rotation({position})")
         return rotated
-
-    def permuted(self, indices: Sequence[int], origin: str) -> OrderArrangement:
-        seq = tuple(self.sequence[i] for i in indices)
-        return OrderArrangement(seq, origin)
 
 
 def arrangement(items: Iterable[Item]) -> OrderArrangement:
@@ -189,7 +180,7 @@ class CountingTrace:
     labels: dict[Item, list[tuple[int, CountLabel]]]   # item -> [(pass, label)]
     categories: list[Category]
     passes: list[PassRecord] = field(default_factory=list)
-    incomplete: bool = False
+    incomplete: bool = False   # no procedure sets it: every run covers its collection
 
     @property
     def collection(self) -> tuple:
@@ -331,7 +322,7 @@ class CountingTrace:
         for c in self.categories:
             lines.append(f"  C_{c.index} = {{{', '.join(str(m) for m in c.members)}}}")
         if self.incomplete:
-            lines.append("  (incomplete: budget exhausted before coverage)")
+            lines.append("  (incomplete: the categories do not cover the collection)")
         return "\n".join(lines)
 
 
@@ -582,22 +573,16 @@ def pca_count(seq: OrderArrangement, conflict: ConflictFn, *,
     return CountingTrace("pca", [seq], labels, categories, [rec])
 
 
-def _rotation_runs(start: int, n: int) -> tuple[int, int]:
-    """The ascending runs of the rotation that starts at 0-based ``start``:
-    positions ``start..n-1``, then ``0..start-1`` (empty when ``start`` is 0)."""
-    head = (1 << start) - 1
-    return ((1 << n) - 1) & ~head, head
-
-
-def _greedy_pass(order: OrderArrangement, runs: Sequence[int], items: Sequence[Item],
+def _greedy_pass(order: OrderArrangement, start: int, items: Sequence[Item],
                  rows: list[int], cat_index: int
                  ) -> tuple[int, tuple[tuple[Item, CountLabel], ...], tuple]:
     """One greedy scan of ``order``: a conflict-free category's position mask,
     its labelled members and the rejected items, both in scan order.
 
-    ``order`` is given as the position masks of its ascending runs: scanning
-    it is scanning each run in ascending position (of ``items``, the rows'
-    order), run after run.  An item is taken unless it conflicts with an
+    ``order`` is the rotation of ``items`` (the rows' order) that starts at
+    0-based position ``start``, ``items`` itself at 0: scanning it is
+    scanning two ascending runs of positions, ``start..n-1`` and then
+    ``0..start-1``.  An item is taken unless it conflicts with an
     earlier member; the rows are symmetric, so that is unless it lies in
     ``blocked``, the union of the members' rows.  So the next member of a
     run is the lowest position of ``run & ~blocked`` above the last member,
@@ -605,23 +590,24 @@ def _greedy_pass(order: OrderArrangement, runs: Sequence[int], items: Sequence[I
     between two members' ranks in ``order`` are the rejected ones.
     """
     seq = order.sequence
+    n = len(seq)
+    head = (1 << start) - 1
     taken = blocked = 0
     assigned: list[tuple[Item, CountLabel]] = []
     rejected: list[Item] = []
-    offset = done = 0   # rank of the run's first item; of the first item not yet placed
-    for run in runs:
+    done = 0   # rank of the first item not yet placed
+    for run in (((1 << n) - 1) & ~head, head):
         free = run & ~blocked
         while free:
             low = free & -free
             p = low.bit_length() - 1
-            rank = offset + (run & (low - 1)).bit_count()
+            rank = (p - start) % n
             rejected += seq[done:rank]
             done = rank + 1
             taken |= low
             blocked |= rows[p]
             assigned.append((items[p], count_label(len(assigned) + 1, cat_index)))
             free &= ~(blocked | low)
-        offset += run.bit_count()
     rejected += seq[done:]
     return taken, tuple(assigned), tuple(rejected)
 
@@ -674,7 +660,7 @@ def _hpca_trace(seq: OrderArrangement, rows: list[int], algorithm: str) -> Count
     index = {x: i for i, x in enumerate(items)}
     full = (1 << n) - 1
 
-    covered, assigned, markers = _greedy_pass(seq, (full,), items, rows, 1)
+    covered, assigned, markers = _greedy_pass(seq, 0, items, rows, 1)
     labels: dict[Item, list[tuple[int, CountLabel]]] = {x: [] for x in items}
     for x, lab in assigned:
         labels[x].append((1, lab))
@@ -691,8 +677,7 @@ def _hpca_trace(seq: OrderArrangement, rows: list[int], algorithm: str) -> Count
             break
         order = seq.rotate(index[start] + 1)
         cat_index = len(retained) + 1
-        taken, assigned, rejected = _greedy_pass(order, _rotation_runs(index[start], n),
-                                                 items, rows, cat_index)
+        taken, assigned, rejected = _greedy_pass(order, index[start], items, rows, cat_index)
         if taken in seen:
             passes.append(PassRecord(pass_no, order, start, assigned, rejected,
                                      None, retained=False))
@@ -772,66 +757,10 @@ def fhca_count(seq: OrderArrangement, conflict: ConflictFn, *,
     by the coherence theorem in :func:`hpca_count`'s docstring every run is,
     so fhca equals hpca relabelled (same labels and categories) and takes no
     budget.  Unlike :func:`hpca_count` it does not verify its run; callers
-    that want the verdict call :func:`verify_decomposition`.  The
-    permuted-order collection rounds are :func:`fhca_rounds`.  With
+    that want the verdict call :func:`verify_decomposition`.  With
     ``rows=`` given, ``conflict`` is not read and may be ``None``.
     """
     items = _require_items(seq)
     trace = _hpca_trace(seq, _conflict_masks(items, conflict, rows=rows), "fhca")
     return trace, [c.members for c in trace.categories]
 
-
-def fhca_rounds(seq: OrderArrangement, conflict: ConflictFn,
-                strategy: str = "rotation", budget: int | None = None,
-                seed: int = DEFAULT_SEED) -> tuple[CountingTrace, list[tuple]]:
-    """Collect first-pass maximal antichains under permuted orders until covered.
-
-    Each round takes the first-pass maximal antichain of the current order
-    and then permutes; the default strategy rotates the least-index uncovered
-    element to the front, which covers at least one new element per round.
-    Any other strategy takes a seeded random permutation, which the greedy
-    pass scans as one run per position.  No command runs this procedure:
-    ``count --algo fhca`` is :func:`fhca_count`.
-    """
-    items = _require_items(seq)
-    rows = _conflict_masks(items, conflict)
-    n = len(items)
-    if budget is None:
-        budget = n
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-
-    full = (1 << n) - 1
-    labels: dict[Item, list[tuple[int, CountLabel]]] = {x: [] for x in items}
-    passes: list[PassRecord] = []
-    orders: list[OrderArrangement] = []
-    collected: list[Category] = []
-    covered = 0
-    rng = random.Random(seed)
-
-    order, runs = seq, (full,)
-    used = 0
-    while True:
-        idx = len(collected) + 1
-        taken, assigned, rejected = _greedy_pass(order, runs, items, rows, idx)
-        collected.append(Category(idx, tuple(x for x, _ in assigned)))
-        covered |= taken
-        for x, lab in assigned:
-            labels[x].append((idx, lab))
-        passes.append(PassRecord(idx, order, order.sequence[0], assigned, rejected, idx))
-        orders.append(order)
-        if covered == full or used >= budget:
-            break
-        used += 1
-        if strategy == "rotation":   # the least uncovered position goes first
-            start = ((covered + 1) & ~covered).bit_length() - 1
-            order, runs = seq.rotate(start + 1), _rotation_runs(start, n)
-        else:
-            perm = list(range(n))
-            rng.shuffle(perm)
-            order = seq.permuted(perm, f"permutation(seed={seed},round={used})")
-            runs = [1 << p for p in perm]
-
-    trace = CountingTrace("fhca", orders, labels, collected, passes,
-                          incomplete=covered != full)
-    return trace, [c.members for c in collected]

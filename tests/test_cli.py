@@ -462,6 +462,27 @@ class TestErrorsAndDeterminism:
         assert (run_cli(argv + ["--output", output]), capsys.readouterr().err) == plain
         assert plain[0][0] == 0 and plain[1] == ""
 
+    @pytest.mark.parametrize("argv,doc", [
+        (["approx", "--region", "1", "--region", "1,3", "--knowledge"],
+         {"universe": [1, 2, 3], "granules": [[1, 2], [3]]}),
+        (["count", "--algo", "hpca"], {"universe": [1, 2, 3, 4], "partition": [[1, 2], [3, 4]]}),
+        (["inverse", "--strict"], {"universe": [1, 2, 3],
+                                   "pairs": [{"lower": [], "upper": [1, 2]},
+                                             {"lower": [3], "upper": [1, 2, 3]}]}),
+    ], ids=["granules", "partition", "pairs"])
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_numeric_ids_read_as_their_strings(self, tmp_path, capsys, argv, doc, output):
+        # the universe's ids are read as str, and so are the members
+        results = []
+        for name, ids in (("numeric.json", doc),
+                          ("strings.json", json.loads(json.dumps(doc), parse_int=str))):
+            path = tmp_path / name
+            path.write_text(json.dumps(ids), encoding="utf-8")
+            results.append((run_cli(argv + ["--input", str(path), "--output", output]),
+                            capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0][0] == 0 and results[0][1] == ""
+
     def test_parse_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,c\n1,x\n1,y\n", encoding="utf-8")
@@ -542,6 +563,13 @@ class TestErrorsAndDeterminism:
          "row 1: missing object id"),
         (["oracle", "--op", "antichain-cover", "--items", "rough-objects", "--input",
           str(FIXTURES / "table_cap14.csv")], None, "n=1944 > 200"),
+        # An empty subset names no attribute, not every attribute.
+        (["approx", "--region", "1", "--attrs", "", "--input", TABLE], None,
+         "unknown attribute ''"),
+        (["inverse"], {"universe": ["a"], "pairs": [["a"]]},
+         "pair 0: must be an object with 'lower' and 'upper'"),
+        (["inverse"], {"universe": ["a"], "pairs": ["ab"]},
+         "pair 0: must be an object with 'lower' and 'upper'"),
     ])
     def test_refusals_print_one_error_line(self, tmp_path, capsys, argv, text, says):
         if text is not None:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from granum import counting as C
 from granum.core import _json_text
-from granum.counting import arrangement, fhca_rounds
+from granum.counting import arrangement
 from granum.oracles import (enumerate_maximal_antichains, greedy_pass_by_scan,
                             minimum_antichain_cover, verify_decomposition_by_calls)
 
@@ -334,27 +334,17 @@ def random_rows(rng, n, density):
     return rows
 
 
-def run_positions(runs):
-    """The positions of ``runs`` in scan order: each run ascending, run after run."""
-    return [p for run in runs for p in range(run.bit_length()) if run >> p & 1]
-
-
 class TestGreedyPass:
-    """The run-mask pass equals :func:`greedy_pass_by_scan`, the item-by-item
+    """The mask pass equals :func:`greedy_pass_by_scan`, the item-by-item
     scan, in taken mask, labelled members and rejected items."""
 
     @staticmethod
-    def orders(rng, seq, permutations):
-        """The identity order, every rotation and seeded permutations of
-        ``seq``, each with its runs: a permutation is one run per position,
-        as ``fhca_rounds`` passes it."""
-        n = len(seq.sequence)
-        yield seq, ((1 << n) - 1,)
-        for start in range(n):
-            yield seq.rotate(start + 1), C._rotation_runs(start, n)
-        for k in range(permutations):
-            perm = rng.sample(range(n), n)
-            yield seq.permuted(perm, f"permutation({k})"), [1 << p for p in perm]
+    def orders(seq):
+        """The identity order and every rotation of ``seq``, each with its
+        0-based start."""
+        yield seq, 0
+        for start in range(len(seq.sequence)):
+            yield seq.rotate(start + 1), start
 
     def test_matches_the_scan_on_random_rows(self):
         rng = random.Random("greedy-pass")
@@ -365,30 +355,21 @@ class TestGreedyPass:
             items = tuple(rng.sample(range(1000), n))
             rows = random_rows(rng, n, density)
             seq = arrangement(items)
-            for order, runs in self.orders(rng, seq, 5):
+            for order, start in self.orders(seq):
                 cat_index = rng.randint(1, 9)
-                assert C._greedy_pass(order, runs, items, rows, cat_index) == \
+                assert C._greedy_pass(order, start, items, rows, cat_index) == \
                     greedy_pass_by_scan(order, items, rows, cat_index), (items, rows, order)
                 cases += 1
         assert cases > 6000
 
-    @given(arranged_conflict_graphs(max_items=9), st.randoms(use_true_random=False))
+    @given(arranged_conflict_graphs(max_items=9))
     @settings(max_examples=150, deadline=None)
-    def test_matches_the_scan_on_drawn_graphs(self, drawn, rng):
+    def test_matches_the_scan_on_drawn_graphs(self, drawn):
         items, conflict = drawn
         rows = rows_of(items, conflict)
-        for order, runs in self.orders(rng, arrangement(items), 3):
-            assert C._greedy_pass(order, runs, items, rows, 1) == \
+        for order, start in self.orders(arrangement(items)):
+            assert C._greedy_pass(order, start, items, rows, 1) == \
                 greedy_pass_by_scan(order, items, rows, 1)
-
-    def test_runs_scan_their_order(self):
-        rng = random.Random("greedy-runs")
-        for n in range(1, 30):
-            index = {x: i for i, x in enumerate(range(n))}
-            for order, runs in self.orders(rng, arrangement(range(n)), 5):
-                assert run_positions(runs) == [index[x] for x in order.sequence]
-        assert C._rotation_runs(0, 4) == (0b1111, 0)
-        assert C._rotation_runs(3, 4) == (0b1000, 0b0111)
 
 
 class TestCoherence:
@@ -490,35 +471,6 @@ class TestFhca:
         assert antichains == [("x",)]
         assert not trace.incomplete
 
-    def test_rounds_cover_within_n_rotations(self, poset_corpus):
-        for name, (items, _, conflict) in poset_corpus[:80]:
-            trace, antichains = fhca_rounds(arrangement(items), conflict)
-            assert not trace.incomplete, name
-            assert set().union(*(set(a) for a in antichains)) == set(items), name
-            assert len(antichains) <= len(items) + 1, name
-
-    def test_rounds_labels_per_antichain(self, vee_poset):
-        items, _, conflict = vee_poset
-        trace, antichains = fhca_rounds(arrangement(items), conflict)
-        for i, members in enumerate(antichains, start=1):
-            for k, m in enumerate(members, start=1):
-                assert (i, C.count_label(k, i)) in trace.labels[m]
-
-    def test_budget_exhaustion_flagged(self, vee_poset):
-        items, _, conflict = vee_poset
-
-        trace, _ = fhca_rounds(arrangement(items), conflict, budget=1,
-                               strategy="random", seed=4)
-        # random fallback may or may not cover in one round; flag must agree
-        union = set().union(*(set(c.members) for c in trace.categories))
-        assert trace.incomplete == (union != set(items))
-
-    def test_rounds_strategy_random_still_covers_eventually(self, vee_poset):
-        items, _, conflict = vee_poset
-        trace, _ = fhca_rounds(arrangement(items), conflict, budget=50,
-                               strategy="random", seed=4)
-        assert not trace.incomplete
-
 
 def counted(conflict):
     """The conflict wrapped to log every call, and the log."""
@@ -552,12 +504,10 @@ class TestConflictCalls:
                                                                                    **kw)}
 
     def test_each_ordered_pair_asked_once(self, poset_corpus):
-        rounds = {"fhca_rounds": fhca_rounds,
-                  "fhca_rounds-random": lambda seq, cf: fhca_rounds(seq, cf, strategy="random")}
         for name, (items, _, conflict) in poset_corpus[:60]:
             seq = arrangement(items)
             pairs = sorted(itertools.product(items, repeat=2))
-            for proc, run in {**self.runs(seq, conflict), **rounds}.items():
+            for proc, run in self.runs(seq, conflict).items():
                 cf, calls = counted(conflict)
                 run(seq, cf)
                 assert sorted(calls) == pairs, (proc, name)
@@ -623,13 +573,35 @@ ESCAPED_ITEMS = ['say "hi"', "back\\slash", "nul\x00", "tab\t\x1f", "\x7f", "é"
                  "\U0001f600", "{a,b}", "", " "]
 
 
+def permuted_trace(items, rows, seed, rounds, incomplete):
+    """A trace built by hand: pass 1 scans ``items``, each of the next
+    ``rounds - 1`` passes a seeded permutation of them, each pass greedy on
+    ``rows`` and kept.  No procedure scans such an order or leaves a run
+    incomplete, but a :class:`CountingTrace` may hold both, and its writers
+    must still match ``to_dict``."""
+    rng = random.Random(seed)
+    n = len(items)
+    orders = [arrangement(items)] + [
+        C.OrderArrangement(tuple(items[p] for p in rng.sample(range(n), n)), f"permutation({k})")
+        for k in range(1, rounds)]
+    labels = {x: [] for x in items}
+    categories, passes = [], []
+    for number, order in enumerate(orders, start=1):
+        _, assigned, rejected = greedy_pass_by_scan(order, items, rows, number)
+        categories.append(C.Category(number, tuple(x for x, _ in assigned)))
+        for x, lab in assigned:
+            labels[x].append((number, lab))
+        passes.append(C.PassRecord(number, order, order.sequence[0], assigned, rejected, number))
+    return C.CountingTrace("fhca", orders, labels, categories, passes, incomplete=incomplete)
+
+
 @st.composite
 def json_runs(draw):
     """A counting run on 1..7 items (strings that need escapes, ints, or
     both, ``1`` beside ``"1"`` included, which the writers refuse) with
-    random symmetric rows: one of
-    the four procedures or ``fhca_rounds`` by rotation or seeded permutation,
-    under a budget that may leave it incomplete."""
+    random symmetric rows: one of the four procedures, or a trace built by
+    hand over seeded permutations (:func:`permuted_trace`) that may be
+    flagged incomplete."""
     items = draw(st.lists(st.sampled_from(ESCAPED_ITEMS) | st.text(max_size=3)
                           | st.integers(-3, 12), min_size=1, max_size=7, unique=True))
     n = len(items)
@@ -641,12 +613,11 @@ def json_runs(draw):
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     seq = arrangement(items)
-    procedure = draw(st.sampled_from(["hpc", "pca", "hpca", "fhca", "rotation", "permutation"]))
-    if procedure in ("rotation", "permutation"):
-        index = {x: i for i, x in enumerate(items)}
-        return fhca_rounds(seq, lambda a, b: bool(rows[index[a]] >> index[b] & 1),
-                           strategy=procedure, budget=draw(st.integers(1, n)),
-                           seed=draw(st.integers(0, 9)))[0]
+    procedure = draw(st.sampled_from(["hpc", "pca", "hpca", "fhca", "permutation"]))
+    if procedure == "permutation":
+        return permuted_trace(items, rows, seed=draw(st.integers(0, 9)),
+                              rounds=draw(st.integers(1, n + 1)),
+                              incomplete=draw(st.booleans()))
     run = {"hpc": C.hpc_count, "pca": C.pca_count, "hpca": C.hpca_count,
            "fhca": C.fhca_count}[procedure](seq, None, rows=rows)
     return run[0] if isinstance(run, tuple) else run
@@ -688,14 +659,13 @@ class TestJsonText:
         assert '"category": null' in text and '"retained": false' in text
 
     def test_incomplete_run(self):
-        # a 3-chain needs three rounds; a budget of 1 stops after two
-        for strategy in ("rotation", "permutation"):
-            trace, _ = fhca_rounds(arrangement(["x", "y", 3]), lambda a, b: a != b,
-                                   strategy=strategy, budget=1, seed=2)
-            assert trace.incomplete and len(trace.passes) == 2
-            text = _json_text({"trace": trace})
-            assert text == stdlib_text(trace)
-            assert '"incomplete": true' in text
+        # a 3-chain needs three passes; a trace of two is flagged incomplete
+        trace = permuted_trace(["x", "y", 3], [0b110, 0b101, 0b011], seed=2, rounds=2,
+                               incomplete=True)
+        assert len(trace.passes) == 2 and len(trace.categories) == 2
+        text = _json_text({"trace": trace})
+        assert text == stdlib_text(trace)
+        assert '"incomplete": true' in text
 
     def test_orders_of_every_pass(self):
         # each pass writes its own rotation, not another pass's order
@@ -924,14 +894,13 @@ class TestReportText:
                 assert _json_text(payload) == reference_text(payload)
 
     def test_permuted_orders_are_joined(self):
-        # fhca_rounds' permutations are not rotations; their texts are joined
-        n = len(ITEMS20)
-        rows = partner_rows(n, PARTNERS)
-        index = {x: i for i, x in enumerate(ITEMS20)}
-        trace, antichains = fhca_rounds(
-            arrangement(ITEMS20), lambda a, b: bool(rows[index[a]] >> index[b] & 1),
-            strategy="permutation", seed=3)
-        assert len(trace.passes) > 2
+        # an order that is not a rotation is joined item by item
+        rows = partner_rows(len(ITEMS20), PARTNERS)
+        trace = permuted_trace(ITEMS20, rows, seed=3, rounds=6, incomplete=False)
+        items = tuple(ITEMS20)
+        rotations = {items[s:] + items[:s] for s in range(len(items))}
+        assert not any(o.sequence in rotations for o in trace.orders[1:])
+        antichains = [c.members for c in trace.categories]
         payload = count_payload("fhca", trace, C.verify_decomposition(trace, None, rows=rows),
                                 antichains)
         assert _json_text(payload) == reference_text(payload)

@@ -1,8 +1,8 @@
 """Counting replay: every procedure's trace, pinned on posets and random graphs.
 
 ``fixtures/counting_traces.json.gz`` holds, for each case, the JSON export (or
-the error message) of ``hpc_count``, ``pca_count``, ``hpca_count``,
-``fhca_count`` and ``fhca_rounds`` under both strategies.  The cases are the
+the error message) of ``hpc_count``, ``pca_count``, ``hpca_count`` and
+``fhca_count``.  The cases are the
 poset corpus and 50 seeded random relations, some of them reflexive or
 asymmetric, so the refusal messages and their witnesses are pinned too.
 
@@ -82,9 +82,6 @@ PROCEDURES = {
     "pca": lambda seq, cf: C.pca_count(seq, cf).to_dict(),
     "hpca": _hpca,
     "fhca": lambda seq, cf: _with_antichains(C.fhca_count(seq, cf)),
-    "fhca_rounds-rotation": lambda seq, cf: _with_antichains(C.fhca_rounds(seq, cf)),
-    "fhca_rounds-random": lambda seq, cf: _with_antichains(
-        C.fhca_rounds(seq, cf, strategy="random", seed=4)),
 }
 
 
@@ -105,6 +102,8 @@ CASES = {name: (items, conflict) for name, items, conflict in cases()}
 
 def test_recording_covers_every_case():
     assert sorted(_recorded()) == sorted(CASES)
+    for name, case in _recorded().items():
+        assert sorted(case) == sorted(PROCEDURES), name
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
