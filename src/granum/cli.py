@@ -22,8 +22,8 @@ from pathlib import Path
 
 from . import counting, gos as gos_mod, oracles, parthood as pH
 from .core import (DEFAULT_SEED, ParseError, Region, Universe, _context_from_json,
-                   _decode_json, _json_text, _list_field, _table_from_json, _transpose,
-                   indiscernibility_partition, parse_information_table)
+                   _decode_json, _ids, _json_text, _list_field, _table_from_json,
+                   _transpose, indiscernibility_partition, parse_information_table)
 
 ENV_SEED = "GRANUM_SEED"
 
@@ -247,14 +247,14 @@ def _cmd_inverse(args):
         raise ParseError(f"cannot read pairs file: {exc}") from None
     if not isinstance(doc, dict) or "universe" not in doc or "pairs" not in doc:
         raise ParseError("pairs file must contain 'universe' and 'pairs'")
-    universe = Universe(tuple(str(e) for e in _list_field(doc, "universe")))
+    universe = Universe(tuple(_ids(_list_field(doc, "universe"), "the universe")))
     pairs = []
     for i, p in enumerate(_list_field(doc, "pairs")):
         if not isinstance(p, dict):
             raise ParseError(f"pair {i}: must be an object with 'lower' and 'upper'")
-        try:   # ids are read as str, as the universe's are
-            pairs.append((universe.region(map(str, _list_field(p, "lower"))),
-                          universe.region(map(str, _list_field(p, "upper")))))
+        try:
+            pairs.append((universe.region(_ids(_list_field(p, "lower"), "'lower'")),
+                          universe.region(_ids(_list_field(p, "upper"), "'upper'"))))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"pair {i}: {exc}") from None
     witness = gos_mod.rough_origin(pairs, universe)

@@ -60,6 +60,11 @@ class Universe:
             raise ValueError(f"unknown element {element!r}") from None
 
     def region(self, members: Iterable[str] = ()) -> Region:
+        """The region of ``members``, each an element of this universe.
+
+        Its mask is a union of element positions, so it is in range: the
+        region is built without the constructor's range check.
+        """
         positions = self._positions
         bits = 0
         for m in members:
@@ -67,7 +72,10 @@ class Universe:
                 bits |= 1 << positions[m]
             except (KeyError, TypeError):   # as in index
                 raise ValueError(f"unknown element {m!r}") from None
-        return Region(self, bits)
+        region = object.__new__(Region)
+        object.__setattr__(region, "universe", self)
+        object.__setattr__(region, "bits", bits)
+        return region
 
     def region_from_bits(self, bits: int) -> Region:
         return Region(self, bits)
@@ -316,20 +324,39 @@ def _context_from_json(doc) -> tuple[Universe, Granulation]:
     """The universe and granulation of a decoded JSON context document."""
     if not isinstance(doc, dict) or "universe" not in doc:
         raise ParseError("context must be an object with a 'universe' key")
-    universe = Universe(tuple(str(e) for e in _list_field(doc, "universe")))
+    universe = Universe(tuple(_ids(_list_field(doc, "universe"), "the universe")))
     if ("granules" in doc) == ("partition" in doc):
         raise ParseError("context needs exactly one of 'granules' or 'partition'")
     key = "granules" if "granules" in doc else "partition"
-    # member ids are read as str, as the universe's are
-    sets = [map(str, s) for s in _list_field(doc, key, nested=True)]
+    sets = _list_field(doc, key, nested=True)
     try:
+        try:   # string ids, nearly all of them, are looked up as they are
+            regions = tuple(map(universe.region, sets))
+        except ValueError:   # an unknown id, or one that is not a string
+            where = "granule" if key == "granules" else "partition block"
+            regions = tuple(universe.region(_ids(s, f"{where} {i}"))
+                            for i, s in enumerate(sets))
         if key == "granules":
-            gran = Granulation.from_sets(universe, sets)
+            gran = Granulation(universe, regions)
         else:
-            gran = IndiscernibilityRelation.from_sets(universe, sets).granulation()
+            gran = IndiscernibilityRelation(universe, regions).granulation()
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     return universe, gran
+
+
+def _ids(values: list, where: str) -> list[str]:
+    """JSON element ids as strings: a string as it is, an integer as its
+    decimal text.  Any other value (null, true, 1e2, a list, an object) is
+    refused with a :class:`ParseError` naming it and ``where`` it sits."""
+    return [v if type(v) is str else _id_text(v, where) for v in values]
+
+
+def _id_text(value, where: str) -> str:
+    """The text of an id that is not a string, as :func:`_ids` reads it."""
+    if type(value) is int:
+        return str(value)
+    raise ParseError(f"id {json.dumps(value)} in {where} is not a string or an integer")
 
 
 def _decode_json(text: str):

@@ -17,7 +17,10 @@ symmetric conflict relation:
                     relabelled.
 
 Every run is deterministic in (sequence, conflict), and the trace records
-enough to replay each pass rule by rule.
+enough to replay each pass rule by rule.  Labels are shared immutable
+values: ``count_label``, ``deferred_label`` and ``successor_label`` hand
+out one instance per argument tuple from a bounded cache, so the runs of
+one process build each label once.
 
 Each procedure works on the conflict's bit rows over the sequence: bit j of
 row i is set when item i conflicts with item j.  A caller that already holds
@@ -33,7 +36,10 @@ Every greedy pass (of hpca and fhca) is one kernel that scans a rotation
 of the sequence, the sequence itself for pass 1.  It visits only the pass's
 members, the lowest unblocked position in turn, and slices the rejected
 items out of the order between them; its item-by-item form is
-:func:`granum.oracles.greedy_pass_by_scan`, the tests' reference.
+:func:`granum.oracles.greedy_pass_by_scan`, the tests' reference.  Each
+rotation records the sequence it rotated and its start, and the trace's
+writer takes the order's text from that record, without rebuilding the
+rotation to compare it.
 
 ``CountingTrace.json_text`` and ``AntichainDecomposition.json_text`` write
 their JSON straight from the run, without building the dict tree of
@@ -45,6 +51,7 @@ reference, byte for byte.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -71,14 +78,21 @@ class OrderArrangement:
         """Rotation starting at 1-based ``position`` of this arrangement.
 
         A rotation of a duplicate-free sequence has no duplicates, so it is
-        built without the constructor's check, a set of all n items.
+        built without the constructor's check, a set of all n items.  It
+        keeps ``_rotation`` = (this sequence, 0-based start, the tuple
+        built), outside the fields: ``CountingTrace.json_text`` writes the
+        order as two slices of the collection's text when that record still
+        describes its ``sequence``.
         """
         if not 1 <= position <= len(self.sequence):
             raise ValueError(f"rotation position {position} out of range")
+        base = self.sequence
+        start = position - 1
         rotated = object.__new__(OrderArrangement)
-        object.__setattr__(rotated, "sequence",
-                           self.sequence[position - 1:] + self.sequence[:position - 1])
+        built = base[start:] + base[:start]
+        object.__setattr__(rotated, "sequence", built)
         object.__setattr__(rotated, "origin", f"rotation({position})")
+        object.__setattr__(rotated, "_rotation", (base, start, built))
         return rotated
 
 
@@ -125,14 +139,22 @@ class CountLabel:
         return out
 
 
+# The label constructors hand out shared instances: a label is frozen, and a
+# run builds one per assignment, mostly the same few (1_1, 2_1, ...) run after
+# run.  ``typed=True`` keeps ``True`` and ``1`` apart, so ``count_label(1, 1)``
+# never gets the label built for ``count_label(True, 1)``.  A refused label
+# raises on every call: the cache stores no exception.
+@functools.lru_cache(maxsize=4096, typed=True)
 def count_label(count: int, type_index: int) -> CountLabel:
     return CountLabel("count", type_index, count=count)
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def deferred_label(type_index: int) -> CountLabel:
     return CountLabel("deferred", type_index)
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def successor_label(power: int, type_index: int) -> CountLabel:
     return CountLabel("successor", type_index, power=power)
 
@@ -215,12 +237,15 @@ class CountingTrace:
         Every order sits at the same depth, so the canonical order's item
         texts are joined once, and each item's offset into that text is
         kept.  An order that is a rotation of the canonical one is two
-        slices of it.  A pass's ``rejected`` list is its order minus its
-        members, in scan order, so a pass that takes only its order's first
-        item rejects the rest of the order: when ``rejected`` equals the
-        order minus its first item, its text is one slice of the order's
-        text.  Any other order or ``rejected`` list is joined item by item.
-        (Slicing out the gaps between several members costs about a
+        slices of it.  A rotation that :meth:`OrderArrangement.rotate` built
+        from the collection carries its start in its record; any other
+        order is a rotation when it equals the collection rotated to its
+        first item, compared item by item.  A pass's ``rejected`` list is
+        its order minus its members, in scan order, so a pass that takes
+        only its order's first item rejects the rest of the order: when
+        ``rejected`` equals the order minus its first item, its text is one
+        slice of the order's text.  Any other order or ``rejected`` list is
+        joined item by item.  (Slicing out the gaps between several members costs about a
         microsecond per member, and it lost to the join on every such pass
         of the count benchmark, 6 to 39 members: see BENCH_21.json.)  Each
         category's member list is written once per table and depth; each
@@ -242,31 +267,36 @@ class CountingTrace:
         index: dict = {}       # item -> its position in the collection
         at: list[int] = []     # position -> offset of its text in body
 
-        def offsets() -> None:
-            """Fill ``index`` and ``at`` on first need: single-pass runs never need them."""
-            if not at:
+        def start(order: OrderArrangement) -> int | None:
+            """The 0-based start of ``order`` as a rotation of the collection,
+            or ``None`` when it is not one."""
+            seq = order.sequence
+            record = getattr(order, "_rotation", None)
+            if record is not None and record[0] is collection and record[2] is seq:
+                return record[1]
+            if not index:
                 index.update(zip(collection, range(n)))
-                end = 0
-                for item_text in item_texts:
-                    at.append(end)
-                    end += len(item_text) + lsep
+            s = index.get(seq[0]) if seq else None
+            return s if s is not None and seq == collection[s:] + collection[:s] else None
 
         def arranged(order: OrderArrangement) -> str:
             """The list text of ``order`` at depth 4."""
             got = orders.get(id(order))
             if got is None:
                 seq = order.sequence
-                if seq is collection:
+                s = 0 if seq is collection else start(order)
+                if s is None:
+                    got = _json_list(map(text.__getitem__, seq), i4)
+                elif s == 0:
                     got = "".join(("[", i4, body, i3, "]")) if seq else "[]"
                 else:
-                    offsets()
-                    s = index.get(seq[0]) if seq else None
-                    if s is not None and seq == collection[s:] + collection[:s]:
-                        head = at[s]
-                        got = "".join(("[", i4, body[head:], sep, body[:head - lsep], i3, "]")
-                                      if head else ("[", i4, body, i3, "]"))
-                    else:
-                        got = _json_list(map(text.__getitem__, seq), i4)
+                    if not at:   # on first need: single-pass runs never need them
+                        end = 0
+                        for item_text in item_texts:
+                            at.append(end)
+                            end += len(item_text) + lsep
+                    head = at[s]
+                    got = "".join(("[", i4, body[head:], sep, body[:head - lsep], i3, "]"))
                 orders[id(order)] = got
             return got
 

@@ -570,6 +570,16 @@ class TestErrorsAndDeterminism:
          "pair 0: must be an object with 'lower' and 'upper'"),
         (["inverse"], {"universe": ["a"], "pairs": ["ab"]},
          "pair 0: must be an object with 'lower' and 'upper'"),
+        # An id is a string or an integer; null, true and 1e2 are not read as
+        # 'None', 'True' and '100.0'.
+        (["approx", "--region", "a"], '{"universe": ["a", "None"], "granules": [[null], ["a"]]}',
+         "id null in granule 0 is not a string or an integer"),
+        (["approx", "--region", "a"], '{"universe": ["a", true], "granules": [["a"]]}',
+         "id true in the universe is not a string or an integer"),
+        (["inverse"], '{"universe": ["a", "100.0"], "pairs": [{"lower": [], "upper": [1e2]}]}',
+         "pair 0: id 100.0 in 'upper' is not a string or an integer"),
+        (["approx", "--region", "a"], '{"universe": ["a", "b"], "partition": [["a"], ["b", [1]]]}',
+         "id [1] in partition block 1 is not a string or an integer"),
     ])
     def test_refusals_print_one_error_line(self, tmp_path, capsys, argv, text, says):
         if text is not None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from granum import (Granulation, ParseError, Universe,
+from granum import (Granulation, ParseError, Region, Universe,
                     indiscernibility_partition, lower_approx,
                     parse_context, parse_information_table, rough_equality,
                     rough_inclusion, upper_approx)
@@ -205,6 +205,18 @@ class TestRegionAlgebra:
         for bad in ("9", 1, ["1"]):
             with pytest.raises(ValueError, match="unknown element"):
                 u5.index(bad)
+
+    def test_region_equals_checked_region(self):
+        # Universe.region builds its region without the range check
+        u = Universe(("a", "b", "c", "d"))
+        for bits in range(16):
+            members = [e for i, e in enumerate(u.elements) if bits >> i & 1]
+            region = u.region(reversed(members))
+            assert region == Region(u, bits) and hash(region) == hash(Region(u, bits))
+            assert type(region) is Region and region.universe is u
+        for bad, says in (("z", "'z'"), (1, "1"), (None, "None"), (["a"], r"\['a'\]")):
+            with pytest.raises(ValueError, match=f"^unknown element {says}$"):
+                u.region(["a", bad])
 
     def test_sparse_region_iterates_in_universe_order(self):
         u = Universe(tuple(f"e{i}" for i in range(4000)))

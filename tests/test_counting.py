@@ -1,5 +1,6 @@
 """Counting procedures: label traces, categories, the coherence theorem, verification."""
 
+import copy
 import dataclasses
 import itertools
 import json
@@ -58,12 +59,58 @@ class TestLabels:
         assert C.successor_label(3, 1).render() == "s^3(1_1)"
 
     def test_invalid_labels_rejected(self):
-        with pytest.raises(ValueError):
-            C.count_label(0, 1)
-        with pytest.raises(ValueError):
-            C.deferred_label(0)
+        for _ in range(2):   # the label caches store no exception
+            with pytest.raises(ValueError):
+                C.count_label(0, 1)
+            with pytest.raises(ValueError):
+                C.deferred_label(0)
+            with pytest.raises(ValueError):
+                C.successor_label(-1, 1)
         with pytest.raises(ValueError):
             C.CountLabel("bogus", 1)
+
+    def test_equal_arguments_share_one_label(self):
+        assert C.count_label(3, 1) is C.count_label(3, 1)
+        assert C.deferred_label(2) is C.deferred_label(2)
+        assert C.successor_label(2, 4) is C.successor_label(2, 4)
+        assert C.count_label(3, 1) == C.CountLabel("count", 1, count=3)
+
+    def test_bool_and_int_arguments_keep_their_own_labels(self):
+        # True == 1 with one hash: an untyped cache would hand True's label to 1
+        assert C.count_label(True, 1).render() == "True_1"
+        assert C.count_label(1, 1).render() == "1_1"
+        assert C.count_label(1, True).render() == "1_True"
+        assert C.count_label(1, 1).render() == "1_1"
+        assert C.deferred_label(True).render() == "T_True"
+        assert C.deferred_label(1).render() == "T_1"
+        assert C.successor_label(True, 1).render() == "s(1_1)"
+        assert type(C.successor_label(1, 1).power) is int
+
+    def test_label_caches_are_bounded(self):
+        for make, args in ((C.count_label, lambda k: (k, 1)), (C.deferred_label, lambda k: (k,)),
+                           (C.successor_label, lambda k: (k, 1))):
+            assert make.cache_info().maxsize == 4096
+            for k in range(1, 4200):
+                make(*args(k))
+            assert make.cache_info().currsize == 4096
+
+    def test_trace_written_after_other_runs(self):
+        # runs of every procedure fill the caches first; the labels they share
+        # with the last run write the bytes of json.dumps on to_dict()
+        rng = random.Random(11)
+        C.count_label(True, 1)
+        for n in (5, 20, 40):
+            items = [f"x{i}" for i in range(n)]
+            rows = [0] * n
+            for i, j in itertools.combinations(range(n), 2):
+                if rng.random() < 0.7:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+            seq = arrangement(items)
+            for run in (C.hpc_count(seq, None, rows=rows), C.pca_count(seq, None, rows=rows),
+                        C.hpca_count(seq, None, rows=rows)[0],
+                        C.fhca_count(seq, None, rows=rows)[0]):
+                assert run.json_text() == json.dumps(run.to_dict(), sort_keys=True, indent=2)
 
 
 class TestHpc:
@@ -697,6 +744,36 @@ class TestJsonText:
         text = trace.json_text()
         assert text == json.dumps(trace.to_dict(), sort_keys=True, indent=2)
         assert '"start": true' in text and '"start": 1' in text
+
+    def test_hand_built_orders(self):
+        # an order is written from its rotation record only while the record
+        # is of the trace's own collection and of the order's own sequence
+        items = tuple(ITEMS20)
+        trace = C.hpca_count(arrangement(items), None, rows=partner_rows(len(items), PARTNERS))[0]
+        rot = trace.passes[2].order
+        assert rot._rotation == (trace.collection, 2, rot.sequence)
+        assert rot._rotation[0] is trace.collection and rot._rotation[2] is rot.sequence
+        moved = copy.copy(rot)
+        object.__setattr__(moved, "sequence", rot.sequence[1:] + rot.sequence[:1])
+        reversed_ = copy.copy(rot)
+        object.__setattr__(reversed_, "sequence", rot.sequence[::-1])
+        orders = [
+            C.OrderArrangement(items[::-1]).rotate(4),   # of a non-canonical arrangement
+            C.OrderArrangement(items).rotate(4),         # of an equal tuple, not the collection
+            dataclasses.replace(rot),                    # no record, still a rotation
+            dataclasses.replace(rot, sequence=rot.sequence[::-1]),
+            copy.copy(rot),                              # the record and sequence shared
+            moved,                                       # a record of another sequence
+            reversed_,
+        ]
+        assert not hasattr(orders[2], "_rotation") and orders[4]._rotation is rot._rotation
+        for order in orders:
+            passes = list(trace.passes)
+            passes[2] = dataclasses.replace(passes[2], order=order)
+            edited = dataclasses.replace(
+                trace, orders=trace.orders[:2] + [order] + trace.orders[3:], passes=passes)
+            assert edited.json_text() == json.dumps(edited.to_dict(), sort_keys=True, indent=2)
+            assert _json_text({"trace": edited}) == stdlib_text(edited)
 
     def test_tuple_item_raises_type_error(self):
         trace = C.pca_count(arrangement([("a", 1), "b"]), lambda a, b: False)
