@@ -2,10 +2,11 @@
 
 Subcommands cover every analysis: ``approx``, ``gos-audit``,
 ``parthood-audit``, ``count``, ``inverse`` and ``oracle``.
-Each handler returns a plain payload dict, and ``core._json_text``, the
-package's one JSON writer, writes it with sorted keys, so identical
-configurations produce byte-identical reports; count's trace and
-decomposition write themselves through that writer.  Exit status: 0 on
+Each handler returns a plain payload dict, and ``core._json_pieces``, the
+package's one JSON writer, writes it with sorted keys as a list of pieces
+that ``run`` writes to the stream one by one, so identical configurations
+produce byte-identical reports; count's trace and decomposition write
+themselves through that writer.  Exit status: 0 on
 success, 1 when a ``--strict`` run ends analysis-negative, 2 on usage or
 parse errors and when the output cannot be written (a closed pipe, a full
 disk), 3 on an internal error (a defect: any other exception).
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import counting, gos as gos_mod, oracles, parthood as pH
 from .core import (DEFAULT_SEED, ParseError, Region, Universe, _context_from_json,
-                   _decode_json, _ids, _json_text, _list_field, _table_from_json,
+                   _decode_json, _ids, _json_pieces, _list_field, _table_from_json,
                    _transpose, indiscernibility_partition, parse_information_table)
 
 ENV_SEED = "GRANUM_SEED"
@@ -371,6 +372,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None, out=None) -> int:
+    """Run the ``granum`` command line on ``argv`` and return its exit status.
+
+    The report goes to ``out`` (default ``sys.stdout``), which must provide
+    ``write(str)`` and ``flush()`` and nothing else.  The whole report is
+    built first, as a list of pieces, so a refusal or a defect leaves
+    ``out`` untouched; then each piece is written in turn, never joined,
+    and a final newline.  A write or flush that raises ``OSError`` (a
+    closed pipe, a full disk) exits 2 with one error line on stderr.
+    """
     out = out if out is not None else sys.stdout
     try:
         args = _parser().parse_args(argv)
@@ -380,8 +390,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
         if "seed" in args:
             args.seed = _resolve_seed(args.seed)
         payload, text, negative = _HANDLERS[args.command](args)
-        if args.output == "json":
-            text = _json_text(payload)
+        pieces = _json_pieces(payload) if args.output == "json" else [text]
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -394,7 +403,10 @@ def run(argv: list[str] | None = None, out=None) -> int:
               file=sys.stderr)
         return 3
     try:
-        print(text, file=out)
+        write = out.write
+        for piece in pieces:
+            write(piece)
+        write("\n")
         out.flush()
     except OSError as exc:   # the reader went away or the disk is full
         print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)

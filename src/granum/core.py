@@ -419,13 +419,21 @@ def _json_list(texts: Iterable[str], inner: str) -> str:
     return "[" + inner + body + inner[:-2] + "]" if body else "[]"
 
 
+def _json_pieces(value, indent: str = "\n") -> list[str]:
+    """The JSON text of any payload, as the list of pieces whose join is
+    ``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, with each
+    region written as its sorted member list and each report object as its
+    ``to_dict()``.  ``indent`` is the newline and indentation the closing
+    bracket sits at.  See :class:`_ReportTexts` for what it writes and
+    refuses."""
+    out: list[str] = []
+    _ReportTexts().write(out, value, indent)
+    return out
+
+
 def _json_text(value, indent: str = "\n") -> str:
-    """The JSON text of any payload: ``json.dumps(value, sort_keys=True,
-    indent=2)``, byte for byte, with each region written as its sorted
-    member list and each report object as its ``to_dict()``.  ``indent`` is
-    the newline and indentation the closing bracket sits at.  See
-    :class:`_ReportTexts` for what it writes and refuses."""
-    return _ReportTexts().value(value, indent)
+    """The joined :func:`_json_pieces` of ``value``."""
+    return "".join(_json_pieces(value, indent))
 
 
 def _unwritable(x) -> TypeError:
@@ -434,21 +442,25 @@ def _unwritable(x) -> TypeError:
 
 class _ReportTexts(dict):
     """The JSON texts of one write, the one JSON writer of the package:
-    :meth:`value` writes a dict, list, tuple, str, int, bool, None or
-    region, and a report object in its ``to_dict()`` layout.  A
-    ``CountingTrace`` or ``AntichainDecomposition`` writes itself by its
-    ``json_text(indent, texts)`` from this table; an ``AxiomReport``,
-    ``PropertyReport`` or ``PropertyCheck`` is written from its
-    ``_fields()``.  Any other type, or a dict key that is not a string,
-    raises ``TypeError``.
+    :meth:`write` appends the text of a dict, list, tuple, str, int, bool,
+    None or region, and of a report object in its ``to_dict()`` layout, to
+    a list of pieces.  A ``CountingTrace`` or ``AntichainDecomposition``
+    appends its own pieces by its ``write_json(out, indent, table)``, given
+    this table; an ``AxiomReport``, ``PropertyReport`` or ``PropertyCheck``
+    is written from its ``_fields()``.  Any other type, or a dict key that
+    is not a string, raises ``TypeError``.
 
-    A region is the list of its member names, sorted, as ``_jsonify``
-    writes it (name order, not universe order).  The regions of one
-    universe, the first one written, are kept per indent by mask, so each
-    distinct region is sorted and quoted once per indent; a region of any
-    other universe is written afresh each time, since its mask means other
-    members.  A dict is written by the %-template of its key tuple and
-    indent (:func:`_dict_form`).
+    No text of a dict or list is built whole.  Each entry has a head, the
+    text before its value: the bracket or comma, the newline and indent,
+    and in a dict the key (:func:`_dict_heads`; ``_heads`` keeps a list's
+    per indent).  An entry whose value is a scalar, or a region of the
+    table's universe, is one piece, its head and its text; any other entry
+    is its head, then its value's pieces.  A region is the list of its
+    member names, sorted, as ``_jsonify`` writes it (name order, not
+    universe order).  The regions of one universe, the first one written,
+    are kept per indent by mask, so each distinct region is sorted and
+    quoted once per indent; a region of any other universe is written
+    afresh each time, since its mask means other members.
 
     As a dict the table maps each item of a counting run to its JSON text,
     written on first use.  Only string items are kept: equal items of other
@@ -462,6 +474,7 @@ class _ReportTexts(dict):
         self.universe: Universe | None = None
         self._regions: dict[str, dict[int, str]] = {}   # indent -> mask -> text
         self._lists: dict[str, dict[int, str]] = {}   # indent -> id of a member tuple -> text
+        self._heads: dict[str, tuple[str, ...]] = {}   # indent -> heads of list entries
 
     def __missing__(self, item) -> str:
         scalar = _JSON_SCALARS.get(type(item))
@@ -489,12 +502,13 @@ class _ReportTexts(dict):
             out.append(text)
         return out
 
-    def value(self, x, indent: str) -> str:
-        """The JSON text of ``x``, its closing bracket at ``indent``."""
+    def write(self, out: list[str], x, indent: str) -> None:
+        """Append the JSON text of ``x`` to ``out``, its closing bracket at ``indent``."""
         if isinstance(x, Region):
             if x.universe is not self.universe:
                 if self.universe is not None:
-                    return _region_text(x, indent)
+                    out.append(_region_text(x, indent))
+                    return
                 self.universe = x.universe
             done = self._regions.get(indent)
             if done is None:
@@ -502,55 +516,74 @@ class _ReportTexts(dict):
             text = done.get(x.bits)
             if text is None:
                 text = done[x.bits] = _region_text(x, indent)
-            return text
+            out.append(text)
+            return
         scalar = _JSON_SCALARS.get(type(x))
         if scalar is not None:
-            return scalar(x)
+            out.append(scalar(x))
+            return
         inner = indent + "  "
         if isinstance(x, dict):
             if not x:
-                return "{}"
-            order, form = _dict_form(tuple(x), indent)
+                out.append("{}")
+                return
+            order, heads = _dict_heads(tuple(x), indent)
             items = map(x.__getitem__, order)
+            close = indent + "}"
         elif isinstance(x, (list, tuple)):
-            form, items = None, x
-        elif hasattr(x, "json_text"):   # a counting trace or decomposition
-            return x.json_text(indent, self)
+            if not x:
+                out.append("[]")
+                return
+            heads = self._heads.get(inner)
+            if heads is None or len(heads) < len(x):
+                size = max(len(x), 2 * len(heads) if heads else 16)
+                heads = self._heads[inner] = ("[" + inner,) + ("," + inner,) * (size - 1)
+            items = x
+            close = indent + "]"
+        elif hasattr(x, "write_json"):   # a counting trace or decomposition
+            x.write_json(out, indent, self)
+            return
         elif hasattr(x, "_fields"):     # an audit report or check
-            return self.value(x._fields(), indent)
+            self.write(out, x._fields(), indent)
+            return
         else:
             raise _unwritable(x)
-        # the items' texts; strings and regions of the table's universe, most
-        # of a payload's values, are read here without a call
+        # each entry after its head; strings and regions of the table's
+        # universe, most of a payload's values, are read here without a call
         universe = self.universe
         done = self._regions.get(inner)
         if done is None:
             done = self._regions[inner] = {}
-        texts = []
-        for v in items:
+        append = out.append
+        for head, v in zip(heads, items):
             kind = type(v)
             if kind is str:
-                text = _json_quote(v)
+                append(head + _json_quote(v))
             elif kind is Region and v.universe is universe:
                 text = done.get(v.bits)
                 if text is None:
                     text = done[v.bits] = _region_text(v, inner)
+                append(head + text)
             else:
-                text = self.value(v, inner)
-            texts.append(text)
-        return _json_list(texts, inner) if form is None else form % tuple(texts)
+                scalar = _JSON_SCALARS.get(kind)
+                if scalar is not None:
+                    append(head + scalar(v))
+                else:
+                    append(head)
+                    self.write(out, v, inner)
+        append(close)
 
 
 @functools.lru_cache(maxsize=256)
-def _dict_form(keys: tuple, indent: str) -> tuple[tuple, str]:
-    """The sorted ``keys`` of a dict and the %-template of its JSON text, its
-    closing brace at ``indent``: kept across writes, since report and
-    payload dicts come in a few key tuples.  A key that is not a string
-    raises ``TypeError``."""
+def _dict_heads(keys: tuple, indent: str) -> tuple[tuple, tuple]:
+    """The sorted ``keys`` of a dict and the head of each of its entries, the
+    text before the entry's value, its closing brace at ``indent``: kept
+    across writes, since report and payload dicts come in a few key tuples.
+    A key that is not a string raises ``TypeError``."""
     inner = indent + "  "
     order = tuple(sorted(keys))
-    return order, "{" + ",".join(
-        inner + _json_quote(k).replace("%", "%%") + ": %s" for k in order) + indent + "}"
+    return order, tuple(("," if i else "{") + inner + _json_quote(k) + ": "
+                        for i, k in enumerate(order))
 
 
 def _region_text(r: Region, indent: str) -> str:

@@ -41,12 +41,15 @@ rotation records the sequence it rotated and its start, and the trace's
 writer takes the order's text from that record, without rebuilding the
 rotation to compare it.
 
-``CountingTrace.json_text`` and ``AntichainDecomposition.json_text`` write
-their JSON straight from the run, without building the dict tree of
-``to_dict``.  They are the only objects that write themselves: the one
-JSON writer, ``core._json_text``, calls them with its table of item texts
-for the whole payload, and ``to_dict`` through that writer is their
-reference, byte for byte.
+``CountingTrace.write_json`` and ``AntichainDecomposition.write_json``
+append their JSON, in pieces, to the writer's list straight from the run,
+without building the dict tree of ``to_dict``.  They are the only objects
+that write themselves: the one JSON writer, ``core._json_pieces``, calls
+them with its piece list and its table of item texts for the whole
+payload.  The sections that grow as n² (labels, orders, passes) go out
+entry by entry, each order's text one shared piece, so no string of the
+payload's size is built; ``json_text`` is the join, for library callers.
+``to_dict`` through the writer is their reference, byte for byte.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .core import _json_list, _json_quote, _ReportTexts, _transpose
+from .core import _json_list, _json_quote, _json_text, _ReportTexts, _transpose
 
 Item = Hashable
 ConflictFn = Callable[[Item, Item], bool]
@@ -80,7 +83,7 @@ class OrderArrangement:
         A rotation of a duplicate-free sequence has no duplicates, so it is
         built without the constructor's check, a set of all n items.  It
         keeps ``_rotation`` = (this sequence, 0-based start, the tuple
-        built), outside the fields: ``CountingTrace.json_text`` writes the
+        built), outside the fields: ``CountingTrace.write_json`` writes the
         order as two slices of the collection's text when that record still
         describes its ``sequence``.
         """
@@ -225,14 +228,25 @@ class CountingTrace:
             "incomplete": self.incomplete,
         }
 
-    def json_text(self, indent: str = "\n", texts: _ReportTexts | None = None) -> str:
-        """``core._json_text(self.to_dict(), indent)``, written without the dict tree.
+    def json_text(self, indent: str = "\n") -> str:
+        """``core._json_text(self.to_dict(), indent)``: the join of
+        :meth:`write_json`'s pieces, for callers that want the text whole."""
+        return _json_text(self, indent)
+
+    def write_json(self, out: list[str], indent: str, text: _ReportTexts) -> None:
+        """Append the pieces of ``core._json_text(self.to_dict(), indent)`` to
+        ``out``, written without the dict tree.
 
         ``indent`` is the newline and indentation the trace's closing brace
-        sits at; ``texts`` is the writer's table for the payload the trace
-        is part of, or ``None`` for a table of its own.  Items are written as
-        the writer writes scalars (str, int, bool, None); any other item
-        type raises ``TypeError``.
+        sits at; ``text`` is the writer's table for the payload the trace is
+        part of.  Items are written as the writer writes scalars (str, int,
+        bool, None); any other item type raises ``TypeError``.
+
+        The sections that grow as n², the labels, orders and passes, go out
+        entry by entry: no piece holds more than one order's text, one
+        item's label list or one pass's assigned pairs.  Each order's text
+        is built once and is the same piece in ``orders`` and in every pass
+        that scanned it.
 
         Every order sits at the same depth, so the canonical order's item
         texts are joined once, and each item's offset into that text is
@@ -256,7 +270,6 @@ class CountingTrace:
         i3 = i2 + "  "
         i4 = i3 + "  "
         i5 = i4 + "  "
-        text = _ReportTexts() if texts is None else texts
         collection = self.collection
         n = len(collection)
         sep = "," + i4
@@ -309,40 +322,55 @@ class CountingTrace:
                 return "".join(("[", i4, sequence[1 + len(i4) + len(text[seq[0]]) + lsep:]))
             return _json_list(map(text.__getitem__, items), i4)
 
-        order_form = "{" + i3 + '"origin": %s,' + i3 + '"sequence": %s' + i2 + "}"
-        category_form = "{" + i3 + '"index": %d,' + i3 + '"members": %s' + i2 + "}"
-        pass_form = "{" + ",".join(i3 + '"%s": %%s' % key for key in (
-            "assigned", "category", "order", "origin", "pass", "rejected", "retained",
-            "start")) + i2 + "}"
+        # the entries of a list at depth 2: "[" before the first, "," before the rest
+        heads = ("[" + i2, "," + i2)
+        close = i1 + "]"
+        category_head = "%s{" + i3 + '"index": %d,' + i3 + '"members": '
+        order_head = "%s{" + i3 + '"origin": %s,' + i3 + '"sequence": '
+        pass_head = ("%s{" + i3 + '"assigned": %s,' + i3 + '"category": %s,'
+                     + i3 + '"order": ')
+        pass_middle = "," + i3 + '"origin": %s,' + i3 + '"pass": %s,' + i3 + '"rejected": '
+        pass_tail = "," + i3 + '"retained": %s,' + i3 + '"start": %s' + i2 + "}"
         pair_form = "[" + i5 + "%s," + i5 + "%s" + i4 + "]"
         with_pass = _label_forms(i4, '"pass": %d,')
         without_pass = _label_forms(i5 + "  ", "")
+        append = out.append
 
-        labels = [(text[x] if type(x) is str else _json_quote(key)) + ": " + _json_list(
-            [_label_text(with_pass, lab, p) for p, lab in self.labels.get(x, ())], i3)
-            for key, x in sorted(_label_keys(collection).items())]
-        passes = []
-        for rec in self.passes:
+        append("{" + i1 + '"algorithm": ' + _json_quote(self.algorithm)
+               + "," + i1 + '"categories": ')
+        members = text.member_lists([c.members for c in self.categories], i4)
+        for k, (c, listed) in enumerate(zip(self.categories, members)):
+            append(category_head % (heads[k > 0], c.index))
+            append(listed)
+            append(i2 + "}")
+        append(close if members else "[]")
+        append("," + i1 + '"incomplete": ' + text[self.incomplete] + "," + i1 + '"labels": ')
+        keys = sorted(_label_keys(collection).items())
+        for k, (key, x) in enumerate(keys):
+            append(("," if k else "{") + i2 + (text[x] if type(x) is str else _json_quote(key))
+                   + ": " + _json_list(
+                       [_label_text(with_pass, lab, p) for p, lab in self.labels.get(x, ())],
+                       i3))
+        append(i1 + "}" if keys else "{}")
+        append("," + i1 + '"orders": ')
+        for k, o in enumerate(self.orders):
+            append(order_head % (heads[k > 0], _json_quote(o.origin)))
+            append(arranged(o))
+            append(i2 + "}")
+        append(close if self.orders else "[]")
+        append("," + i1 + '"passes": ')
+        for k, rec in enumerate(self.passes):
             sequence = arranged(rec.order)
-            passes.append(pass_form % (
-                _json_list([pair_form % (text[x], _label_text(without_pass, lab))
-                            for x, lab in rec.assigned], i4),
-                text[rec.category_index], sequence, _json_quote(rec.order.origin),
-                rec.number, rejected(rec, sequence), text[rec.retained],
-                text[rec.start]))
-        return "".join((
-            "{", i1, '"algorithm": ', _json_quote(self.algorithm),
-            ",", i1, '"categories": ', _json_list(
-                [category_form % (c.index, members) for c, members in zip(
-                    self.categories, text.member_lists([c.members for c in self.categories], i4))],
-                i2),
-            ",", i1, '"incomplete": ', text[self.incomplete],
-            ",", i1, '"labels": ',
-            ("{" + i2 + ("," + i2).join(labels) + i1 + "}") if labels else "{}",
-            ",", i1, '"orders": ', _json_list(
-                [order_form % (_json_quote(o.origin), arranged(o)) for o in self.orders], i2),
-            ",", i1, '"passes": ', _json_list(passes, i2),
-            indent, "}"))
+            append(pass_head % (
+                heads[k > 0], _json_list([pair_form % (text[x], _label_text(without_pass, lab))
+                                          for x, lab in rec.assigned], i4),
+                text[rec.category_index]))
+            append(sequence)
+            append(pass_middle % (_json_quote(rec.order.origin), rec.number))
+            append(rejected(rec, sequence))
+            append(pass_tail % (text[rec.retained], text[rec.start]))
+        append(close if self.passes else "[]")
+        append(indent + "}")
 
     def render_text(self) -> str:
         lines = [f"algorithm: {self.algorithm}"]
@@ -449,38 +477,55 @@ class AntichainDecomposition:
             "coherent": self.coherent,
         }
 
-    def json_text(self, indent: str = "\n", texts: _ReportTexts | None = None) -> str:
-        """``core._json_text(self.to_dict(), indent)``, written without the dict tree.
+    def json_text(self, indent: str = "\n") -> str:
+        """``core._json_text(self.to_dict(), indent)``: the join of
+        :meth:`write_json`'s pieces, for callers that want the text whole."""
+        return _json_text(self, indent)
 
-        ``indent`` and ``texts`` are as in :meth:`CountingTrace.json_text`;
-        a verdict's member list sits at the depth of a trace category's, so
-        with one table for both each category's list is written once.
+    def write_json(self, out: list[str], indent: str, text: _ReportTexts) -> None:
+        """Append the pieces of ``core._json_text(self.to_dict(), indent)`` to
+        ``out``, written without the dict tree.
+
+        ``indent`` and ``text`` are as in :meth:`CountingTrace.write_json`;
+        each category and verdict is its own piece.  A verdict's member list
+        sits at the depth of a trace category's, so with one table for both
+        each category's list is written once.
         """
         i1 = indent + "  "
         i2 = i1 + "  "
         i3 = i2 + "  "
         i4 = i3 + "  "
-        text = _ReportTexts() if texts is None else texts
-        verdict_form = "{" + ",".join(i3 + '"%s": %%s' % key for key in (
-            "conflict_free", "conflict_witness", "index", "maximal", "maximal_witness",
-            "members")) + i2 + "}"
-        verdicts = [verdict_form % (
-            text[v.conflict_free],
-            _json_list(map(text.__getitem__, v.conflict_witness), i4)
-            if v.conflict_witness else "null",
-            text[v.index], text[v.maximal], text[v.maximal_witness],
-            members) for v, members in zip(
-                self.verdicts, text.member_lists([v.members for v in self.verdicts], i4))]
-        return "".join((
-            "{", i1, '"categories": ', _json_list(text.member_lists(self.categories, i3), i2),
+        heads = ("[" + i2, "," + i2)
+        close = i1 + "]"
+        verdict_head = "%s{" + "".join(i3 + '"%s": %%s,' % key for key in (
+            "conflict_free", "conflict_witness", "index", "maximal", "maximal_witness")) \
+            + i3 + '"members": '
+        append = out.append
+        append("{" + i1 + '"categories": ')
+        categories = text.member_lists(self.categories, i3)
+        for k, listed in enumerate(categories):
+            append(heads[k > 0])
+            append(listed)
+        append(close if categories else "[]")
+        append("".join((
             ",", i1, '"coherent": ', text[self.coherent],
             ",", i1, '"counts_match": ', text[self.counts_match],
             ",", i1, '"coverage": ', text[self.coverage],
             ",", i1, '"missing": ', _json_list(map(text.__getitem__, self.missing), i2),
             ",", i1, '"n_items": ', text[self.n_items],
             ",", i1, '"sum_counts": ', text[self.sum_counts],
-            ",", i1, '"verdicts": ', _json_list(verdicts, i2),
-            indent, "}"))
+            ",", i1, '"verdicts": ')))
+        members = text.member_lists([v.members for v in self.verdicts], i4)
+        for k, (v, listed) in enumerate(zip(self.verdicts, members)):
+            append(verdict_head % (
+                heads[k > 0], text[v.conflict_free],
+                _json_list(map(text.__getitem__, v.conflict_witness), i4)
+                if v.conflict_witness else "null",
+                text[v.index], text[v.maximal], text[v.maximal_witness]))
+            append(listed)
+            append(i2 + "}")
+        append(close if members else "[]")
+        append(indent + "}")
 
 
 def _raw_rows(items: Sequence[Item], conflict: ConflictFn) -> list[int]:

@@ -3,6 +3,7 @@
 import gzip
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -25,6 +26,7 @@ TABLE = str(FIXTURES / "table_blocks.csv")
 PAIRS_YES = str(FIXTURES / "pairs_yes.json")
 PAIRS_NO = str(FIXTURES / "pairs_no.json")
 PAIRS_WIDE12 = str(FIXTURES / "pairs_wide12.json")
+DENSE120 = str(FIXTURES / "ctx_dense120.json")
 # 15 singleton granules: one element past the rough-object cap.
 WIDE15 = {"universe": [f"e{i}" for i in range(15)],
           "granules": [[f"e{i}"] for i in range(15)]}
@@ -39,6 +41,21 @@ def run_cli(argv):
 def run_json(argv):
     code, text = run_cli(argv + ["--output", "json"])
     return code, json.loads(text)
+
+
+class WriteOnly:
+    """An output stream with only the two methods ``cli.run`` may call."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+        self.size = 0
+
+    def write(self, text: str) -> None:
+        self.writes.append(text)
+        self.size += len(text)
+
+    def flush(self) -> None:
+        pass
 
 
 class TestCount:
@@ -692,9 +709,81 @@ class TestErrorsAndDeterminism:
         class Closed(io.StringIO):
             def write(self, text):
                 raise error(32, "Broken pipe")
-        assert cli.run(["approx", "--region", "p", "--input", VEE, "--strict"],
-                       out=Closed()) == 2
+        for argv in (["approx", "--region", "p", "--input", VEE, "--strict"],
+                     ["count", "--algo", "hpca", "--input", VEE, "--strict", "--output", "json"]):
+            assert cli.run(argv, out=Closed()) == 2, argv
+            assert capsys.readouterr().err == "error: cannot write the output: Broken pipe\n"
+
+    def test_write_failing_mid_payload_is_an_error_not_a_verdict(self, capsys):
+        # the reader goes away after some kilobytes, many writes into the payload
+        class ClosesLate(WriteOnly):
+            def write(self, text):
+                if self.size + len(text) > 4096:
+                    raise BrokenPipeError(32, "Broken pipe")
+                super().write(text)
+        stream = ClosesLate()
+        assert cli.run(["count", "--algo", "fhca", "--parthood", "cautious", "--input", DENSE120,
+                        "--strict", "--output", "json"], out=stream) == 2
+        assert len(stream.writes) > 10 and stream.size <= 4096
         assert capsys.readouterr().err == "error: cannot write the output: Broken pipe\n"
+
+
+class TestStream:
+    """``cli.run`` builds the whole report, then hands it to ``out`` in
+    pieces, through ``write`` and ``flush`` alone."""
+
+    CASES = {
+        **{f"count-{algo}": ["count", "--algo", algo, "--parthood", "cautious",
+                             "--input", str(FIXTURES / "ctx_escaped10.json"), "--output", "json"]
+           for algo in ("hpc", "pca", "hpca", "fhca")},
+        "count-rough-objects": ["count", "--algo", "fhca", "--items", "rough-objects",
+                                "--input", TABLE, "--output", "json"],
+        "count-text": ["count", "--algo", "hpca", "--input", VEE],
+        "gos-audit": ["gos-audit", "--parthood", "lateral",
+                      "--input", str(FIXTURES / "ctx_overlap13.json"), "--output", "json"],
+        "parthood-audit": ["parthood-audit", "--seed", "7",
+                           "--input", str(FIXTURES / "ctx_overlap16.json"), "--output", "json"],
+        "inverse": ["inverse", "--input", PAIRS_YES, "--output", "json"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stream_gets_the_console_script_bytes(self, case):
+        argv = self.CASES[case]
+        stream = WriteOnly()
+        assert cli.run(argv, out=stream) == 0
+        proc = subprocess.run([sys.executable, "-m", "granum.cli", *argv], capture_output=True,
+                              timeout=60, env={**os.environ, "PYTHONIOENCODING": "utf-8"})
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert "".join(stream.writes).encode("utf-8") == proc.stdout
+
+    def test_no_write_is_payload_sized(self):
+        # the trace's passes, orders and labels grow as n²; each order's text
+        # is the longest piece that may be written whole
+        stream = WriteOnly()
+        assert cli.run(["count", "--algo", "fhca", "--parthood", "cautious", "--input", DENSE120,
+                        "--output", "json"], out=stream) == 0
+        orders = json.loads("".join(stream.writes))["trace"]["orders"]
+        assert len(orders) > 100
+        # an order's sequence sits at depth 5 of the payload: items at 10 spaces
+        longest = max(len(json.dumps(o["sequence"], indent=2).replace("\n", "\n        "))
+                      for o in orders)
+        assert max(map(len, stream.writes)) <= longest < stream.size // 100
+
+    def test_unwritable_value_late_in_a_payload_writes_nothing(self, monkeypatch, capsys):
+        # the writer refuses the last key, after the whole trace: stdout stays empty
+        handler = cli._HANDLERS["count"]
+
+        def late(args):
+            payload, text, negative = handler(args)
+            return payload | {"zz": 0.5}, text, negative
+        monkeypatch.setitem(cli._HANDLERS, "count", late)
+        stream = WriteOnly()
+        assert cli.run(["count", "--algo", "fhca", "--parthood", "cautious", "--input", DENSE120,
+                        "--output", "json"], out=stream) == 3
+        assert stream.writes == []
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: TypeError: Object of type float")
+        assert err.count("\n") == 1
 
 
 def _json_values():

@@ -1,6 +1,7 @@
-"""The audit reports through the one JSON writer, ``core._json_text``: a
-report's ``_fields()`` and a payload of reports are written as the bytes of
-``json.dumps`` on ``to_dict()``, from one region-text table per payload."""
+"""The audit reports through the one JSON writer, ``core._json_pieces``
+(joined by ``core._json_text``): a report's ``_fields()`` and a payload of
+reports are written as the bytes of ``json.dumps`` on ``to_dict()``, from
+one region-text table per payload."""
 
 import json
 import random
@@ -22,6 +23,13 @@ NAMES = ['say "hi"', "back\\slash", "nul\x00", "tab\t\x1f", "\x7f", "é", "中",
 
 def reference(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2)
+
+
+def written(texts: _ReportTexts, value, indent: str) -> str:
+    """The joined pieces that ``texts`` writes for ``value`` at ``indent``."""
+    out = []
+    texts.write(out, value, indent)
+    return "".join(out)
 
 
 def audit_space(rng: random.Random, n: int, explicit: bool) -> GranularOperatorSpace:
@@ -174,19 +182,19 @@ class TestRegionTexts:
     def test_masks_of_another_universe_are_not_confused(self):
         texts = _ReportTexts()
         first, other = U1.region_from_bits(0b0011), U2.region_from_bits(0b0011)
-        assert texts.value(first, "\n") == reference(sorted(first))
-        assert texts.value(other, "\n") == reference(sorted(other))
-        assert texts.value(first, "\n") == reference(["a", "b"])
-        assert texts.value(Region(Universe(U1.elements), 0b0011), "\n") == \
+        assert written(texts, first, "\n") == reference(sorted(first))
+        assert written(texts, other, "\n") == reference(sorted(other))
+        assert written(texts, first, "\n") == reference(["a", "b"])
+        assert written(texts, Region(Universe(U1.elements), 0b0011), "\n") == \
             reference(["a", "b"])
         # as items of a list or a dict, where the table's regions are read inline
-        assert texts.value([other, first, {"r": other}], "\n") == \
+        assert written(texts, [other, first, {"r": other}], "\n") == \
             reference([sorted(other), ["a", "b"], {"r": sorted(other)}])
 
     def test_the_first_region_written_names_the_universe(self):
         texts = _ReportTexts()
         first, other = U2.region_from_bits(0b0101), U1.region_from_bits(0b0101)
-        assert texts.value([first, other, first], "\n") == \
+        assert written(texts, [first, other, first], "\n") == \
             reference([sorted(first), sorted(other), sorted(first)])
         assert texts.universe is U2
 
@@ -199,6 +207,6 @@ class TestRegionTexts:
         monkeypatch.setattr(Region, "__iter__", lambda r: calls.append(r.bits) or real(r))
         texts = _ReportTexts()
         for indent in ("\n", "\n", "\n  ", "\n", "\n  "):
-            assert texts.value(granule, indent) == want.replace("\n", indent)
-        assert texts.value([granule, granule], "\n") == want_pair   # items at "\n  "
+            assert written(texts, granule, indent) == want.replace("\n", indent)
+        assert written(texts, [granule, granule], "\n") == want_pair   # items at "\n  "
         assert calls == [0b0101] * 2   # once per indent
