@@ -375,11 +375,14 @@ def run(argv: list[str] | None = None, out=None) -> int:
     """Run the ``granum`` command line on ``argv`` and return its exit status.
 
     The report goes to ``out`` (default ``sys.stdout``), which must provide
-    ``write(str)`` and ``flush()`` and nothing else.  The whole report is
-    built first, as a list of pieces, so a refusal or a defect leaves
-    ``out`` untouched; then each piece is written in turn, never joined,
-    and a final newline.  A write or flush that raises ``OSError`` (a
-    closed pipe, a full disk) exits 2 with one error line on stderr.
+    ``write(str)`` and ``flush()``.  The whole report is built first, as a
+    list of pieces, so a refusal or a defect leaves ``out`` untouched; then
+    each piece is written in turn, never joined, and a final newline.  A
+    stream with ``line_buffering`` set, as ``sys.stdout`` is on a terminal,
+    would flush at every piece that holds a newline: it is reconfigured
+    without it for the writes, and with it again after them, on every
+    path.  A write or flush that raises ``OSError`` (a closed pipe, a full
+    disk) exits 2 with one error line on stderr.
     """
     out = out if out is not None else sys.stdout
     try:
@@ -402,7 +405,10 @@ def run(argv: list[str] | None = None, out=None) -> int:
               f"(at {Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno})",
               file=sys.stderr)
         return 3
+    line_buffered = getattr(out, "line_buffering", False)
     try:
+        if line_buffered:
+            out.reconfigure(line_buffering=False)
         write = out.write
         for piece in pieces:
             write(piece)
@@ -412,6 +418,12 @@ def run(argv: list[str] | None = None, out=None) -> int:
         print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
         _discard(out)
         return 2
+    finally:
+        if line_buffered:
+            try:   # reconfiguring flushes: after a failed write, to the null device
+                out.reconfigure(line_buffering=True)
+            except OSError:   # a stream without a descriptor: it stays as it is
+                pass
     # Only subcommands that declare --strict can report a negative result.
     return 1 if (negative and args.strict) else 0
 

@@ -328,8 +328,8 @@ def audit_lower_stability(gos: GranularOperatorSpace, basis: Basis | None = None
         sigs = gos.signatures(masks)
         of_x = [(x, cols.side(y)) for x, y in tests]
         of_xl = [(x, cols.side(y, lowered=True)) for x, y in tests]
-        to_x = [ph._part_of(of_x, sig, cols.everything) for sig in sigs]
-        to_xl = [ph._part_of(of_xl, sig, cols.everything) for sig in sigs]
+        to_x = ph._column_rows(of_x, sigs, cols.everything)
+        to_xl = ph._column_rows(of_xl, sigs, cols.everything)
         at = range(len(scanned))
     else:   # one bit per signature: subset tests read x and x^lower through it
         keys = scanned if tests is None else gos.signatures(scanned)
@@ -371,7 +371,7 @@ def audit_full_underlap(gos: GranularOperatorSpace, basis: Basis | None = None) 
             exact &= ~(col ^ lo) & ~(up & ~col)
         sigs = gos.signatures(masks)
         above = [(x, cols.side(y)) for x, y in tests]
-        up = [exact & ph._part_of(above, sig, cols.everything) for sig in sigs]
+        up = [exact & row for row in ph._column_rows(above, sigs, cols.everything)]
         # x is part of g when X(x) misses every element outside Y(g)
         below = [(y, cols.side(x)) for x, y in tests]
         elements = (1 << len(gos.universe)) - 1

@@ -769,6 +769,39 @@ class TestStream:
                       for o in orders)
         assert max(map(len, stream.writes)) <= longest < stream.size // 100
 
+    @staticmethod
+    def _text_stream(raw, line_buffering):
+        return io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8",
+                                line_buffering=line_buffering)
+
+    def test_line_buffered_stream_writes_in_blocks(self):
+        # a terminal's stdout flushes at each newline; one payload of about
+        # 2300 pieces with newlines gets the raw writes of block buffering
+        class Counting(io.FileIO):
+            calls = 0
+
+            def write(self, data):
+                self.calls += 1
+                return super().write(data)
+        argv = ["count", "--algo", "fhca", "--parthood", "cautious", "--input", DENSE120,
+                "--output", "json"]
+        calls = {}
+        for line_buffering in (True, False):
+            with self._text_stream(Counting(os.devnull, "w"), line_buffering) as out:
+                assert cli.run(argv, out=out) == 0
+                assert out.line_buffering is line_buffering
+                calls[line_buffering] = out.buffer.raw.calls
+        assert calls[True] == calls[False] <= 130
+
+    def test_line_buffering_restored_after_a_closed_pipe(self, capsys):
+        read, write = os.pipe()
+        os.close(read)   # the reader went away before the first write
+        with self._text_stream(io.FileIO(write, "w"), True) as out:
+            assert cli.run(["count", "--algo", "fhca", "--parthood", "cautious",
+                            "--input", DENSE120, "--output", "json"], out=out) == 2
+            assert out.line_buffering is True
+        assert capsys.readouterr().err == "error: cannot write the output: Broken pipe\n"
+
     def test_unwritable_value_late_in_a_payload_writes_nothing(self, monkeypatch, capsys):
         # the writer refuses the last key, after the whole trace: stdout stays empty
         handler = cli._HANDLERS["count"]

@@ -2,6 +2,8 @@
 
 import collections
 import random
+from functools import cache, reduce
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings
@@ -289,6 +291,34 @@ class TestRelationRows:
         singletons = [1 << i for i in range(len(universe))]
         for v in SIGNATURE_VARIANTS:
             _assert_rows_hold(v, space, singletons, singletons)
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
+    def test_signatures_that_share_a_side_mask(self, explicit):
+        # Sampled bases of 256 regions on 24 elements: many distinct
+        # signatures share a lower, upper or boundary, and each test ANDs
+        # its columns once per distinct side mask.
+        text = (FIXTURES / "ctx_overlap24.json").read_text(encoding="utf-8")
+        universe, granulation = parse_context(text)
+        if explicit:   # operators that take few values
+            rng = random.Random("share-explicit")
+            lowers = [rng.getrandbits(24) & rng.getrandbits(24) for _ in range(7)]
+            uppers = [rng.getrandbits(24) | rng.getrandbits(24) for _ in range(9)]
+            region = universe.region_from_bits
+            space = GranularOperatorSpace(universe, granulation,
+                                          lower=lambda a: region(lowers[a.bits % 7]),
+                                          upper=lambda a: region(uppers[a.bits % 9]))
+        else:
+            space = GranularOperatorSpace(universe, granulation)
+        shared = set()
+        for seed in (DEFAULT_SEED, 11):
+            masks = ph._property_basis(len(universe), 256, seed).scan(universe)
+            sigs = set(space.signatures(masks))
+            for v in SIGNATURE_VARIANTS:
+                for x, _ in ph._subset_tests(v, space) or ():
+                    if len({x(sig) for sig in sigs}) < len(sigs):
+                        shared.add(v.name)
+                _assert_rows_hold(v, space, masks, masks)
+        assert {"lateral-plus", "rough-inclusion"} <= shared
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
     def test_one_signature_read_when_sources_are_targets(self, explicit, monkeypatch):
@@ -626,6 +656,64 @@ class TestFailureScans:
             return [("bad",)] if row == 3 else []
         assert list(ph._unless_clean([5, 3, 5, 3], failures)) == [(1, "bad"), (3, "bad")]
         assert scanned == [5, 3, 3]
+
+
+def _pair_scan_confluence_failures(rows, cols):
+    """The strict-confluence scan before its clean test: every member pair
+    (j, k) of every distinct row, kept as the reference."""
+    meet = cache(lambda row: reduce(or_, (cols[e] for e in ph._bits(row)), 0))
+    return ph._unless_clean(rows, lambda row: ((j, k) for j in ph._bits(row)
+                                               for k in ph._bits((row & ~meet(rows[j])) >> j << j)))
+
+
+def _random_relation(rng, n, density, reflexive, proper):
+    """A square relation on ``n`` points as bit rows, or its proper part."""
+    rows = _random_rows(rng, n, n, density)
+    if reflexive:
+        rows = [row | 1 << i for i, row in enumerate(rows)]
+    if proper:
+        rows = [row & ~col for row, col in zip(rows, _transpose(rows, n))]
+    return rows
+
+
+def _row_kind(row, rows, cols):
+    """How the confluence scan settles ``row``: its members' rows share an
+    element, it lies inside the meet of each member row, or it fails."""
+    members = [rows[j] for j in ph._bits(row)]
+    if reduce(and_, members, -1):
+        return "and"
+    meets = [reduce(or_, (cols[e] for e in ph._bits(v)), 0) for v in members]
+    return "meets" if all(not row & ~meet for meet in meets) else "fails"
+
+
+class TestConfluenceCleanTest:
+    """A row passes ``_confluence_failures``'s clean test iff the pair scan
+    finds nothing in it, so the witnesses are the pair scan's."""
+
+    @given(st.randoms(use_true_random=False), st.integers(1, 12),
+           st.sampled_from([0.05, 0.2, 0.5, 0.8, 0.97]), st.booleans(), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_pair_scan(self, rng, n, density, reflexive, proper):
+        rows = _random_relation(rng, n, density, reflexive, proper)
+        cols = _transpose(rows, n)
+        assert list(ph._confluence_failures(rows, cols)) == \
+            list(_pair_scan_confluence_failures(rows, cols))
+
+    def test_every_kind_of_row_occurs(self):
+        rng = random.Random("confluence-kinds")
+        kinds = collections.Counter()
+        for _ in range(300):
+            rows = _random_relation(rng, rng.randint(1, 12), rng.choice([0.05, 0.2, 0.5, 0.8]),
+                                    rng.random() < 0.5, rng.random() < 0.5)
+            cols = _transpose(rows, len(rows))
+            failing = {i for i, *_ in _pair_scan_confluence_failures(rows, cols)}
+            for i, row in enumerate(rows):
+                kind = _row_kind(row, rows, cols)
+                assert (kind == "fails") == (i in failing), (rows, i)
+                kinds[kind] += 1
+            assert list(ph._confluence_failures(rows, cols)) == \
+                list(_pair_scan_confluence_failures(rows, cols))
+        assert min(kinds[kind] for kind in ("and", "meets", "fails")) >= 20, kinds
 
 
 # The variants whose transitivity the lemma proves on a derived space with a
