@@ -43,7 +43,8 @@ class Universe:
             raise ValueError("universe must contain at least one element")
         positions = {e: i for i, e in enumerate(self.elements)}
         if len(positions) != len(self.elements):
-            dupes = sorted({e for e in self.elements if self.elements.count(e) > 1})
+            # positions holds each id's last index: an earlier one is a repeat
+            dupes = sorted({e for i, e in enumerate(self.elements) if positions[e] != i})
             raise ValueError(f"duplicate element identifiers: {dupes}")
         object.__setattr__(self, "_positions", positions)
 
@@ -741,15 +742,3 @@ def upper_approx(a: Region, g: Granulation) -> Region:
     if a.universe != g.universe:
         raise ValueError("region and granulation universes differ")
     return Region(a.universe, upper_bits(a.bits, g.masks()))
-
-
-def rough_inclusion(a: Region, b: Region, g: Granulation) -> bool:
-    """True when both the lower and upper approximations are nested."""
-    return (lower_approx(a, g).issubset(lower_approx(b, g))
-            and upper_approx(a, g).issubset(upper_approx(b, g)))
-
-
-def rough_equality(a: Region, b: Region, g: Granulation) -> bool:
-    """True when the two regions have identical approximation signatures."""
-    return (lower_approx(a, g) == lower_approx(b, g)
-            and upper_approx(a, g) == upper_approx(b, g))

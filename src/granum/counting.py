@@ -251,15 +251,15 @@ class CountingTrace:
         Every order sits at the same depth, so the canonical order's item
         texts are joined once, and each item's offset into that text is
         kept.  An order that is a rotation of the canonical one is two
-        slices of it.  A rotation that :meth:`OrderArrangement.rotate` built
-        from the collection carries its start in its record; any other
-        order is a rotation when it equals the collection rotated to its
-        first item, compared item by item.  A pass's ``rejected`` list is
-        its order minus its members, in scan order, so a pass that takes
-        only its order's first item rejects the rest of the order: when
-        ``rejected`` equals the order minus its first item, its text is one
-        slice of the order's text.  Any other order or ``rejected`` list is
-        joined item by item.  (Slicing out the gaps between several members costs about a
+        slices of it when :meth:`OrderArrangement.rotate` built it from the
+        collection, as every pass order of hpca and fhca is: its record
+        carries its start.  Any other order is joined item by item, which
+        writes the same bytes.  A pass's ``rejected`` list is its order
+        minus its members, in scan order, so a pass that takes only its
+        order's first item rejects the rest of the order: when ``rejected``
+        equals the order minus its first item, its text is one slice of the
+        order's text.  Any other ``rejected`` list is joined item by item.
+        (Slicing out the gaps between several members costs about a
         microsecond per member, and it lost to the join on every such pass
         of the count benchmark, 6 to 39 members: see BENCH_21.json.)  Each
         category's member list is written once per table and depth; each
@@ -271,26 +271,20 @@ class CountingTrace:
         i4 = i3 + "  "
         i5 = i4 + "  "
         collection = self.collection
-        n = len(collection)
         sep = "," + i4
         lsep = len(sep)
         item_texts = list(map(text.__getitem__, collection))
         body = sep.join(item_texts)
         orders: dict[int, str] = {}   # id of an order -> its list text
-        index: dict = {}       # item -> its position in the collection
         at: list[int] = []     # position -> offset of its text in body
 
         def start(order: OrderArrangement) -> int | None:
-            """The 0-based start of ``order`` as a rotation of the collection,
-            or ``None`` when it is not one."""
-            seq = order.sequence
+            """The 0-based start of ``order`` when :meth:`OrderArrangement.rotate`
+            built it from the collection, else ``None``."""
             record = getattr(order, "_rotation", None)
-            if record is not None and record[0] is collection and record[2] is seq:
+            if record is not None and record[0] is collection and record[2] is order.sequence:
                 return record[1]
-            if not index:
-                index.update(zip(collection, range(n)))
-            s = index.get(seq[0]) if seq else None
-            return s if s is not None and seq == collection[s:] + collection[:s] else None
+            return None
 
         def arranged(order: OrderArrangement) -> str:
             """The list text of ``order`` at depth 4."""

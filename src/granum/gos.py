@@ -1,5 +1,5 @@
-"""Granular operator spaces: axiom audits, rough quotients, representations,
-and the rough-origin decision for families of approximation pairs.
+"""Granular operator spaces: axiom audits, rough quotients, the basic rough
+order, and the rough-origin decision for families of approximation pairs.
 
 A space bundles a universe, a granulation, lower/upper operators (derived
 from the granulation by union, or supplied explicitly) and a parthood
@@ -404,8 +404,6 @@ class RoughClass:
     members: tuple[Region, ...]
     lower: Region
     upper: Region
-    crisp: bool    # the signature is (A, A) for a definite member A
-    stable: bool   # signature unchanged when the operators are repeated
 
     def representative(self) -> Region:
         return self.members[0]
@@ -417,42 +415,20 @@ class RoughQuotient:
 
     space: GranularOperatorSpace
     classes: tuple[RoughClass, ...]
-    notion: str
-
-    def class_of(self, a: Region) -> RoughClass:
-        sig = self.space.signature(a)
-        for c in self.classes:
-            if (c.lower, c.upper) == sig:
-                return c
-        raise KeyError(f"no class with signature of {a!r}")
 
 
-def rough_objects(gos: GranularOperatorSpace, notion: str = "maximal-consistent") -> RoughQuotient:
-    """Partition all regions into rough-object classes by signature.
-
-    ``maximal-consistent`` keeps every class; ``definite-only`` keeps classes
-    whose signature is stable under repeated application of the operators.
-    """
-    if notion not in ("maximal-consistent", "definite-only"):
-        raise ValueError(f"unknown rough-object notion {notion!r}")
+def rough_objects(gos: GranularOperatorSpace) -> RoughQuotient:
+    """Partition all regions into rough-object classes by signature."""
     n = len(gos.universe)
     if n > QUOTIENT_UNIVERSE_CAP:
         raise ValueError(f"universe too large for quotient enumeration (n={n} > {QUOTIENT_UNIVERSE_CAP})")
-    sigs = gos.signatures(_ascending(n))   # indexed by mask
     # each class enters at its least member: classes come in first-member order
     grouped: dict[tuple[int, int], list[Region]] = {}
-    for a, sig in zip(gos.universe.all_regions(), sigs):
+    for a, sig in zip(gos.universe.all_regions(), gos.signatures(_ascending(n))):
         grouped.setdefault(sig, []).append(a)
-    classes = []
-    for (lo, up), members in grouped.items():
-        lower = gos.universe.region_from_bits(lo)
-        upper = gos.universe.region_from_bits(up)
-        crisp = lo == up and sigs[lo] == (lo, lo)   # region lo is a member
-        stable = sigs[lo][0] == lo and sigs[up][1] == up
-        classes.append(RoughClass(tuple(members), lower, upper, crisp, stable))
-    if notion == "definite-only":
-        classes = [c for c in classes if c.stable]
-    return RoughQuotient(gos, tuple(classes), notion)
+    region = gos.universe.region_from_bits
+    return RoughQuotient(gos, tuple(RoughClass(tuple(members), region(lo), region(up))
+                                    for (lo, up), members in grouped.items()))
 
 
 @dataclass(frozen=True)
@@ -514,53 +490,6 @@ def basic_rough_order(q: RoughQuotient) -> BasicRoughOrder:
                            for row in ph.relation_rows(v, gos, xs, ys)))
                 for xs in members]
     return BasicRoughOrder(q, tuple(rows))
-
-
-@dataclass(frozen=True)
-class RoughRepresentation:
-    """Interval representation of rough classes by pairs of definite regions."""
-
-    crisp: tuple[Region, ...]
-    rough: tuple[RoughClass, ...]
-    phi: tuple[tuple[RoughClass, tuple[Region, Region]], ...]
-    image: tuple[tuple[Region, Region], ...]
-    unrepresentable: tuple[RoughClass, ...]
-    n_classes: int
-    n_crisp: int
-
-    def to_dict(self) -> dict:
-        return {
-            "counts": {"classes": self.n_classes, "crisp": self.n_crisp,
-                       "rough": self.n_classes - self.n_crisp},
-            "crisp": [_jsonify(c) for c in self.crisp],
-            "pairs": [{"lower": _jsonify(a), "upper": _jsonify(b)} for a, b in self.image],
-            "unrepresentable": [_jsonify(c.representative()) for c in self.unrepresentable],
-        }
-
-
-def interval_representation(q: RoughQuotient) -> RoughRepresentation:
-    """Map each non-crisp class to its (lower, upper) pair of definite regions.
-
-    Classes whose signature is not a strictly nested pair of definite regions
-    are listed as unrepresentable rather than forced.
-    """
-    gos = q.space
-    crisp = tuple(c.lower for c in q.classes if c.crisp)
-    rough = tuple(c for c in q.classes if not c.crisp)
-    phi = []
-    unrep = []
-    image = []
-    for c in rough:
-        nested = c.lower.bits != c.upper.bits and c.lower.issubset(c.upper)
-        if nested and gos.is_definite(c.lower) and gos.is_definite(c.upper):
-            pair = (c.lower, c.upper)
-            phi.append((c, pair))
-            if pair not in image:
-                image.append(pair)
-        else:
-            unrep.append(c)
-    return RoughRepresentation(crisp, rough, tuple(phi), tuple(image), tuple(unrep),
-                               n_classes=len(q.classes), n_crisp=len(crisp))
 
 
 @dataclass(frozen=True)

@@ -412,14 +412,3 @@ def _unless_clean(rows: Sequence[int], failures: Callable) -> Iterator[tuple[int
             if not found:
                 clean.add(row)
 
-
-def audit_generalized_transitivity(v: ParthoodVariant, ctx: "GranularOperatorSpace",
-                                   basis: Basis | None = None) -> PropertyReport:
-    """Report the two implemented readings of generalized transitivity.
-
-    Plain transitivity and strict confluence are measured by the same scans
-    as :func:`audit_properties`; the report is restricted to those two rows.
-    """
-    full = audit_properties(v, ctx, basis)
-    keep = tuple(c for c in full.checks if c.name in ("transitive", "strictly-confluent"))
-    return PropertyReport(full.variant, keep, full.scope)

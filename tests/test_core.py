@@ -1,4 +1,4 @@
-"""Tables, partitions and the approximation operators."""
+"""Tables, partitions, the approximation operators and the public surface."""
 
 import random
 
@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from granum import (Granulation, ParseError, Region, Universe,
                     indiscernibility_partition, lower_approx,
-                    parse_context, parse_information_table, rough_equality,
-                    rough_inclusion, upper_approx)
+                    parse_context, parse_information_table, upper_approx)
+from granum.parthood import ROUGH_INCLUSION, holds
 from granum.oracles import brute_force_signatures
 
 from conftest import granulation_suite
@@ -93,16 +93,11 @@ class TestApproximations:
         assert sorted(upper_approx(u5.region("3"), gran5)) == ["3"]
         assert upper_approx(u5.empty_region(), gran5) == u5.empty_region()
 
-    def test_rough_inclusion_examples(self, u5, gran5):
+    def test_rough_inclusion_examples(self, u5, space5):
         a = u5.region("134")
-        assert rough_inclusion(a, u5.full_region(), gran5)
-        assert not rough_inclusion(u5.region("345"), a, gran5)
-        assert rough_inclusion(a, a, gran5)
-
-    def test_rough_equality_examples(self, u5, gran5):
-        assert rough_equality(u5.region("13"), u5.region("23"), gran5)
-        assert rough_equality(u5.region("13"), u5.region("13"), gran5)
-        assert not rough_equality(u5.region("3"), u5.region("4"), gran5)
+        assert holds(ROUGH_INCLUSION, a, u5.full_region(), space5)
+        assert not holds(ROUGH_INCLUSION, u5.region("345"), a, space5)
+        assert holds(ROUGH_INCLUSION, a, a, space5)
 
     def test_empty_lower_of_nonempty_is_fine(self, u5, gran5):
         assert lower_approx(u5.region("1"), gran5).is_empty()
@@ -154,28 +149,17 @@ class TestInvariants:
             assert lower_approx(lo, gran5) == lo
             assert upper_approx(up, gran5) == up
 
-    def test_rough_equality_is_equivalence(self, u5, gran5):
-        regions = list(u5.all_regions())
-        rng = random.Random(5)
-        sample = rng.sample(regions, 12)
-        for a in sample:
-            assert rough_equality(a, a, gran5)
-            for b in sample:
-                assert rough_equality(a, b, gran5) == rough_equality(b, a, gran5)
-                for c in sample:
-                    if rough_equality(a, b, gran5) and rough_equality(b, c, gran5):
-                        assert rough_equality(a, c, gran5)
-
-    def test_rough_inclusion_is_quasi_order(self, u5, gran5):
+    def test_rough_inclusion_is_quasi_order(self, u5, space5):
         regions = list(u5.all_regions())
         rng = random.Random(6)
         sample = rng.sample(regions, 12)
         for a in sample:
-            assert rough_inclusion(a, a, gran5)
+            assert holds(ROUGH_INCLUSION, a, a, space5)
             for b in sample:
                 for c in sample:
-                    if rough_inclusion(a, b, gran5) and rough_inclusion(b, c, gran5):
-                        assert rough_inclusion(a, c, gran5)
+                    if (holds(ROUGH_INCLUSION, a, b, space5)
+                            and holds(ROUGH_INCLUSION, b, c, space5)):
+                        assert holds(ROUGH_INCLUSION, a, c, space5)
 
 
 class TestRegionAlgebra:
@@ -194,6 +178,10 @@ class TestRegionAlgebra:
     def test_duplicate_elements_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Universe(("a", "a"))
+        # each repeated id named once, in sorted order, however often it repeats
+        with pytest.raises(ValueError) as info:
+            Universe(("q", "b", "z", "q", "a", "b", "q", "c"))
+        assert str(info.value) == "duplicate element identifiers: ['b', 'q']"
 
     def test_equal_elements_make_equal_universes(self):
         a, b = Universe(("x", "y", "z")), Universe(["x", "y", "z"])
@@ -231,3 +219,29 @@ class TestRegionAlgebra:
             Granulation(u5, (u5.empty_region(),))
         with pytest.raises(ValueError, match="duplicate"):
             Granulation(u5, (u5.region("1"), u5.region("1")))
+
+
+class TestPublicSurface:
+    def test_star_import_binds_every_name_of_all_once(self):
+        import granum
+        names = {}
+        exec("from granum import *", names)
+        assert len(set(granum.__all__)) == len(granum.__all__)
+        assert [n for n in granum.__all__ if n not in names] == []
+
+    def test_removed_names_are_gone(self):
+        import dataclasses
+        import granum
+        from granum import core, gos, parthood
+        for module, name in ((granum, "interval_representation"),
+                             (granum, "RoughRepresentation"), (granum, "rough_inclusion"),
+                             (granum, "rough_equality"),
+                             (granum, "audit_generalized_transitivity"),
+                             (gos, "interval_representation"), (gos, "RoughRepresentation"),
+                             (gos.RoughQuotient, "class_of"),
+                             (core, "rough_inclusion"), (core, "rough_equality"),
+                             (parthood, "audit_generalized_transitivity")):
+            assert not hasattr(module, name), name
+        assert [f.name for f in dataclasses.fields(gos.RoughQuotient)] == ["space", "classes"]
+        assert [f.name for f in dataclasses.fields(gos.RoughClass)] == ["members", "lower",
+                                                                        "upper"]

@@ -1,7 +1,6 @@
-"""Operator-space audits, rough quotients and representations."""
+"""Operator-space audits, rough quotients and the basic rough order."""
 
 import dataclasses
-import json
 import random
 
 import pytest
@@ -12,9 +11,8 @@ from hypothesis import strategies as st
 from granum import (AxiomReport, Basis, Granulation, GranularOperatorSpace, Universe,
                     audit_full_underlap, audit_lower_stability,
                     audit_weak_representability, basic_rough_order,
-                    interval_representation, inverse_rough_check,
-                    knowledge_validity_check, lower_approx, rough_objects,
-                    rough_origin, upper_approx)
+                    inverse_rough_check, knowledge_validity_check, lower_approx,
+                    rough_objects, rough_origin, upper_approx)
 from granum import gos as gos_mod, parthood as ph
 from granum.core import Region, _region_masks, lower_bits, upper_bits
 from granum.gos import _axiom_basis
@@ -124,14 +122,20 @@ class TestFullUnderlap:
         assert pair["witness"] == u.full_region()
 
 
+def _class_of(q, a: Region):
+    """The class of ``q`` whose members hold ``a``."""
+    return next(c for c in q.classes if a in c.members)
+
+
 class TestRoughObjects:
     def test_same_signature_same_class(self, space5, u5):
         q = rough_objects(space5)
-        assert q.class_of(u5.region("13")) is q.class_of(u5.region("23"))
+        assert _class_of(q, u5.region("13")) is _class_of(q, u5.region("23"))
 
     def test_definite_block_is_singleton_class(self, space5, u5):
-        c = rough_objects(space5).class_of(u5.region("3"))
-        assert c.members == (u5.region("3"),) and c.crisp
+        block = u5.region("3")
+        c = _class_of(rough_objects(space5), block)
+        assert c.members == (block,) and c.lower == c.upper == block
 
     def test_class_count_is_18(self, space5):
         assert len(rough_objects(space5).classes) == 18
@@ -141,25 +145,8 @@ class TestRoughObjects:
         seen = [m for c in q.classes for m in c.members]
         assert len(seen) == 32 and len(set(seen)) == 32
 
-    def test_definite_only_notion(self, space5):
-        q = rough_objects(space5, notion="definite-only")
-        assert len(q.classes) == 18  # partitions are idempotent, all stable
-
-    def test_definite_only_drops_unstable(self, u5, gran5):
-        lo, up = classical_ops(gran5)
-
-        def weird_upper(a):
-            # not idempotent: upper({3}) = {3,4} but upper({3,4}) = {3,4,5}
-            if a == u5.region("3"):
-                return u5.region("34")
-            return up(a)
-        space = GranularOperatorSpace(u5, gran5, lower=lo, upper=weird_upper)
-        full = rough_objects(space)
-        stable = rough_objects(space, notion="definite-only")
-        assert len(stable.classes) < len(full.classes)
-
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
-    def test_classes_ascend_by_first_member_and_crisp_is_a_member_scan(self, explicit):
+    def test_classes_ascend_by_first_member(self, explicit):
         rng = random.Random(f"rough-object-order-{explicit}")
         for _ in range(150):
             space = seeded_space(rng, rng.randint(1, 7), explicit)
@@ -168,16 +155,14 @@ class TestRoughObjects:
             assert firsts == sorted(firsts)
             for c in classes:
                 assert [m.bits for m in c.members] == sorted(m.bits for m in c.members)
-                assert c.crisp == (c.lower == c.upper
-                                   and any(m.bits == c.lower.bits for m in c.members))
 
 
 class TestBasicRoughOrder:
     def test_bottom_and_top(self, space5, u5):
         q = rough_objects(space5)
         order = basic_rough_order(q)
-        bottom = q.classes.index(q.class_of(u5.empty_region()))
-        top = q.classes.index(q.class_of(u5.full_region()))
+        bottom = q.classes.index(_class_of(q, u5.empty_region()))
+        top = q.classes.index(_class_of(q, u5.full_region()))
         assert bottom in order.bottoms() and top in order.tops()
         assert order.is_bounded()
 
@@ -205,47 +190,6 @@ class TestBasicRoughOrder:
             m = [[row >> j & 1 for j in range(n)] for row in rows]
             assert order.bottoms() == [i for i in range(n) if all(m[i])]
             assert order.tops() == [j for j in range(n) if all(m[i][j] for i in range(n))]
-
-
-class TestIntervalRepresentation:
-    def test_counts_and_pairs(self, space5):
-        rep = interval_representation(rough_objects(space5))
-        assert rep.n_crisp == 8
-        assert rep.n_classes == 18
-        assert len(rep.rough) == rep.n_classes - rep.n_crisp == 10
-        for _, (a, b) in rep.phi:
-            assert a < b  # strict nesting
-
-    def test_class_of_singleton_maps_to_empty_and_block(self, space5, u5):
-        rep = interval_representation(rough_objects(space5))
-        target = next(pair for cls, pair in rep.phi
-                      if u5.region("1") in cls.members)
-        assert target == (u5.empty_region(), u5.region("12"))
-
-    def test_crisp_classes_excluded_from_rough(self, space5, u5):
-        rep = interval_representation(rough_objects(space5))
-        assert u5.region("3") in rep.crisp
-        assert all(u5.region("3") not in c.members for c in rep.rough)
-
-    def test_unrepresentable_listed_not_fatal(self, u5, gran5):
-        lo, up = classical_ops(gran5)
-
-        def weird_upper(a):
-            # class of {1} gets signature (empty, {1}) whose upper is not definite
-            if a == u5.region("1"):
-                return u5.region("1")
-            return up(a)
-        space = GranularOperatorSpace(u5, gran5, lower=lo, upper=weird_upper)
-        rep = interval_representation(rough_objects(space))
-        assert rep.unrepresentable
-        assert any(u5.region("1") in c.members for c in rep.unrepresentable)
-
-    def test_json_stable(self, space5):
-        rep = interval_representation(rough_objects(space5))
-        a = json.dumps(rep.to_dict(), sort_keys=True)
-        b = json.dumps(interval_representation(rough_objects(space5)).to_dict(),
-                       sort_keys=True)
-        assert a == b
 
 
 class TestKnowledgeValidity:

@@ -155,22 +155,16 @@ class TestAudits:
         assert report.check("reflexive").verdict == "holds-sampled"
         # the stated seed is the one the basis was drawn with
         basis = ph._property_basis(8, 32, 3)
-        for audit in (ph.audit_properties, ph.audit_generalized_transitivity):
-            report = audit(ph.ROUGH_INCLUSION, space, basis)
-            assert report.scope == {"mode": "sampled", "basis_size": 32,
-                                    "universe_size": 8, "seed": 3}
+        report = ph.audit_properties(ph.ROUGH_INCLUSION, space, basis)
+        assert report.scope == {"mode": "sampled", "basis_size": 32,
+                                "universe_size": 8, "seed": 3}
 
     def test_exhaustive_basis_must_hold_every_region(self):
         u = Universe(tuple(str(i) for i in range(8)))
         space = GranularOperatorSpace(u, Granulation.from_sets(u, [u.elements]))
-        for audit in (ph.audit_properties, ph.audit_generalized_transitivity):
-            with pytest.raises(ValueError, match="cannot hold all regions of 8"):
-                audit(ph.ROUGH_INCLUSION, space, Basis(list(range(32)), "exhaustive", None))
-
-    def test_generalized_transitivity_two_readings(self, space5):
-        report = ph.audit_generalized_transitivity(ph.LATERAL_PLUS_PLUS, space5)
-        names = {c.name for c in report.checks}
-        assert names == {"transitive", "strictly-confluent"}
+        with pytest.raises(ValueError, match="cannot hold all regions of 8"):
+            ph.audit_properties(ph.ROUGH_INCLUSION, space,
+                                Basis(list(range(32)), "exhaustive", None))
 
     def test_provable_variants_on_small_contexts(self):
         for name, g in granulation_suite():
