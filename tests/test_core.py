@@ -99,6 +99,14 @@ class TestApproximations:
         assert not holds(ROUGH_INCLUSION, u5.region("345"), a, space5)
         assert holds(ROUGH_INCLUSION, a, a, space5)
 
+    def test_rough_equality_examples(self, u5, space5):
+        # rough equality is equality of signatures, and rough inclusion both ways
+        for a, b, equal in (("13", "23", True), ("13", "13", True), ("3", "4", False)):
+            a, b = u5.region(a), u5.region(b)
+            assert (space5.signature(a) == space5.signature(b)) is equal
+            assert (holds(ROUGH_INCLUSION, a, b, space5)
+                    and holds(ROUGH_INCLUSION, b, a, space5)) is equal
+
     def test_empty_lower_of_nonempty_is_fine(self, u5, gran5):
         assert lower_approx(u5.region("1"), gran5).is_empty()
 
@@ -148,6 +156,23 @@ class TestInvariants:
             assert lo.issubset(a) and a.issubset(up)
             assert lower_approx(lo, gran5) == lo
             assert upper_approx(up, gran5) == up
+
+    def test_rough_equality_is_equivalence(self, u5, space5):
+        regions = list(u5.all_regions())
+        rng = random.Random(5)
+        sample = rng.sample(regions, 12)
+
+        def rough_equal(a, b):
+            return space5.signature(a) == space5.signature(b)
+        for a in sample:
+            assert rough_equal(a, a)
+            for b in sample:
+                assert rough_equal(a, b) == rough_equal(b, a)
+                assert rough_equal(a, b) == (holds(ROUGH_INCLUSION, a, b, space5)
+                                             and holds(ROUGH_INCLUSION, b, a, space5))
+                for c in sample:
+                    if rough_equal(a, b) and rough_equal(b, c):
+                        assert rough_equal(a, c)
 
     def test_rough_inclusion_is_quasi_order(self, u5, space5):
         regions = list(u5.all_regions())

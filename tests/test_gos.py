@@ -1,6 +1,7 @@
 """Operator-space audits, rough quotients and the basic rough order."""
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -127,6 +128,23 @@ def _class_of(q, a: Region):
     return next(c for c in q.classes if a in c.members)
 
 
+def _crisp(space, c) -> bool:
+    """Whether class ``c``'s signature is (A, A) for a definite member A."""
+    return c.lower == c.upper and space.signature(c.lower) == (c.lower, c.lower)
+
+
+def _stable(space, c) -> bool:
+    """Whether ``c``'s signature is unchanged when the operators are repeated."""
+    return (space.signature(c.lower)[0] == c.lower
+            and space.signature(c.upper)[1] == c.upper)
+
+
+def _interval(space, c) -> bool:
+    """Whether ``c``'s signature is a strictly nested pair of definite regions."""
+    return (c.lower.bits != c.upper.bits and c.lower.issubset(c.upper)
+            and space.is_definite(c.lower) and space.is_definite(c.upper))
+
+
 class TestRoughObjects:
     def test_same_signature_same_class(self, space5, u5):
         q = rough_objects(space5)
@@ -144,6 +162,24 @@ class TestRoughObjects:
         q = rough_objects(space5)
         seen = [m for c in q.classes for m in c.members]
         assert len(seen) == 32 and len(set(seen)) == 32
+
+    def test_definite_only_notion(self, space5):
+        # partitions are idempotent: every class is stable, so none would be filtered
+        q = rough_objects(space5)
+        assert len(q.classes) == 18 and all(_stable(space5, c) for c in q.classes)
+
+    def test_definite_only_drops_unstable(self, u5, gran5):
+        lo, up = classical_ops(gran5)
+
+        def weird_upper(a):
+            # not idempotent: upper({3}) = {3,4} but upper({3,4}) = {3,4,5}
+            if a == u5.region("3"):
+                return u5.region("34")
+            return up(a)
+        space = GranularOperatorSpace(u5, gran5, lower=lo, upper=weird_upper)
+        q = rough_objects(space)
+        assert not _stable(space, _class_of(q, u5.region("3")))
+        assert 0 < sum(_stable(space, c) for c in q.classes) < len(q.classes)
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
     def test_classes_ascend_by_first_member(self, explicit):
@@ -190,6 +226,49 @@ class TestBasicRoughOrder:
             m = [[row >> j & 1 for j in range(n)] for row in rows]
             assert order.bottoms() == [i for i in range(n) if all(m[i])]
             assert order.tops() == [j for j in range(n) if all(m[i][j] for i in range(n))]
+
+
+class TestIntervalRepresentation:
+    """The (lower, upper) pairs of rough classes, read off the quotient."""
+
+    def test_counts_and_pairs(self, space5):
+        q = rough_objects(space5)
+        crisp = [c for c in q.classes if _crisp(space5, c)]
+        rough = [c for c in q.classes if not _crisp(space5, c)]
+        assert len(crisp) == 8 and len(q.classes) == 18 and len(rough) == 10
+        for c in rough:
+            assert _interval(space5, c)
+            assert c.lower < c.upper  # strict nesting
+
+    def test_class_of_singleton_maps_to_empty_and_block(self, space5, u5):
+        c = _class_of(rough_objects(space5), u5.region("1"))
+        assert (c.lower, c.upper) == (u5.empty_region(), u5.region("12"))
+
+    def test_crisp_classes_excluded_from_rough(self, space5, u5):
+        q = rough_objects(space5)
+        assert _crisp(space5, _class_of(q, u5.region("3")))
+        assert all(u5.region("3") not in c.members
+                   for c in q.classes if not _crisp(space5, c))
+
+    def test_unrepresentable_listed_not_fatal(self, u5, gran5):
+        lo, up = classical_ops(gran5)
+
+        def weird_upper(a):
+            # class of {1} gets signature (empty, {1}) whose upper is not definite
+            if a == u5.region("1"):
+                return u5.region("1")
+            return up(a)
+        space = GranularOperatorSpace(u5, gran5, lower=lo, upper=weird_upper)
+        q = rough_objects(space)
+        c = _class_of(q, u5.region("1"))
+        assert (c.lower, c.upper) == (u5.empty_region(), u5.region("1"))
+        assert not _crisp(space, c) and not _interval(space, c)
+
+    def test_json_stable(self, space5):
+        def dump(q):
+            return json.dumps([[[sorted(m) for m in c.members], sorted(c.lower),
+                                sorted(c.upper)] for c in q.classes])
+        assert dump(rough_objects(space5)) == dump(rough_objects(space5))
 
 
 class TestKnowledgeValidity:

@@ -166,6 +166,13 @@ class TestAudits:
             ph.audit_properties(ph.ROUGH_INCLUSION, space,
                                 Basis(list(range(32)), "exhaustive", None))
 
+    def test_generalized_transitivity_two_readings(self, space5):
+        # plain transitivity and strict confluence, both rows of audit_properties
+        report = ph.audit_properties(ph.LATERAL_PLUS_PLUS, space5)
+        assert {"transitive", "strictly-confluent"} <= {c.name for c in report.checks}
+        for name in ("transitive", "strictly-confluent"):
+            assert report.check(name).verdict in ("holds-exhaustively", "fails")
+
     def test_provable_variants_on_small_contexts(self):
         for name, g in granulation_suite():
             if len(g.universe) > 4 or not g.is_partition():
