@@ -244,7 +244,7 @@ def _cmd_inverse(args):
         raise ParseError("an --input file is required")
     try:
         doc = json.loads(Path(args.input).read_text(encoding="utf-8-sig"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read pairs file: {exc}") from None
     if not isinstance(doc, dict) or "universe" not in doc or "pairs" not in doc:
         raise ParseError("pairs file must contain 'universe' and 'pairs'")

@@ -269,8 +269,11 @@ def parse_information_table(source: str | io.TextIOBase, format: str = "csv") ->
         return _table_from_json(_decode_json(text))
     if format != "csv":
         raise ParseError(f"unknown table format {format!r}")
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r]  # ignore blank lines
+    rows: list[list[str]] = []
+    try:
+        rows += filter(None, csv.reader(io.StringIO(text)))   # blank lines ignored
+    except csv.Error as exc:   # a field past the csv size limit, say; rows read stay
+        raise ParseError(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise ParseError("empty input: no header row")
     header = rows[0]
@@ -357,7 +360,11 @@ def _id_text(value, where: str) -> str:
     """The text of an id that is not a string, as :func:`_ids` reads it."""
     if type(value) is int:
         return str(value)
-    raise ParseError(f"id {json.dumps(value)} in {where} is not a string or an integer")
+    try:
+        text = json.dumps(value)
+    except RecursionError:   # decoded just inside the depth limit, written deeper in the stack
+        text = "nested too deeply to print"
+    raise ParseError(f"id {text} in {where} is not a string or an integer")
 
 
 def _decode_json(text: str):
@@ -366,6 +373,8 @@ def _decode_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError as exc:   # nested deeper than the decoder can follow
+        raise ParseError(f"unreadable JSON: {exc}") from None
 
 
 def indiscernibility_partition(table: InformationTable, attrs: Iterable[str]) -> IndiscernibilityRelation:

@@ -3,8 +3,9 @@ order, and the rough-origin decision for families of approximation pairs.
 
 A space bundles a universe, a granulation, lower/upper operators (derived
 from the granulation by union, or supplied explicitly) and a parthood
-variant.  The audits check the defining axioms on a basis of regions and
-report witnesses.
+variant, read through :func:`~granum.parthood._subset_tests` (g-simple on
+explicit operators from the granule-derived twin).  The audits check the
+defining axioms on a basis of regions and report witnesses.
 
 A derived space meets two axioms by its construction.  Every lower and
 upper is a union of granules, so the space is weakly representable; and a
@@ -68,6 +69,8 @@ class GranularOperatorSpace:
         self._cache: dict[int, tuple[int, int]] = {}
         self._elements: list[tuple[int, int]] | None = None   # built on first read
         self._columns: RegionColumns | None = None
+        # explicit operators: the granule-derived twin whose signatures g-simple reads
+        self._derived = None if lower is None else GranularOperatorSpace(universe, granulation)
 
     @classmethod
     def from_sets(cls, elements: Iterable[str], granules: Iterable[Iterable[str]],
@@ -313,17 +316,17 @@ def audit_lower_stability(gos: GranularOperatorSpace, basis: Basis | None = None
     """For every granule y and region x: parthood y x implies parthood y x^lower;
     lists the first ``witness_cap`` failures.
 
-    A signature formula reads x and x^lower through the signature of x, so
-    off the region lattice each distinct signature is tested once, on one
-    of its regions: 2048 regions sampled from a 2000-object, 6-block table
-    share one.  Variants that only :func:`~granum.parthood.holds` decides
-    test every region."""
+    The tests read x by its signature in the space that
+    :func:`~granum.parthood._subset_tests` names, and x^lower is the lower
+    of x's own, so off the region lattice each distinct pair of the two is
+    tested once, on one of its regions: 2048 regions sampled from a
+    2000-object, 6-block table share one."""
     basis = basis or _axiom_basis(len(gos.universe))
     scanned = basis.scan(gos.universe)
     granules = gos.granulation.granules
     masks = gos.granulation.masks()
-    tests = ph._subset_tests(gos.parthood, gos)
-    cols = gos.columns(scanned) if tests is not None else None
+    tests, space = ph._subset_tests(gos.parthood, gos)
+    cols = gos.columns(scanned)
     if cols is not None:   # bit x of each row is the region x itself
         sigs = gos.signatures(masks)
         of_x = [(x, cols.side(y)) for x, y in tests]
@@ -331,13 +334,11 @@ def audit_lower_stability(gos: GranularOperatorSpace, basis: Basis | None = None
         to_x = ph._column_rows(of_x, sigs, cols.everything)
         to_xl = ph._column_rows(of_xl, sigs, cols.everything)
         at = range(len(scanned))
-    else:   # one bit per signature: subset tests read x and x^lower through it
-        keys = scanned if tests is None else gos.signatures(scanned)
+    else:   # one bit per key: (own signature, the signature the tests read)
+        keys = list(zip(gos.signatures(scanned), space.signatures(scanned)))
         first = dict(zip(keys, scanned))   # one scanned region per key
-        tested = list(first.values())
-        to_x = ph.relation_rows(gos.parthood, gos, masks, tested)
-        to_xl = ph.relation_rows(gos.parthood, gos, masks,
-                                 [lo for lo, _ in gos.signatures(tested)])
+        to_x = ph.relation_rows(gos.parthood, gos, masks, list(first.values()))
+        to_xl = ph.relation_rows(gos.parthood, gos, masks, [own[0] for own, _ in first])
         slot = {key: t for t, key in enumerate(first)}
         at = list(map(slot.__getitem__, keys))   # the row bit of each scanned region
     bad = [x & ~xl for x, xl in zip(to_x, to_xl)]   # per granule: row bits that fail
@@ -362,8 +363,8 @@ def audit_full_underlap(gos: GranularOperatorSpace, basis: Basis | None = None) 
     scanned = basis.scan(gos.universe)
     granules = gos.granulation.granules
     masks = gos.granulation.masks()
-    tests = ph._subset_tests(gos.parthood, gos)
-    cols = gos.columns(scanned) if tests is not None else None
+    tests, _ = ph._subset_tests(gos.parthood, gos)
+    cols = gos.columns(scanned)
     if cols is not None:   # bit x of each row is the region x itself
         definite = scanned
         exact = cols.everything   # lower(x) is x and upper(x) lies in x
@@ -467,29 +468,32 @@ class BasicRoughOrder:
 
 
 def basic_rough_order(q: RoughQuotient) -> BasicRoughOrder:
-    """Quantify the space's parthood over class members to order the quotient.
+    """Order the quotient by the space's parthood over class members: class
+    i is part of class j when every member of i is part of every member of
+    j.  ``count`` and ``oracle`` read this order for ``--items
+    rough-objects``; no property of its rows is checked here.
 
-    Parthoods that signatures decide (g-simple too, on a derived space) are
-    decided on one representative per class; custom evaluators, and
-    g-simple on explicit operators, quantify over every member pair.  This
-    is the order that ``count`` and ``oracle`` read for ``--items
-    rough-objects``.  No property of the rows is checked here.
+    One kernel call decides every class pair.  The variant is a conjunction
+    of subset tests, and for one test, ``X(a) <= Y(b)`` for every a in i and
+    b in j iff each X(a) lies inside the intersection of Y over j, iff the
+    union of X over i does.  So each test gets one X mask per class, the
+    union, and the columns of the per-class intersections, which
+    :func:`~granum.parthood._column_rows` ANDs.  A class's members share
+    its signature, so where the space's own decide, one stands for all.
     """
     gos = q.space
-    v = gos.parthood
-    classes = q.classes
-    tests = ph._subset_tests(v, gos)
-
-    if tests is not None:   # one representative decides each class
-        reps = [c.representative().bits for c in classes]
-        rows = ph.relation_rows(v, gos, reps, reps)
-    else:                   # every member pair must hold
-        members = [[a.bits for a in c.members] for c in classes]
-        rows = [sum(1 << j for j, ys in enumerate(members)
-                    if all(row == (1 << len(ys)) - 1
-                           for row in ph.relation_rows(v, gos, xs, ys)))
-                for xs in members]
-    return BasicRoughOrder(q, tuple(rows))
+    tests, space = ph._subset_tests(gos.parthood, gos)
+    if space is gos:   # a class's members share its signature
+        groups = [[(c.lower.bits, c.upper.bits)] for c in q.classes]
+    else:
+        groups = [space.signatures([a.bits for a in c.members]) for c in q.classes]
+    columns = []
+    for x, y in tests:
+        unions = [reduce(or_, map(x, sigs)) for sigs in groups]
+        meets = [reduce(and_, map(y, sigs)) for sigs in groups]
+        columns.append((unions.__getitem__, _transpose(meets, len(gos.universe))))
+    k = len(groups)
+    return BasicRoughOrder(q, tuple(ph._column_rows(columns, range(k), (1 << k) - 1)))
 
 
 @dataclass(frozen=True)

@@ -1,30 +1,27 @@
 """Parthood predicates on regions and an empirical property auditor.
 
-Nine of the ten built-in predicate variants are read from one table of
-subset tests on approximation signatures, ``X(a) <= Y(b)`` with X and Y
-each the lower, upper or boundary mask.  g-simple reads granule
-containment: every granule inside a lies inside b.  On a space whose
-operators the granules derive, that is very-cautious, ``lower(a) <=
-lower(b)``: every granule inside a lies inside lower(a), and lower(a)
-lies inside a.  ``holds`` evaluates a variant on one pair of regions;
-``relation_rows`` evaluates it over lists of region masks as bit rows, by
-ANDing per-element columns rather than testing pair by pair.  The auditor
-measures reflexivity, transitivity, antisymmetry and strict confluence on a
-region basis and reports verdicts with concrete counterexample witnesses.
-Every verdict is scanned but one: transitivity, when a lemma proves it from
-the basis's own signatures.  If ``Y(s) <= X(s)`` for every signature s on
-the basis, each subset test ``X(a) <= Y(b)`` is transitive there, and so is
-a conjunction of them.  That holds on every basis for very-cautious,
-possibilist, bilateral, lateral-plus and rough-inclusion, and wherever
-lower <= upper (every derived space) for ultra-cautious and g-simple; the
-check reads the very signatures the relation is built from, so it is
-exact, and when it fails the relation is scanned.  Custom evaluators, and
-g-simple on explicit operators, are always scanned.
+Every one of the ten predicate variants is read from one table of subset
+tests on approximation signatures, ``X(a) <= Y(b)`` with X and Y each the
+lower, upper or boundary mask; g-simple is very-cautious on the
+granule-derived signatures (:func:`_subset_tests`).  ``holds`` evaluates a
+variant on one pair of regions; ``relation_rows`` evaluates it over lists
+of region masks as bit rows, by ANDing per-element columns rather than
+testing pair by pair.  The auditor measures reflexivity, transitivity,
+antisymmetry and strict confluence on a region basis and reports verdicts
+with concrete counterexample witnesses.  Every verdict is scanned but one:
+transitivity, when a lemma proves it from the signatures the relation is
+read from.  If ``Y(s) <= X(s)`` for every signature s on the basis, each
+subset test ``X(a) <= Y(b)`` is transitive there, and so is a conjunction
+of them.  That holds on every basis for very-cautious, possibilist,
+bilateral, lateral-plus, rough-inclusion and g-simple, and wherever
+lower <= upper (every derived space) for ultra-cautious; the check reads
+the very signatures the relation is built from, so it is exact, and when
+it fails the relation is scanned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import islice
 from operator import and_, itemgetter, or_
@@ -36,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .gos import GranularOperatorSpace
 
 EXHAUSTIVE_REGION_LIMIT = 32  # 2^5: full pair/triple scans stay cheap below this
+_MAX_BASIS = 1 << 14   # gos-audit's exhaustive basis; a larger property basis is refused
 
 _lower, _upper = itemgetter(0), itemgetter(1)
 
@@ -63,17 +61,10 @@ _FORMULAS: dict[str, tuple[tuple[Callable[[tuple[int, int]], int],
 
 @dataclass(frozen=True)
 class ParthoodVariant:
-    """One 'part of' predicate: a named formula over approximation signatures,
-    or a custom ``evaluator``.  :func:`_subset_tests` says whether a variant
-    depends only on the (lower, upper) pair of each argument in a space."""
+    """One 'part of' predicate, named by a row of ``_FORMULAS`` or g-simple:
+    :func:`_subset_tests` gives the subset tests that decide it on a space."""
 
     name: str
-    evaluator: Callable[..., bool] | None = field(default=None, compare=False)
-
-    @staticmethod
-    def custom(name: str, fn: Callable[..., bool]) -> ParthoodVariant:
-        """Wrap ``fn(ctx, a, b) -> bool`` as a parthood variant."""
-        return ParthoodVariant(name, evaluator=fn)
 
 
 VERY_CAUTIOUS = ParthoodVariant("very-cautious")
@@ -103,9 +94,8 @@ def variant(name: str) -> ParthoodVariant:
 
 
 def holds(v: ParthoodVariant, a: Region, b: Region, ctx: "GranularOperatorSpace") -> bool:
-    """Evaluate the parthood ``v`` between regions ``a`` and ``b`` in ``ctx``."""
-    if v.evaluator is not None:
-        return bool(v.evaluator(ctx, a, b))
+    """Evaluate the parthood ``v`` between regions ``a`` and ``b`` in ``ctx``;
+    g-simple by its granules, the per-pair reference for :func:`_subset_tests`."""
     if v.name == "g-simple":
         # Every granule contained in a is contained in b.
         for g in ctx.granulation.granules:
@@ -117,14 +107,15 @@ def holds(v: ParthoodVariant, a: Region, b: Region, ctx: "GranularOperatorSpace"
 
 
 def _subset_tests(v: ParthoodVariant, ctx: "GranularOperatorSpace"):
-    """The subset tests that decide ``v`` on ``ctx`` from signatures, or None
-    when only :func:`holds` can: custom evaluators, and g-simple on a space
-    with explicit operators (on a derived one it is very-cautious)."""
-    if v.evaluator is not None:
-        return None
-    if v.name == "g-simple" and not ctx.explicit:
-        return _FORMULAS["very-cautious"]
-    return _FORMULAS.get(v.name)
+    """The subset tests that decide ``v`` on ``ctx``, and the space whose
+    signatures they read: ``ctx``, but for g-simple the granule-derived
+    one (``ctx`` or, with explicit operators, its derived twin).  g-simple
+    is very-cautious there: a granule inside a lies inside lowerG(a), which
+    lies inside a, so every granule inside a lies inside b iff lowerG(a) <=
+    lowerG(b)."""
+    if v.name == "g-simple":
+        return _FORMULAS["very-cautious"], ctx._derived or ctx
+    return _FORMULAS[v.name], ctx
 
 
 def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
@@ -148,19 +139,13 @@ def relation_rows(v: ParthoodVariant, ctx: "GranularOperatorSpace",
     elements can cost more than walking their ``Y`` masks did, and one
     with thousands of targets in a handful of signatures transposes every
     target: callers that meet such targets, like the lower-stability
-    audit, pass one region per signature.  g-simple is very-cautious on a
-    derived space and is built the same way; on explicit operators it
-    falls back to :func:`holds` pair by pair, as do custom evaluators.
+    audit, pass one region per signature.  Every variant is built so, g-simple
+    from the signatures that :func:`_subset_tests` names.
     """
-    tests = _subset_tests(v, ctx)
-    if tests is None:
-        region = ctx.universe.region_from_bits
-        ends = [region(b) for b in targets]
-        return [sum(1 << j for j, b in enumerate(ends) if holds(v, a, b, ctx))
-                for a in map(region, sources)]
-    target_sigs = ctx.signatures(targets)
+    tests, space = _subset_tests(v, ctx)
+    target_sigs = space.signatures(targets)
     return _signature_rows(tests, len(ctx.universe), target_sigs,
-                           target_sigs if sources is targets else ctx.signatures(sources))
+                           target_sigs if sources is targets else space.signatures(sources))
 
 
 def _signature_rows(tests, n: int, target_sigs: list[tuple[int, int]],
@@ -276,7 +261,10 @@ class PropertyReport:
 def _property_basis(n: int, budget: int = EXHAUSTIVE_REGION_LIMIT,
                     seed: int = DEFAULT_SEED) -> Basis:
     """The property audits' basis: all 2^n regions when at most ``budget``,
-    else ``budget`` distinct ones drawn with ``seed``."""
+    else ``budget`` distinct ones drawn with ``seed``; refused, before any
+    is drawn, past ``_MAX_BASIS`` regions, each row of that many bits."""
+    if min(budget, 1 << n) > _MAX_BASIS:
+        raise ValueError(f"budget {budget} asks for {min(budget, 1 << n)} regions, over {_MAX_BASIS}")
     return _region_masks(n, budget, budget, seed)
 
 
@@ -295,14 +283,10 @@ def audit_properties(v: ParthoodVariant, ctx: "GranularOperatorSpace",
     basis = basis or _property_basis(len(ctx.universe))
     masks = basis.scan(ctx.universe)
     m = len(masks)
-    tests = _subset_tests(v, ctx)
-    proved = False   # transitive by the lemma of _transitive_by_form
-    if tests is None:
-        rows = relation_rows(v, ctx, masks, masks)
-    else:
-        sigs = ctx.signatures(masks)
-        rows = _signature_rows(tests, len(ctx.universe), sigs, sigs)
-        proved = _transitive_by_form(tests, sigs)
+    tests, space = _subset_tests(v, ctx)
+    sigs = space.signatures(masks)
+    rows = _signature_rows(tests, len(ctx.universe), sigs, sigs)
+    proved = _transitive_by_form(tests, sigs)
     cols = _transpose(rows, m)
     ok_tag = "holds-exhaustively" if basis.mode == "exhaustive" else "holds-sampled"
 
@@ -337,8 +321,8 @@ def _transitive_by_form(tests, sigs: Iterable[tuple[int, int]]) -> bool:
     The lemma: if ``Y(s) <= X(s)`` for every signature s in ``sigs``, then
     each test ``X(a) <= Y(b)`` is transitive there, since ``X(a) <= Y(b) <=
     X(b) <= Y(c)``; and a conjunction of transitive relations is transitive.
-    A test with Y the same side as X meets it on every space
-    (very-cautious, possibilist, bilateral, rough-inclusion), and so does
+    A test with Y the same side as X meets it on every space (very-cautious
+    and so g-simple, possibilist, bilateral, rough-inclusion), and so does
     lateral-plus (the boundary lies inside the upper); ultra-cautious meets
     it wherever lower <= upper, on every derived space.  The others meet it
     only on degenerate signatures (cautious where every upper lies inside

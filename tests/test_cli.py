@@ -284,6 +284,12 @@ class TestAudits:
         assert code == 2
         assert capsys.readouterr().err == "error: budget must be >= 1\n"
 
+    def test_parthood_audit_budget_past_the_cap_on_a_small_universe(self):
+        # min(budget, 2^n) regions: a large budget still scans every region
+        code, doc = run_json(["parthood-audit", "--budget", "100000000", "--input", VEE])
+        assert code == 0
+        assert {r["scope"]["mode"] for r in doc["reports"]} == {"exhaustive"}
+
     def test_gos_audit_draws_one_basis(self, monkeypatch):
         draws = _count_draws(monkeypatch, gos)
         code, doc = run_json(["gos-audit", "--axiom", "all", "--input", TABLE])
@@ -597,6 +603,21 @@ class TestErrorsAndDeterminism:
          "pair 0: id 100.0 in 'upper' is not a string or an integer"),
         (["approx", "--region", "a"], '{"universe": ["a", "b"], "partition": [["a"], ["b", [1]]]}',
          "id [1] in partition block 1 is not a string or an integer"),
+        # A field past the csv module's limit, and JSON nested past the decoder's.
+        pytest.param(["approx", "--region", "x", "--format", "csv"],
+                     "id,a\nx," + "v" * 140000 + "\n",
+                     "row 2: field larger than field limit (131072)", id="wide-csv-field"),
+        pytest.param(["approx", "--region", "a"], "[" * 100000 + "]" * 100000,
+                     "unreadable JSON: ", id="deep-json"),
+        pytest.param(["approx", "--region", "a"],
+                     '{"universe": ["a"], "granules": ' + "[" * 100000 + "]" * 100000 + "}",
+                     "unreadable JSON: ", id="deep-granules"),
+        pytest.param(["inverse"], "[" * 100000 + "]" * 100000, "cannot read pairs file: ",
+                     id="deep-pairs-file"),
+        # A basis past 2^14 regions is refused before it is drawn.
+        (["parthood-audit", "--budget", "100000000", "--input",
+          str(FIXTURES / "ctx_overlap24.json")], None,
+         "budget 100000000 asks for 16777216 regions, over 16384"),
     ])
     def test_refusals_print_one_error_line(self, tmp_path, capsys, argv, text, says):
         if text is not None:

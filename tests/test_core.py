@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from granum import (Granulation, ParseError, Region, Universe,
                     indiscernibility_partition, lower_approx,
                     parse_context, parse_information_table, upper_approx)
+from granum.core import _ids
 from granum.parthood import ROUGH_INCLUSION, holds
 from granum.oracles import brute_force_signatures
 
@@ -58,6 +59,18 @@ class TestParsing:
     def test_context_partition_validated(self):
         with pytest.raises(ParseError, match="disjoint"):
             parse_context('{"universe": ["a", "b"], "partition": [["a", "b"], ["b"]]}')
+
+    def test_id_nested_past_the_encoder_is_refused(self):
+        # A value decoded just inside the depth limit can be too deep to write
+        # back from a deeper frame: the error names it without writing it.
+        deep: list = []
+        for _ in range(100000):
+            deep = [deep]
+        with pytest.raises(ParseError, match=r"^id nested too deeply to print in granule 0 "):
+            _ids(["a", deep], "granule 0")
+        table = "id,a\nx," + "v" * 140000 + "\n"   # a field past the csv module's limit
+        with pytest.raises(ParseError, match=r"^row 2: field larger than field limit"):
+            parse_information_table(table)
 
 
 class TestPartition:

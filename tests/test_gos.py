@@ -600,8 +600,7 @@ def _reference_full_underlap(gos, basis):
                        len(pairs) * len(basis.masks), (), details=details, seed=basis.seed)
 
 
-AUDIT_VARIANTS = list(ph.VARIANTS.values()) + [
-    ph.ParthoodVariant.custom("subset", lambda ctx, a, b: a.issubset(b))]
+AUDIT_VARIANTS = list(ph.VARIANTS.values())
 
 
 def _seeded_spaces(seed, count, max_n):
@@ -642,9 +641,8 @@ class TestAuditsMatchPairwiseReference:
                     assert len(got.witnesses) == max(min(cap, failures), 0)
                 assert audit_full_underlap(space, basis) == \
                     _reference_full_underlap(space, basis)
-            # the ascending basis of a derived space is read off its columns,
-            # unless only holds can evaluate the variant
-            assert (space._columns is not None) == (ph._subset_tests(v, space) is not None)
+            # the ascending basis of a derived space is read off its columns
+            assert space._columns is not None
 
     @pytest.mark.parametrize("v", list(ph.VARIANTS.values()), ids=lambda v: v.name)
     def test_permuted_exhaustive_basis_scans_the_regions(self, v):
@@ -680,15 +678,16 @@ class TestAuditsMatchPairwiseReference:
         rows = ph.relation_rows
         monkeypatch.setattr(ph, "relation_rows",
                             lambda v, gos, s, t: sizes.append(len(t)) or rows(v, gos, s, t))
-        distinct = len(set(space.signatures(basis.masks)))
-        assert distinct < len(basis.masks)
+        assert len(set(space.signatures(basis.masks))) < len(basis.masks)
         for v in AUDIT_VARIANTS:
             space.parthood = v
             sizes.clear()
             for cap in CAPS:
                 assert audit_lower_stability(space, basis, witness_cap=cap) == \
                     _reference_lower_stability(space, basis, cap)[0]
-            tested = len(basis.masks) if ph._subset_tests(v, space) is None else distinct
+            # one region per pair of its own signature and the one the tests read
+            read = ph._subset_tests(v, space)[1]
+            tested = len(set(zip(space.signatures(basis.masks), read.signatures(basis.masks))))
             assert sizes == [tested, tested] * len(CAPS)
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
@@ -741,8 +740,6 @@ class TestAuditsMatchPairwiseReference:
             q = rough_objects(space)
 
             def related(a, b):
-                if ph._subset_tests(v, space) is not None:
-                    return ph.holds(v, a.representative(), b.representative(), space)
                 return all(ph.holds(v, x, y, space) for x in a.members for y in b.members)
             m = [[related(a, b) for b in q.classes] for a in q.classes]
             order = basic_rough_order(q)
@@ -758,13 +755,29 @@ class TestAuditsMatchPairwiseReference:
             assert order.bottoms() == [i for i in range(n) if all(m[i])]
             assert order.tops() == [j for j in range(n) if all(m[i][j] for i in range(n))]
 
+    @pytest.mark.parametrize("v", AUDIT_VARIANTS, ids=lambda v: v.name)
+    @given(st.booleans(), st.randoms(use_true_random=False), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_order_equals_member_pair_holds(self, v, explicit, rng, n):
+        # the union/intersection identity of basic_rough_order, against holds
+        space = seeded_space(rng, n, explicit)
+        space.parthood = v
+        q = rough_objects(space)
+        regions = list(space.universe.all_regions())
+        above = [sum(1 << b.bits for b in regions if ph.holds(v, a, b, space)) for a in regions]
+        members = [sum(1 << a.bits for a in c.members) for c in q.classes]
+        want = [sum(1 << j for j, ys in enumerate(members)
+                    if all(above[a.bits] & ys == ys for a in c.members))
+                for c in q.classes]
+        assert list(basic_rough_order(q).rows) == want
+
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
     def test_g_simple_order_equals_member_pair_rows(self, explicit, monkeypatch):
-        # On a derived space one representative per class decides g-simple (one
-        # relation_rows call); explicit operators keep the member-pair branch.
+        # One kernel call orders every class pair: on a derived space over one
+        # signature per class, on explicit operators over every member's.
         calls = []
-        rows_of = ph.relation_rows
-        monkeypatch.setattr(ph, "relation_rows", lambda *a: calls.append(a) or rows_of(*a))
+        rows_of = ph._column_rows
+        monkeypatch.setattr(ph, "_column_rows", lambda *a: calls.append(a) or rows_of(*a))
         rng = random.Random(f"g-simple-order-{explicit}")
         for _ in range(12):
             space = seeded_space(rng, rng.randint(1, 6 if not explicit else 4), explicit)
@@ -778,7 +791,7 @@ class TestAuditsMatchPairwiseReference:
                     for xs in members]
             calls.clear()
             assert list(basic_rough_order(q).rows) == want
-            assert len(calls) == (len(members) ** 2 if explicit else 1)
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
     def test_transitivity_proved_from_class_signatures(self, explicit):
@@ -794,9 +807,9 @@ class TestAuditsMatchPairwiseReference:
                 space.parthood = v
                 q = rough_objects(space)
                 order = basic_rough_order(q)
-                tests = ph._subset_tests(v, space)
-                proved = tests is not None and ph._transitive_by_form(
-                    tests, [(c.lower.bits, c.upper.bits) for c in q.classes])
+                tests, read = ph._subset_tests(v, space)
+                proved = ph._transitive_by_form(tests, read.signatures(
+                    [a.bits for c in q.classes for a in c.members]))
                 found = order.transitive_failures()
                 assert found == [(i, j, k) for i, j, escape in scan(order.rows)
                                  for k in ph._bits(escape)], v.name
@@ -805,8 +818,7 @@ class TestAuditsMatchPairwiseReference:
                     skipped.add(v.name)
         covered = {"very-cautious", "possibilist", "bilateral", "lateral-plus",
                    "rough-inclusion", "ultra-cautious", "g-simple"}
-        unsigned = {"subset", "g-simple"} if explicit else {"subset"}   # decided by holds()
-        assert covered - unsigned <= skipped <= set(ph.VARIANTS) - unsigned
+        assert covered <= skipped
 
     def test_transitivity_of_the_parthood_the_rows_were_built_from(self, u5, gran5):
         space = GranularOperatorSpace(u5, gran5, parthood=ph.CAUTIOUS)

@@ -52,11 +52,6 @@ class TestFormulas:
         assert ph.holds(ph.G_SIMPLE, u5.region("34"), u5.region("3"), space5)
         assert not ph.holds(ph.G_SIMPLE, u5.region("12"), u5.region("3"), space5)
 
-    def test_custom_variant(self, space5, u5):
-        v = ph.ParthoodVariant.custom("subset", lambda ctx, a, b: a.issubset(b))
-        assert ph.holds(v, u5.region("1"), u5.region("12"), space5)
-        assert not ph.holds(v, u5.region("3"), u5.region("12"), space5)
-
     def test_unknown_variant_name(self):
         with pytest.raises(ValueError, match="unknown parthood variant"):
             ph.variant("nope")
@@ -139,8 +134,6 @@ class TestAudits:
         for x, y in sig_pairs:
             assert space5.signature(x) == space5.signature(y)
             for v in ph.VARIANTS.values():
-                if ph._subset_tests(v, space5) is None:
-                    continue
                 for b in probe:
                     assert ph.holds(v, x, b, space5) == ph.holds(v, y, b, space5)
                     assert ph.holds(v, b, x, space5) == ph.holds(v, b, y, space5)
@@ -186,6 +179,18 @@ class TestAudits:
             cautious = ph.audit_properties(ph.CAUTIOUS, space)
             assert cautious.check("reflexive").verdict == "holds-exhaustively", name
 
+    def test_basis_past_the_cap_refused_before_drawing(self, monkeypatch):
+        # 2^14 regions, gos-audit's exhaustive basis, is the largest drawn
+        drawn = []
+        draw = ph._region_masks
+        monkeypatch.setattr(ph, "_region_masks", lambda *a: drawn.append(a) or draw(*a))
+        assert len(ph._property_basis(24, 1 << 14, 7).masks) == 1 << 14
+        assert ph._property_basis(14, 10 ** 8).mode == "exhaustive"   # all 2^14 regions
+        for n, budget in ((24, (1 << 14) + 1), (15, 10 ** 8), (24, 10 ** 8)):
+            with pytest.raises(ValueError, match=f"regions, over {1 << 14}$"):
+                ph._property_basis(n, budget)
+        assert len(drawn) == 2
+
     def test_proper_confluence_reportable(self, space5):
         report = ph.audit_properties(ph.ROUGH_INCLUSION, space5,
                                      include_proper_confluence=True)
@@ -203,22 +208,21 @@ def _mask_lists(rng: random.Random, n: int):
     yield [], []
 
 
-KERNEL_VARIANTS = list(ph.VARIANTS.values()) + [
-    ph.ParthoodVariant.custom("subset", lambda ctx, a, b: a.issubset(b)),
-    ph.ParthoodVariant.custom("not-larger", lambda ctx, a, b: len(a) <= len(b)),
-]
+KERNEL_VARIANTS = list(ph.VARIANTS.values())   # every one is read from signatures
 
 
-SIGNATURE_VARIANTS = list(ph.VARIANTS.values())   # all read from signatures on a derived space
+def _holds_rows(v, space, sources, targets):
+    """The bit rows of ``v`` from ``holds``, pair by pair."""
+    region = space.universe.region_from_bits
+    ends = [region(b) for b in targets]
+    return [sum(1 << j for j, b in enumerate(ends) if ph.holds(v, region(a), b, space))
+            for a in sources]
 
 
 def _assert_rows_hold(v, space, sources, targets):
     """``relation_rows`` equals ``holds`` pair by pair."""
-    region = space.universe.region_from_bits
-    ends = [region(b) for b in targets]
-    assert ph.relation_rows(v, space, sources, targets) == [
-        sum(1 << j for j, b in enumerate(ends) if ph.holds(v, region(a), b, space))
-        for a in sources]
+    assert ph.relation_rows(v, space, sources, targets) == \
+        _holds_rows(v, space, sources, targets)
 
 
 class TestRelationRows:
@@ -266,7 +270,7 @@ class TestRelationRows:
         assert set(calls.values()) == {1}
 
     # Shapes the columns' transpose meets, each against pairwise holds.
-    @pytest.mark.parametrize("v", SIGNATURE_VARIANTS, ids=lambda v: v.name)
+    @pytest.mark.parametrize("v", KERNEL_VARIANTS, ids=lambda v: v.name)
     def test_more_targets_than_a_tile(self, v):
         rng = random.Random(f"tile-{v.name}")
         u = Universe(tuple(f"e{i}" for i in range(12)))
@@ -276,7 +280,7 @@ class TestRelationRows:
         targets = rng.sample(range(1 << 12), core.TILE_BITS + 76)
         _assert_rows_hold(v, space, [rng.randrange(1 << 12) for _ in range(12)], targets)
 
-    @pytest.mark.parametrize("v", SIGNATURE_VARIANTS, ids=lambda v: v.name)
+    @pytest.mark.parametrize("v", KERNEL_VARIANTS, ids=lambda v: v.name)
     def test_wide_universe_with_few_targets(self, v):
         rng = random.Random(f"wide-{v.name}")
         space = seeded_space(rng, 40)
@@ -290,7 +294,7 @@ class TestRelationRows:
         universe, granulation = parse_context(text)
         space = GranularOperatorSpace(universe, granulation)
         singletons = [1 << i for i in range(len(universe))]
-        for v in SIGNATURE_VARIANTS:
+        for v in KERNEL_VARIANTS:
             _assert_rows_hold(v, space, singletons, singletons)
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
@@ -314,8 +318,8 @@ class TestRelationRows:
         for seed in (DEFAULT_SEED, 11):
             masks = ph._property_basis(len(universe), 256, seed).scan(universe)
             sigs = set(space.signatures(masks))
-            for v in SIGNATURE_VARIANTS:
-                for x, _ in ph._subset_tests(v, space) or ():
+            for v in KERNEL_VARIANTS:
+                for x, _ in ph._subset_tests(v, space)[0]:
                     if len({x(sig) for sig in sigs}) < len(sigs):
                         shared.add(v.name)
                 _assert_rows_hold(v, space, masks, masks)
@@ -394,9 +398,9 @@ class TestRelationRows:
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
     def test_g_simple_rows_over_every_region_pair(self, explicit):
-        # On a derived space g-simple is read as very-cautious, and the rows of
-        # all 2^n x 2^n pairs equal pairwise holds.  Explicit operators that
-        # disagree with the granules part the two, and g-simple keeps holds.
+        # g-simple is read as very-cautious on the granule-derived signatures,
+        # and the rows of all 2^n x 2^n pairs equal pairwise holds.  Explicit
+        # operators that disagree with the granules part it from very-cautious.
         rng = random.Random(f"g-simple-rows-{explicit}")
         differ = 0
         for _ in range(15):
@@ -409,6 +413,16 @@ class TestRelationRows:
                                 if ph.holds(ph.G_SIMPLE, a, b, space)) for a in regions]
             differ += rows != ph.relation_rows(ph.VERY_CAUTIOUS, space, masks, masks)
         assert differ if explicit else not differ
+
+    def test_g_simple_on_explicit_operators_over_sampled_bases(self):
+        # the derived twin's signatures, against the granule loop of holds
+        rng = random.Random("g-simple-sampled")
+        for _ in range(25):
+            n = rng.randint(3, 8)
+            space = seeded_space(rng, n, explicit=True)
+            masks = ph._property_basis(n, rng.randint(1, 40), rng.randrange(99)).masks
+            _assert_rows_hold(ph.G_SIMPLE, space, masks, masks)
+            _assert_rows_hold(ph.G_SIMPLE, space, masks[::2], masks[1::3])
 
     def test_transpose(self):
         rows = [0b011, 0b000, 0b110, 0b001]
@@ -471,11 +485,13 @@ def _reference_transpose(rows, width):
     return [sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(width)]
 
 
-def _reference_audit(v, ctx, basis, witness_cap=5, include_proper_confluence=False):
-    """The auditor's former hand-written loops, kept as the reference."""
+def _reference_audit(v, ctx, basis, witness_cap=5, include_proper_confluence=False,
+                     rows=None):
+    """The auditor's former hand-written loops, kept as the reference, on
+    ``rows`` (default: the kernel's)."""
     masks, mode = basis.masks, basis.mode
     m = len(masks)
-    rows = ph.relation_rows(v, ctx, masks, masks)
+    rows = rows or ph.relation_rows(v, ctx, masks, masks)
 
     def witness(*ids):
         return tuple(ctx.universe.region_from_bits(masks[i]) for i in ids)
@@ -561,7 +577,7 @@ def _audit_cases(v, explicit):
 
 
 class TestAuditMatchesLoopReference:
-    @pytest.mark.parametrize("v", KERNEL_VARIANTS[:-1], ids=lambda v: v.name)
+    @pytest.mark.parametrize("v", KERNEL_VARIANTS, ids=lambda v: v.name)
     @pytest.mark.parametrize("explicit", [False, True], ids=["derived", "explicit"])
     def test_report_equals_reference(self, v, explicit):
         modes = set()
@@ -600,7 +616,7 @@ class TestAuditMatchesLoopReference:
     def test_reference_finds_failures_of_every_check(self):
         # the comparison above is not vacuous: each check fails somewhere
         failing = set()
-        for v in KERNEL_VARIANTS[:-1]:
+        for v in KERNEL_VARIANTS:
             for space, basis in _audit_cases(v, False):
                 report = _reference_audit(v, space, basis, include_proper_confluence=True)
                 failing |= {c.name for c in report.checks if c.verdict == "fails"}
@@ -609,7 +625,7 @@ class TestAuditMatchesLoopReference:
 
 
 class TestWitnessCap:
-    @pytest.mark.parametrize("v", KERNEL_VARIANTS[:-1], ids=lambda v: v.name)
+    @pytest.mark.parametrize("v", KERNEL_VARIANTS, ids=lambda v: v.name)
     def test_verdicts_do_not_depend_on_the_cap(self, v):
         for space, basis in _audit_cases(v, False):
             full = ph.audit_properties(v, space, basis, witness_cap=UNLIMITED,
@@ -781,7 +797,7 @@ class TestTransitivityLemma:
         sigs = space.signatures(masks)
         assert any(lo != up for lo, up in sigs)   # a rough region
         proved = {name for name, v in ph.VARIANTS.items()
-                  if ph._transitive_by_form(ph._subset_tests(v, space), sigs)}
+                  if ph._transitive_by_form(ph._subset_tests(v, space)[0], sigs)}
         assert proved == PROVED_ON_DERIVED
         scans = _skipped_scans(monkeypatch)
         for name, v in sorted(ph.VARIANTS.items()):
@@ -797,7 +813,7 @@ class TestTransitivityLemma:
             space = seeded_space(rng, n)
             sigs = space.signatures(ph._property_basis(n, rng.randint(1, 64), 7).masks)
             for name in PROVED_ON_DERIVED:
-                assert ph._transitive_by_form(ph._subset_tests(ph.variant(name), space), sigs)
+                assert ph._transitive_by_form(ph._subset_tests(ph.variant(name), space)[0], sigs)
 
     def test_degenerate_signatures_prove_cautious_too(self):
         # every region definite: upper = lower, so cautious is very-cautious
@@ -808,10 +824,20 @@ class TestTransitivityLemma:
         assert report.to_dict() == _reference_audit(ph.CAUTIOUS, space,
                                                     ph._property_basis(3)).to_dict()
 
-    @pytest.mark.parametrize("v", [ph.G_SIMPLE] + KERNEL_VARIANTS[-2:], ids=lambda v: v.name)
-    def test_holds_only_variants_always_scan(self, v, monkeypatch):
-        # custom evaluators, and g-simple on explicit operators
+    def test_g_simple_on_explicit_operators_is_proved(self, monkeypatch):
+        # g-simple reads the derived twin's signatures, where the lemma holds:
+        # no scan, and the report is the scan reference's on pairwise holds
         scans = _skipped_scans(monkeypatch)
-        space = seeded_space(random.Random("scan"), 4, explicit=True)
-        ph.audit_properties(v, space)
-        assert scans == [1]
+        rng = random.Random("scan")
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            space = seeded_space(rng, n, explicit=True)
+            for basis in (ph._property_basis(n), ph._property_basis(n, 5, rng.randrange(99))):
+                report = ph.audit_properties(ph.G_SIMPLE, space, basis,
+                                             include_proper_confluence=True)
+                want = _reference_audit(ph.G_SIMPLE, space, basis,
+                                        include_proper_confluence=True, rows=_holds_rows(
+                                            ph.G_SIMPLE, space, basis.masks, basis.masks))
+                assert report.to_dict() == want.to_dict()
+                assert report.check("transitive").verdict.startswith("holds")
+        assert scans == []

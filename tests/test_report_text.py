@@ -65,16 +65,12 @@ def axiom_reports(rng: random.Random) -> list[AxiomReport]:
             audit_full_underlap(space, basis)]
 
 
-CUSTOM = [ph.ParthoodVariant.custom("subset", lambda ctx, a, b: a.issubset(b)),
-          ph.ParthoodVariant.custom("not-larger", lambda ctx, a, b: len(a) <= len(b))]
-
-
 def property_reports(rng: random.Random) -> list[ph.PropertyReport]:
     """Property audits of one random space under a few variants."""
     n = rng.randint(1, 6)
     space = audit_space(rng, n, rng.random() < 0.4)
     basis = audit_basis(rng, n)
-    variants = rng.sample(list(ph.VARIANTS.values()) + CUSTOM, rng.randint(1, 4))
+    variants = rng.sample(list(ph.VARIANTS.values()), rng.randint(1, 4))
     return [ph.audit_properties(v, space, basis, witness_cap=rng.randint(0, 6),
                                 include_proper_confluence=rng.random() < 0.5)
             for v in variants]
